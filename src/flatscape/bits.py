@@ -5,16 +5,6 @@ so arbitrary n is supported and set algebra is plain integer arithmetic.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
 
 def popcount(mask: int) -> int:
     return bin(mask).count("1")
@@ -27,17 +17,6 @@ def adjacency_masks(n: int, edges) -> list[int]:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return adj
-
-
-def is_independent(mask: int, adj: list[int]) -> bool:
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        if adj[v] & mask:
-            return False
-        m ^= low
-    return True
 
 
 def enumerate_independent_sets(n: int, adj: list[int]) -> list[int]:

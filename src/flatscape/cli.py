@@ -3,8 +3,10 @@ samplers, gap pipelines, and comparison tables.
 
 Pipelines compose via files (or stdin/stdout with ``-``); every run that
 writes a real file also drops a ``<name>.manifest.json`` recording the
-argument vector, seeds, code version, input digests and wall clock, so a
-run can be replayed byte-for-byte.  Exit codes: 0 success, 2 usage or bad
+argument vector, seeds, code version, input digests, wall clock and exit
+status, so a run can be replayed byte-for-byte.  The manifest is written
+on error exits too, beside the intended ``--out`` path when the failure
+came before any output.  Exit codes: 0 success, 2 usage or bad
 input, 3 capacity, 4 numerical non-convergence, 5 censored or degenerate
 result.  Errors print to stderr as ``flatscape: error[<class>]: ...``.
 """
@@ -101,8 +103,11 @@ class _Run:
             fh.write(text)
         self.outputs.append(path)
 
-    def finish(self) -> None:
-        if not self.outputs:
+    def finish(self, status: int, out: str) -> None:
+        """Write the manifest beside the first output, or beside the
+        intended ``out`` path when a failure came before any output."""
+        path = self.outputs[0] if self.outputs else _resolve_out(out)
+        if path == "-":
             return
         manifest = {
             "version": 1,
@@ -114,9 +119,10 @@ class _Run:
             "input_digests": self.inputs,
             "outputs": self.outputs,
             "wall_clock_s": time.time() - self.started,
+            "status": status,
         }
-        path = self.outputs[0] + ".manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
             fh.write(_canonical_json(manifest))
 
 
@@ -635,20 +641,20 @@ def main(argv=None) -> int:
     run = _Run(argv, seeds=[getattr(args, "seed", None)])
     try:
         status = args.func(args, run)
-        run.finish()
-        return status
     except (ParseError, ConsistencyError, ConfigError, ValueError) as exc:
         _fail("usage", str(exc))
-        return 2
+        status = 2
     except CapacityError as exc:
         _fail("capacity", str(exc))
-        return 3
+        status = 3
     except ConvergenceError as exc:
         _fail("numerical", str(exc))
-        return 4
+        status = 4
     except (CensoredResult, DegenerateResult) as exc:
         _fail("censored", str(exc))
-        return 5
+        status = 5
+    run.finish(status, args.out)
+    return status
 
 
 if __name__ == "__main__":

@@ -415,20 +415,24 @@ class QMCBoundReport:
         }
 
 
-def _restricted_gibbs_populations(graph: Graph, b: int, omega: float,
-                                  delta: float, lam: float, beta: float):
-    """Diagonal Gibbs populations of the Hamiltonian restricted to
-    configurations of size < b (dense diagonalization)."""
-    basis = [z for z in restricted_basis(graph) if popcount(z) <= b - 1]
+def _restricted_gibbs_populations(full, b: int, beta: float):
+    """Diagonal Gibbs populations of the operator ``full`` restricted to
+    configurations of size < b (dense diagonalization).
+
+    Each diagonal entry is a Rayleigh quotient, so min(diag H) >= E0; the
+    eigenpairs above min(diag H) + 40/beta weigh under e^-40 of the ground
+    state and are left out.
+    """
+    basis = [z for z in full.basis if popcount(z) <= b - 1]
     if len(basis) > DENSE_WORLDLINE_LIMIT:
         raise CapacityError(
             f"restricted space of {len(basis)} states exceeds the dense limit")
     index = {z: i for i, z in enumerate(basis)}
-    # assemble the restriction by masking the full operator
-    full = build_operator(graph, omega, delta, lam)
     keep = [full.index[z] for z in basis]
-    H = full.matrix.toarray()[np.ix_(keep, keep)]
-    w, V = scipy.linalg.eigh(H)
+    H = full.matrix[keep][:, keep].toarray(order="F")
+    top = np.diag(H).min() + 40.0 / beta if beta > 0 else np.inf
+    w, V = scipy.linalg.eigh(H, overwrite_a=True,
+                             subset_by_value=(-np.inf, top))
     pops = (V ** 2) @ np.exp(-beta * (w - w[0]))
     pops /= pops.sum()
     return basis, index, pops
@@ -450,17 +454,16 @@ def qmc_bound_inputs(graph: Graph, b: int | None = None, omega: float = 0.3,
         raise ValueError("eps must be < 1/2")
     profile = independence_polynomial(graph)
     sizes = [b] if b is not None else profile.bound_sizes()
-    adj = graph.adjacency()
+    if any(size < 1 or size > profile.alpha for size in sizes):
+        raise ValueError(f"set sizes {sizes} outside 1..alpha")
+    full = build_operator(graph, omega, delta, lam)
     e_max: dict[int, float] = {}
     z_arg: dict[int, int] = {}
     for size in sizes:
-        if size < 1 or size > profile.alpha:
-            raise ValueError(f"set size {size} outside 1..alpha")
-        basis, index, pops = _restricted_gibbs_populations(
-            graph, size, omega, delta, lam, beta)
+        basis, index, pops = _restricted_gibbs_populations(full, size, beta)
         # restricted-space configurations within k flips of a size-b set
         # (hypercube distance; intermediate configurations unconstrained)
-        targets = [z for z in restricted_basis(graph) if popcount(z) == size]
+        targets = [z for z in full.basis if popcount(z) == size]
         candidates: set[int] = set()
         for z in targets:
             ball = {z}

@@ -72,11 +72,6 @@ def spin_exchange_matrix(graph: Graph, basis: list[int]) -> scipy.sparse.csr_mat
                                    shape=(len(basis), len(basis)))
 
 
-def exchange_degree_diag(graph: Graph, basis: list[int]) -> np.ndarray:
-    adj = graph.adjacency()
-    return np.array([float(len(spin_exchange_targets(z, adj))) for z in basis])
-
-
 def free_vertex_diag(graph: Graph, basis: list[int]) -> np.ndarray:
     """Per-configuration count of vertices addable without a violation."""
     adj = graph.adjacency()
@@ -93,8 +88,9 @@ def free_vertex_diag(graph: Graph, basis: list[int]) -> np.ndarray:
 def laplacian_matrix(graph: Graph, basis: list[int]) -> scipy.sparse.csr_matrix:
     """Configuration-graph Laplacian (degree diagonal minus exchange
     adjacency); block diagonal over fixed-size manifolds."""
-    return (scipy.sparse.diags(exchange_degree_diag(graph, basis))
-            - spin_exchange_matrix(graph, basis)).tocsr()
+    exchange = spin_exchange_matrix(graph, basis)
+    degree = np.asarray(exchange.sum(axis=1)).ravel()
+    return (scipy.sparse.diags(degree) - exchange).tocsr()
 
 
 def violation_count(graph: Graph, mask: int) -> int:
@@ -123,25 +119,6 @@ class OperatorHandle:
 
     def sizes(self) -> np.ndarray:
         return np.array([popcount(z) for z in self.basis])
-
-    def term_matrix(self, name: str):
-        """Named generator on this operator's basis (unit coefficients)."""
-        if name == "cost":
-            diag = -self.sizes().astype(float)
-            if self.mode == "penalty":
-                U = self.coefficients["U"]
-                diag = diag + np.array(
-                    [U * violation_count(self.graph, z) for z in self.basis])
-            return scipy.sparse.diags(diag).tocsr()
-        if name == "drive":
-            return drive_matrix(self.graph, self.basis)
-        if name == "spin_exchange":
-            return spin_exchange_matrix(self.graph, self.basis)
-        if name == "free_vertex":
-            return scipy.sparse.diags(free_vertex_diag(self.graph, self.basis)).tocsr()
-        if name == "laplacian":
-            return laplacian_matrix(self.graph, self.basis)
-        raise ValueError(f"unknown term {name!r}")
 
 
 def build_operator(graph: Graph, omega: float, delta: float, lam: float = 0.0,
@@ -399,16 +376,16 @@ def _manifold_ground(graph: Graph, b: int):
         vec = np.ones(1)
         fv = free_vertex_diag(graph, basis)
         return basis, vec, 0.0, float(fv[0]), False
-    block = (spin_exchange_matrix(graph, basis)
-             - scipy.sparse.diags(free_vertex_diag(graph, basis))).toarray()
-    w, v = scipy.linalg.eigh(block)
+    exchange = spin_exchange_matrix(graph, basis)
+    free = free_vertex_diag(graph, basis)
+    w, v = scipy.linalg.eigh((exchange - scipy.sparse.diags(free)).toarray())
     vec = v[:, -1]
     if vec.sum() < 0:
         vec = -vec
     spread = abs(w[-1]) + abs(w[0])
     degenerate = dim > 1 and abs(w[-1] - w[-2]) < DEGENERACY_RTOL * max(spread, 1.0)
-    se = float(vec @ (spin_exchange_matrix(graph, basis) @ vec))
-    fv = float(vec @ (free_vertex_diag(graph, basis) * vec))
+    se = float(vec @ (exchange @ vec))
+    fv = float(vec @ (free * vec))
     return basis, vec, se, fv, degenerate
 
 
@@ -466,27 +443,37 @@ def embed_state(basis: list[int], sub_basis: list[int],
     return vec
 
 
-def _heff_entries(H, G: np.ndarray, E: np.ndarray, z: float,
-                  dense: bool, solve_tol: float):
-    """2x2 effective-Hamiltonian entries at energy z:
-    <a| H |b> + <a| H Q (z - QHQ)^{-1} Q H |b> for a, b in {G, E}."""
+def _heff_solver(H, G: np.ndarray, E: np.ndarray, dense: bool,
+                 solve_tol: float):
+    """z -> 2x2 effective-Hamiltonian entries
+    <a| H |b> + <a| H Q (z - QHQ)^{-1} Q H |b> for a, b in {G, E}.
+
+    The dense path forms QHQ once, by a rank-4 update in O(dim^2): with
+    U = [G E] and W = HU - U (U^T H U) / 2, QHQ = H - U W^T - W U^T.  Each
+    energy is then one symmetric solve with both right-hand sides.
+    """
     def project_out(x):
         return x - G * (G @ x) - E * (E @ x)
 
-    out = {}
-    ys = {}
-    for name, vb in (("G", G), ("E", E)):
-        rhs = project_out(H @ vb)
-        if dense:
-            dimension = H.shape[0]
-            Hd = H.toarray() if scipy.sparse.issparse(H) else H
-            P = np.outer(G, G) + np.outer(E, E)
-            Q = np.eye(dimension) - P
-            A = z * np.eye(dimension) - Q @ Hd @ Q
-            y = scipy.linalg.solve(A, rhs, assume_a="sym")
-        else:
-            dim = H.shape[0]
+    U = np.column_stack([G, E])
+    HU = H @ U
+    base = U.T @ HU
+    rhs = HU - U @ base  # Q H [G E]
+    if dense:
+        # Fortran order lets LAPACK factor each copy of z - QHQ in place
+        QHQ = (H.toarray(order="F") if scipy.sparse.issparse(H)
+               else np.array(H, float, order="F"))
+        W = HU - 0.5 * U @ base
+        QHQ -= np.hstack([U, W]) @ np.hstack([W, U]).T
 
+        def solve(z):
+            A = -QHQ
+            A[np.diag_indices_from(A)] += z
+            return scipy.linalg.solve(A, rhs, assume_a="sym", overwrite_a=True)
+    else:
+        dim = H.shape[0]
+
+        def solve(z):
             # acts as (z - QHQ) on the Q subspace and as the identity on the
             # P block, so MINRES stays well-posed; rhs lives in Q already
             def av(x):
@@ -494,24 +481,32 @@ def _heff_entries(H, G: np.ndarray, E: np.ndarray, z: float,
                 return z * qx - project_out(H @ qx) + (x - qx)
 
             linop = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=av)
-            y, info = scipy.sparse.linalg.minres(linop, rhs, rtol=solve_tol,
-                                                 maxiter=40 * dim)
-            if info != 0:
-                ritz = scipy.sparse.linalg.eigsh(
-                    linop, k=1, which="SA", return_eigenvectors=False,
-                    maxiter=2000, tol=1e-6)
-                raise ConvergenceError(
-                    "resolvent solve did not converge; smallest Ritz value of "
-                    f"(z - QHQ) is {float(ritz[0]):.3e} (pole proximity)",
-                    residuals=[float(ritz[0])])
-            y = project_out(y)
-        ys[name] = y
-    HG, HE = H @ G, H @ E
-    out["GG"] = float(G @ HG + (HG) @ ys["G"])
-    out["GE"] = float(G @ HE + (HG) @ ys["E"])
-    out["EG"] = float(E @ HG + (HE) @ ys["G"])
-    out["EE"] = float(E @ HE + (HE) @ ys["E"])
-    return out
+            ys = []
+            for b in rhs.T:
+                y, info = scipy.sparse.linalg.minres(
+                    linop, b, rtol=solve_tol, maxiter=40 * dim)
+                if info != 0:
+                    ritz = scipy.sparse.linalg.eigsh(
+                        linop, k=1, which="SA", return_eigenvectors=False,
+                        maxiter=2000, tol=1e-6)
+                    raise ConvergenceError(
+                        "resolvent solve did not converge; smallest Ritz "
+                        f"value of (z - QHQ) is {float(ritz[0]):.3e} "
+                        "(pole proximity)", residuals=[float(ritz[0])])
+                ys.append(project_out(y))
+            return np.column_stack(ys)
+
+    def entries(z):
+        m = base + HU.T @ solve(z)
+        return {"GG": float(m[0, 0]), "GE": float(m[0, 1]),
+                "EG": float(m[1, 0]), "EE": float(m[1, 1])}
+    return entries
+
+
+def _heff_entries(H, G: np.ndarray, E: np.ndarray, z: float,
+                  dense: bool, solve_tol: float):
+    """2x2 effective-Hamiltonian entries at the single energy z."""
+    return _heff_solver(H, G, E, dense, solve_tol)(z)
 
 
 def _heff_series(H_cost_diag: np.ndarray, drive, G: np.ndarray, E: np.ndarray,
@@ -587,8 +582,7 @@ def resolvent_gap(H, G: np.ndarray, E: np.ndarray, z0: float,
         def entries(z):
             return _heff_series(diag, drive, G, E, z, omega, order)
     else:
-        def entries(z):
-            return _heff_entries(H, G, E, z, dense, solve_tol)
+        entries = _heff_solver(H, G, E, dense, solve_tol)
 
     ent0 = entries(z0)
     tilde = 2.0 * abs(ent0["GE"])

@@ -139,3 +139,33 @@ def trotter_marginal(H, beta, slices):
     TM = np.linalg.matrix_power(T, slices)
     marg = np.diag(TM).copy()
     return marg / marg.sum()
+
+
+def brute_heff_entries(H, G, E, z):
+    """2x2 effective-Hamiltonian entries <a|H + H Q (z - QHQ)^-1 Q H|b> for
+    a, b in {G, E} (orthonormal), from explicit P and Q matrices and one
+    dense general solve."""
+    H = H.toarray() if hasattr(H, "toarray") else np.asarray(H, dtype=float)
+    dim = H.shape[0]
+    P = np.outer(G, G) + np.outer(E, E)
+    Q = np.eye(dim) - P
+    K = H @ Q @ np.linalg.solve(z * np.eye(dim) - Q @ H @ Q, Q @ H)
+    states = {"G": G, "E": E}
+    return {a + b: float(states[a] @ (H + K) @ states[b])
+            for a in states for b in states}
+
+
+def brute_emax(graph, b, omega, delta, lam, beta, k=1):
+    """QMC enhancement factor from a full eigh: the top Gibbs population of
+    the size-<b block among configurations within k flips of a size-b set,
+    times the number of size-(b-1) sets."""
+    masks, ok, sizes = subset_sweep(graph)
+    basis = [int(z) for z in masks[ok & (sizes < b)]]
+    pops = gibbs_diagonal(dense_hamiltonian(graph, basis, omega, delta, lam),
+                          beta)
+    pos = {z: i for i, z in enumerate(basis)}
+    ball = {int(z) for z in masks[ok & (sizes == b)]}
+    for _ in range(k):
+        ball |= {z ^ (1 << v) for z in ball for v in range(graph.n)}
+    best = max(pops[pos[z]] for z in ball if z in pos)
+    return float(best) * int(np.sum(ok & (sizes == b - 1)))

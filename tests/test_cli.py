@@ -146,3 +146,36 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("FLATSCAPE_OUT", str(tmp_path))
     assert run_cli(["gen", "--nb", "1", "--l", "2", "--out", "rel.json"]) == 0
     assert (tmp_path / "rel.json").exists()
+
+
+def test_manifest_written_on_censored_exit(tmp_path, capsys):
+    inst = tmp_path / "i.json"
+    assert run_cli(["gen", "--width", "6", "--height", "5",
+                    "--out", str(inst)]) == 0
+    out = tmp_path / "t.json"
+    # four sweeps at beta 0.1 never reach the maximum set of a 6x5 instance
+    assert run_cli(["sa", "--in", str(inst), "--tts", "--trials", "2",
+                    "--tts-max-exp", "2", "--beta", "0.1",
+                    "--out", str(out)]) == 5
+    assert "error[censored]" in capsys.readouterr().err
+    assert json.loads(out.read_text())["censored"] is True
+    manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
+    assert manifest["status"] == 5
+    assert manifest["outputs"] == [str(out)]
+    ok = json.loads((tmp_path / "i.json.manifest.json").read_text())
+    assert ok["status"] == 0
+
+
+def test_manifest_written_when_failure_precedes_output(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    doc = json.loads(serialize(generate_star(8, 6)))
+    doc["kind"] = "generic"
+    doc["meta"] = {}
+    big.write_text(json.dumps(doc))
+    out = tmp_path / "p.json"
+    assert run_cli(["profile", "--in", str(big), "--out", str(out)]) == 3
+    assert not out.exists()
+    manifest = json.loads((tmp_path / "p.json.manifest.json").read_text())
+    assert manifest["status"] == 3
+    assert manifest["outputs"] == []
+    assert str(big) in manifest["input_digests"]

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (dense_hamiltonian, gibbs_diagonal, gibbs_distribution,
-                     total_variation, trotter_marginal)
+from oracles import (brute_emax, dense_hamiltonian, gibbs_diagonal,
+                     gibbs_distribution, total_variation, trotter_marginal)
 
 from flatscape.errors import CapacityError, ConfigError
-from flatscape.graphs import Graph, generate_star
+from flatscape.graphs import Graph, generate_star, generate_unit_disk
 from flatscape.qmc import (QMCConfig, WorldlineEngine, qmc_bound_inputs,
                            qmc_run, trotter_error_proxy,
                            worldline_transition_matrix)
@@ -199,3 +199,17 @@ def test_heat_bath_line_matches_exact_conditional():
     tv = 0.5 * sum(abs(empirical.get(k, 0.0) - exact.get(k, 0.0))
                    for k in set(empirical) | set(exact))
     assert tv <= 0.01
+
+
+@pytest.mark.parametrize("graph", [generate_star(2, 2),
+                                   generate_unit_disk(4, 3, 0.8, seed=3)],
+                         ids=["star22", "unit-disk-4x3-s3"])
+@pytest.mark.parametrize("lam", [0.0, 50.0])
+@pytest.mark.parametrize("beta", [1e-9, 2.0, 20.0])
+def test_emax_matches_full_eigh_oracle(graph, lam, beta):
+    report = qmc_bound_inputs(graph, omega=0.3, delta=1.0, lam=lam,
+                              beta=beta)
+    assert report.e_max
+    for b, e in report.e_max.items():
+        assert e == pytest.approx(
+            brute_emax(graph, b, 0.3, 1.0, lam, beta), rel=1e-10), b

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import dense_hamiltonian
+from oracles import brute_heff_entries, dense_hamiltonian
 
 from flatscape.errors import CapacityError, ConfigError
 from flatscape.graphs import Graph, generate_star, generate_unit_disk
@@ -297,3 +297,23 @@ def test_unit_disk_scan_smoke():
         return
     report = min_gap_scan(g, omega=1.0, delta_range=(0.2, 3.0), points=24)
     assert report.gap is not None and report.gap > 0
+
+
+@pytest.mark.parametrize("graph", [generate_star(2, 2),
+                                   generate_unit_disk(4, 3, 0.8, seed=3)],
+                         ids=["star22", "unit-disk-4x3-s3"])
+def test_heff_entries_dense_match_projector_oracle(graph):
+    from flatscape.spectral import _heff_entries
+
+    ps = perturbative_states(graph)
+    op = build_operator(graph, omega=1.0, delta=1.0 / ps.crossing)
+    G = embed_state(op.basis, ps.ground_basis, ps.ground)
+    E = embed_state(op.basis, ps.excited_basis, ps.excited)
+    G, E = G / np.linalg.norm(G), E / np.linalg.norm(E)
+    w, _ = lowest_eigenpairs(op, 2)
+    for z in (w[0] - 0.5, w[0], 0.5 * (w[0] + w[1]), w[1] + 0.25):
+        got = _heff_entries(op.matrix, G, E, float(z), dense=True,
+                            solve_tol=1e-12)
+        want = brute_heff_entries(op.matrix, G, E, float(z))
+        for key in ("GG", "GE", "EG", "EE"):
+            assert got[key] == pytest.approx(want[key], rel=1e-10), (z, key)
