@@ -15,20 +15,10 @@ import numpy as np
 
 from flatscape.graphs import generate_star
 from flatscape.landscape import classical_bound, independence_polynomial
-from flatscape.spectral import scan_minimum_gap
-from flatscape.star_models import SymmetricStarSpace, star_level_crossing
+from flatscape.star_models import star_gap_scan
 
 DEFAULT_RANGES = {2: range(2, 13), 4: range(2, 8), 6: range(2, 6),
                   8: range(2, 4)}
-
-
-def star_gap(n_b, ell, lam=0.0, points=64):
-    space = SymmetricStarSpace(n_b, ell)
-    pred = star_level_crossing(n_b, ell)
-    centre = 1.0 / pred.crossing
-    grid = np.linspace(max(0.2, 0.35 * centre), 1.6 * centre + 0.8, points)
-    report = scan_minimum_gap(lambda d: space.hamiltonian(1.0, d, lam), grid)
-    return report
 
 
 def main():
@@ -42,7 +32,8 @@ def main():
         series = []
         for n_b in nbs:
             profile = independence_polynomial(generate_star(n_b, ell))
-            report = star_gap(n_b, ell, args.lam)
+            report = star_gap_scan(n_b, ell, lam=args.lam,
+                                   span=(0.35, 1.6))
             row = {
                 "ell": ell, "n_b": n_b, "n": n_b * ell + 1,
                 "ratio": float(profile.max_suffix_ratio),

@@ -81,3 +81,27 @@ def spin_exchange_targets(mask: int, adj: list[int]) -> list[int]:
                 continue
             out.append(without | fl)
     return out
+
+
+def components(vertices: int, adj: list[int]) -> list[int]:
+    """Connected components of the subgraph induced on ``vertices``, as
+    masks in order of their lowest vertex."""
+    comps = []
+    todo = vertices
+    while todo:
+        seed = todo & -todo
+        comp = seed
+        frontier = seed
+        while frontier:
+            grow = 0
+            f = frontier
+            while f:
+                low = f & -f
+                v = low.bit_length() - 1
+                f ^= low
+                grow |= adj[v] & todo & ~comp
+            comp |= grow
+            frontier = grow
+        comps.append(comp)
+        todo &= ~comp
+    return comps

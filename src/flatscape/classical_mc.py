@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bits import popcount
+from .bits import components, popcount
 from .errors import ConfigError
 from .graphs import Graph
 from .landscape import independence_polynomial
@@ -281,26 +281,7 @@ def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
 
 def _clusters(mask_i: int, mask_j: int, adj: list[int]) -> list[int]:
     """Connected components of the symmetric-difference subgraph."""
-    diff = mask_i ^ mask_j
-    comps = []
-    todo = diff
-    while todo:
-        seed = todo & -todo
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            f = frontier
-            while f:
-                low = f & -f
-                v = low.bit_length() - 1
-                f ^= low
-                grow |= adj[v] & diff & ~comp
-            comp |= grow
-            frontier = grow
-        comps.append(comp)
-        todo &= ~comp
-    return comps
+    return components(mask_i ^ mask_j, adj)
 
 
 def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None) -> MCResult:

@@ -16,7 +16,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -36,7 +35,7 @@ from .qmc import QMCConfig, qmc_bound_inputs, qmc_run, trotter_error_proxy
 from .spectral import (build_operator, embed_state, hamming_gap_estimate,
                        lowest_eigenpairs, min_gap_scan, perturbative_states,
                        resolvent_gap)
-from .star_models import SymmetricStarSpace, star_level_crossing
+from .star_models import star_gap_scan, star_level_crossing
 from .tight_binding import (build_chain, bulk_diagnostics, chain_gap_profile,
                             synthesize_schedule)
 
@@ -309,34 +308,16 @@ def _cmd_qmc(args, run: _Run) -> int:
     return 0
 
 
-def _star_scan(n_b: int, ell: int, lam: float, points: int = 64):
-    """Minimum-gap scan in the branch-symmetric sector."""
-    from .spectral import scan_minimum_gap
-
-    space = SymmetricStarSpace(n_b, ell)
-    try:
-        pred = star_level_crossing(n_b, ell)
-        centre = 1.0 / pred.crossing
-    except ValueError:
-        centre = math.sqrt(max(n_b, 2.0))
-    grid = np.linspace(max(0.2, 0.3 * centre), 2.2 * centre + 0.8, points)
-    report = scan_minimum_gap(lambda d: space.hamiltonian(1.0, d, lam), grid)
-    if report.delta_star:
-        report.crossing = 1.0 / report.delta_star
-    report.method = {"omega": 1.0, "lam": lam, "basis": "branch-symmetric",
-                     "dim": space.dim}
-    return report
-
-
 def _cmd_gap(args, run: _Run) -> int:
     if args.nb is not None:
-        report = _star_scan(args.nb, args.ell, args.lam, args.points)
+        report = star_gap_scan(args.nb, args.ell, args.omega, args.lam,
+                               args.points)
         graph = generate_star(args.nb, args.ell)
     else:
         graph = _load_graph(run, args.inp)
         if graph.kind == "star" and args.symmetric:
-            report = _star_scan(graph.meta["n_b"], graph.meta["ell"],
-                                args.lam, args.points)
+            report = star_gap_scan(graph.meta["n_b"], graph.meta["ell"],
+                                   args.omega, args.lam, args.points)
         else:
             report = min_gap_scan(graph, omega=args.omega, lam=args.lam,
                                   delta_range=_parse_range(args.delta_range),
@@ -428,7 +409,7 @@ def _star_family_row(task):
     graph = generate_star(n_b, ell)
     profile = independence_polynomial(graph)
     bound = classical_bound(profile, "sa", k=1, eps=0.25)
-    report = _star_scan(n_b, ell, lam)
+    report = star_gap_scan(n_b, ell, lam=lam)
     row = {
         "schema": COMPARE_SCHEMA,
         "family": "star", "ell": ell, "n_b": n_b, "n": graph.n,
@@ -584,7 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--delta-range", default="0.2:6.0")
+    p.add_argument("--delta-range", default="0.2:6.0",
+                   help="detuning scan range lo:hi; star scans (--nb, "
+                   "--symmetric) choose their grid around the predicted "
+                   "crossing")
     p.add_argument("--points", type=int, default=64)
     p.add_argument("--nb", type=int, default=None,
                    help="scan a star family member in the symmetric sector")

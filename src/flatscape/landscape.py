@@ -13,9 +13,10 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from .bits import (enumerate_independent_sets_of_size, popcount,
+from .bits import (components, enumerate_independent_sets_of_size, popcount,
                    spin_exchange_targets)
 from .errors import CapacityError, EmptyManifoldError
 from .graphs import Graph
@@ -109,28 +110,6 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _components(vertices: int, adj: list[int]) -> list[int]:
-    comps = []
-    todo = vertices
-    while todo:
-        seed = todo & -todo
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            f = frontier
-            while f:
-                low = f & -f
-                v = low.bit_length() - 1
-                f ^= low
-                grow |= adj[v] & todo & ~comp
-            comp |= grow
-            frontier = grow
-        comps.append(comp)
-        todo &= ~comp
-    return comps
-
-
 def _count_component(comp: int, adj: list[int]) -> list[int]:
     k = popcount(comp)
     if k == 0:
@@ -163,7 +142,7 @@ def _count_component(comp: int, adj: list[int]) -> list[int]:
 
 def _count_recursive(vertices: int, adj: list[int]) -> list[int]:
     result = [1]
-    for comp in _components(vertices, adj):
+    for comp in components(vertices, adj):
         result = _poly_mul(result, _count_component(comp, adj))
     return result
 
@@ -256,32 +235,27 @@ class ConfigurationGraph:
         return self.n_components <= 1
 
 
+def _move_adjacency(neighbors) -> scipy.sparse.csr_matrix:
+    """Adjacency matrix of a move graph given as per-node neighbour lists."""
+    indptr = np.cumsum([0] + [len(nb) for nb in neighbors])
+    indices = [j for nb in neighbors for j in nb]
+    m = len(neighbors)
+    return scipy.sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
+                                   shape=(m, m))
+
+
 def configuration_graph(graph: Graph, b: int) -> ConfigurationGraph:
     adj = graph.adjacency()
     nodes = enumerate_independent_sets_of_size(graph.n, adj, b)
     if not nodes:
         raise EmptyManifoldError(f"no independent sets of size {b}")
     index = {z: i for i, z in enumerate(nodes)}
-    neighbors = []
-    for z in nodes:
-        neighbors.append(tuple(sorted(index[t] for t in spin_exchange_targets(z, adj))))
-    # connected components by BFS over the move graph
-    labels = [-1] * len(nodes)
-    current = 0
-    for start in range(len(nodes)):
-        if labels[start] != -1:
-            continue
-        stack = [start]
-        labels[start] = current
-        while stack:
-            i = stack.pop()
-            for j in neighbors[i]:
-                if labels[j] == -1:
-                    labels[j] = current
-                    stack.append(j)
-        current += 1
-    return ConfigurationGraph(b=b, nodes=tuple(nodes), neighbors=tuple(neighbors),
-                              components=tuple(labels))
+    neighbors = tuple(tuple(sorted(index[t] for t in spin_exchange_targets(z, adj)))
+                      for z in nodes)
+    _, labels = scipy.sparse.csgraph.connected_components(
+        _move_adjacency(neighbors), directed=False)
+    return ConfigurationGraph(b=b, nodes=tuple(nodes), neighbors=neighbors,
+                              components=tuple(labels.tolist()))
 
 
 def laplacian_gap(cg: ConfigurationGraph) -> float:
@@ -291,19 +265,8 @@ def laplacian_gap(cg: ConfigurationGraph) -> float:
     m = len(comp)
     if m == 1:
         return math.inf
-    pos = {node: k for k, node in enumerate(comp)}
-    rows, cols, vals = [], [], []
-    deg = np.zeros(m)
-    for node in comp:
-        i = pos[node]
-        for j_node in cg.neighbors[node]:
-            j = pos[j_node]
-            rows.append(i)
-            cols.append(j)
-            vals.append(-1.0)
-            deg[i] += 1.0
-    lap = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
-    lap += scipy.sparse.diags(deg)
+    lap = scipy.sparse.csgraph.laplacian(
+        _move_adjacency(cg.neighbors)[comp][:, comp])
     if m <= DENSE_LAPLACIAN_LIMIT:
         w = scipy.linalg.eigh(lap.toarray(), eigvals_only=True,
                               subset_by_index=(0, 1))

@@ -279,35 +279,23 @@ def _golden_minimize(fn, a, b, rel_tol):
     return mid, fn(mid)
 
 
-def scan_minimum_gap(factory, deltas, rel_tol: float = 1e-6,
-                     eig_count: int = 2):
-    """Coarse scan of gap(delta) with golden-section refinement around every
-    interior local minimum.
+def minimize_gap(gap_at, deltas, rel_tol: float) -> GapReport:
+    """Minimum of the scalar ``gap_at(delta)`` over a coarse grid, with
+    golden-section refinement around every interior local minimum.
 
-    ``factory(delta)`` must yield the operator (or matrix) at that scan
-    point.  The avoided-crossing dip can be narrower than the grid spacing,
-    so every interior local minimum of the coarse curve is refined and the
-    best refined value wins; the report keeps the coarse curve.
+    The avoided-crossing dip can be narrower than the grid spacing, so every
+    interior local minimum of the coarse curve is refined, the best refined
+    value wins, and the grid ends compete with it.  The report carries the
+    coarse curve, the gap, its delta and ``boundary_minimum``.
     """
     deltas = np.asarray(list(deltas), dtype=float)
     if len(deltas) < 3:
         raise ValueError("scan grid needs at least 3 points")
-
-    def gap_at(d):
-        w = lowest_eigenvalues(factory(d), eig_count)
-        return float(w[1] - w[0])
-
-    def ground_at(d):
-        w = lowest_eigenvalues(factory(d), eig_count)
-        return float(w[0])
-
     gaps = np.array([gap_at(d) for d in deltas])
     curve = list(zip(deltas.tolist(), gaps.tolist()))
     interior = [k for k in range(1, len(deltas) - 1)
                 if gaps[k] <= gaps[k - 1] and gaps[k] <= gaps[k + 1]]
     report = GapReport(curve=curve)
-    # refine every interior dip (avoided crossings can be narrower than the
-    # grid spacing), then let the boundary compete with the refined values
     best_gap, best_delta = math.inf, None
     for k in interior:
         d_min, g_min = _golden_minimize(gap_at, deltas[k - 1], deltas[k + 1],
@@ -322,7 +310,21 @@ def scan_minimum_gap(factory, deltas, rel_tol: float = 1e-6,
         report.gap, report.delta_star = edge_gap, edge_delta
     else:
         report.gap, report.delta_star = best_gap, best_delta
-    report.e_star = ground_at(report.delta_star)
+    return report
+
+
+def scan_minimum_gap(factory, deltas, rel_tol: float = 1e-6,
+                     eig_count: int = 2) -> GapReport:
+    """Minimum-gap scan of the operators ``factory(delta)`` over the grid
+    ``deltas`` (see ``minimize_gap``), plus the ground energy ``e_star`` at
+    the minimum."""
+    def gap_at(d):
+        w = lowest_eigenvalues(factory(d), eig_count)
+        return float(w[1] - w[0])
+
+    report = minimize_gap(gap_at, deltas, rel_tol)
+    report.e_star = float(
+        lowest_eigenvalues(factory(report.delta_star), eig_count)[0])
     return report
 
 

@@ -21,6 +21,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import scipy.sparse
 
+from .spectral import GapReport, scan_minimum_gap
 
 
 def exchange_density(ell: int) -> float:
@@ -357,22 +358,8 @@ class SymmetricStarSpace:
         ground state is this block's maximal eigenvector.
         """
         sel = self.manifold_indices(b)
-        pos = {int(g): k for k, g in enumerate(sel)}
-        nd = len(sel)
-        block = np.zeros((nd, nd))
-
-        def sink(r, c, v):
-            if r in pos and c in pos:
-                block[pos[r], pos[c]] += v
-
-        self._accumulate_one_branch(self.exchanges_a, self.basis_a,
-                                    self.index_a, sink, 1.0)
-        self._accumulate_one_branch(self.exchanges_b, self.basis_b,
-                                    self.index_b, sink, 1.0)
-        self._centre_exchange(sink, 1.0)
-        fv = self.free_vertex_diag()
-        for g, k in pos.items():
-            block[k, k] -= fv[g]
+        block = (self.spin_exchange_matrix()[sel][:, sel].toarray()
+                 - np.diag(self.free_vertex_diag()[sel]))
         return sel, block
 
     def permutation_multiplicity(self, i: int) -> int:
@@ -430,3 +417,29 @@ class SymmetricStarSpace:
                 amp *= wall_amp[s]
             vec[idx] = amp * math.sqrt(self.permutation_multiplicity(idx))
         return vec
+
+
+def star_gap_scan(n_b: int, ell: int, omega: float = 1.0, lam: float = 0.0,
+                  points: int = 64, span: tuple[float, float] = (0.3, 2.2)
+                  ) -> GapReport:
+    """Minimum-gap scan of star(n_b, ell) in the branch-symmetric sector.
+
+    At omega = 1 the detuning grid runs from span[0] * c (at least 0.2) to
+    span[1] * c + 0.8, where c = 1 / crossing is the predicted crossing
+    detuning (sqrt(n_b) when no finite crossing is predicted).  Since
+    H(omega, delta) = omega * H(1, delta / omega), other drives scan that
+    grid scaled by omega.
+    """
+    space = SymmetricStarSpace(n_b, ell)
+    try:
+        centre = 1.0 / star_level_crossing(n_b, ell).crossing
+    except ValueError:
+        centre = math.sqrt(max(n_b, 2.0))
+    grid = omega * np.linspace(max(0.2, span[0] * centre),
+                               span[1] * centre + 0.8, points)
+    report = scan_minimum_gap(lambda d: space.hamiltonian(omega, d, lam), grid)
+    if report.delta_star:
+        report.crossing = omega / report.delta_star
+    report.method = {"omega": omega, "lam": lam, "basis": "branch-symmetric",
+                     "dim": space.dim}
+    return report

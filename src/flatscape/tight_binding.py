@@ -19,6 +19,7 @@ import scipy.linalg
 
 from .errors import ConfigError
 from .landscape import LandscapeProfile
+from .spectral import minimize_gap
 
 SCHEDULE_RATE_FACTOR = 0.1  # adiabatic safety factor on |d delta / dt|
 
@@ -150,44 +151,15 @@ def chain_gap_profile(chain: ChainModel, delta_range: tuple[float, float],
     """Gap-vs-detuning curve, refined minimum, resonance and its coupling."""
     if chain.alpha < 2:
         raise ConfigError("chain too short for a resonance analysis")
-    out = ChainDiagnostics()
 
     def gap_at(d):
         w = chain.eigenvalues(d, count=2)
         return float(w[1] - w[0])
 
-    deltas = np.linspace(delta_range[0], delta_range[1], points)
-    gaps = np.array([gap_at(d) for d in deltas])
-    out.curve = list(zip(deltas.tolist(), gaps.tolist()))
-    interior = [k for k in range(1, points - 1)
-                if gaps[k] <= gaps[k - 1] and gaps[k] <= gaps[k + 1]]
-    best_gap, best_delta = math.inf, None
-    phi = (math.sqrt(5) - 1) / 2
-    for k in interior:
-        a, b = deltas[k - 1], deltas[k + 1]
-        c1, c2 = b - phi * (b - a), a + phi * (b - a)
-        f1, f2 = gap_at(c1), gap_at(c2)
-        while (b - a) > rel_tol * max(1.0, abs(b)):
-            if f1 < f2:
-                b, c2, f2 = c2, c1, f1
-                c1 = b - phi * (b - a)
-                f1 = gap_at(c1)
-            else:
-                a, c1, f1 = c1, c2, f2
-                c2 = a + phi * (b - a)
-                f2 = gap_at(c2)
-        d = 0.5 * (a + b)
-        g = gap_at(d)
-        if g < best_gap:
-            best_gap, best_delta = g, d
-    edge = float(min(gaps[0], gaps[-1]))
-    if edge < best_gap:
-        out.boundary = True
-        out.min_gap = edge
-        out.min_gap_delta = float(deltas[0] if gaps[0] <= gaps[-1] else deltas[-1])
-    else:
-        out.min_gap = best_gap
-        out.min_gap_delta = best_delta
+    scan = minimize_gap(gap_at, np.linspace(*delta_range, points), rel_tol)
+    out = ChainDiagnostics(curve=scan.curve, min_gap=scan.gap,
+                           min_gap_delta=scan.delta_star,
+                           boundary=scan.boundary_minimum)
     dstar = locate_resonance(chain, delta_hi=delta_range[1])
     if dstar is None or not delta_range[0] <= dstar <= delta_range[1]:
         out.boundary = True

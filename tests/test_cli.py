@@ -63,6 +63,26 @@ def test_gap_consumes_star_prediction(tmp_path, capsys, monkeypatch):
     assert doc["gap"] == pytest.approx(0.8619946975759554, rel=1e-6)
 
 
+@pytest.mark.parametrize("omega, delta_range", [("2", "0.2:6.0"),
+                                                ("0.1", "0.02:0.6")])
+def test_star_gap_scans_follow_omega(tmp_path, omega, delta_range):
+    # the symmetric-sector scans (--nb, --symmetric) and the generic scan of
+    # the same star find the same minimum gap at the given drive
+    inst = tmp_path / "star.json"
+    assert run_cli(["gen", "--nb", "3", "--l", "2", "--out", str(inst)]) == 0
+    generic = tmp_path / "generic.json"
+    assert run_cli(["gap", "--in", str(inst), "--omega", omega,
+                    "--delta-range", delta_range, "--out", str(generic)]) == 0
+    expected = json.loads(generic.read_text())
+    assert not expected["boundary_minimum"]
+    for source in (["--nb", "3", "--l", "2"], ["--in", str(inst), "--symmetric"]):
+        out = tmp_path / "sym.json"
+        assert run_cli(["gap", *source, "--omega", omega, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["method"]["omega"] == float(omega)
+        assert doc["gap"] == pytest.approx(expected["gap"], rel=1e-6)
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -12,7 +12,7 @@ from flatscape.landscape import independence_polynomial
 from flatscape.spectral import (build_operator, embed_state,
                                 free_vertex_diag, hamming_gap_estimate,
                                 laplacian_matrix, lowest_eigenpairs,
-                                manifold_basis, min_gap_scan,
+                                manifold_basis, min_gap_scan, minimize_gap,
                                 perturbative_states, resolvent_gap,
                                 restricted_basis)
 
@@ -117,6 +117,38 @@ def test_min_gap_scan_boundary_flag_single_vertex():
     report = min_gap_scan(g, omega=1.0, delta_range=(0.2, 4.0), points=16)
     assert report.boundary_minimum
     assert report.delta_star == pytest.approx(0.2)
+
+
+def test_minimize_gap_refines_narrow_dip_between_grid_points():
+    # a wide shallow dip holds the coarse minimum (0.6 at delta = 3); the
+    # deeper V at 7.2 lies between grid points and shows on the grid only
+    # as a shallower local minimum (0.65 at delta = 7)
+    def gap_at(d):
+        return min(0.6 + 0.1 * (d - 3.0) ** 2, 0.05 + 3.0 * abs(d - 7.2),
+                   1.0 + 0.01 * d)
+
+    grid = np.linspace(0.0, 10.0, 21)
+    report = minimize_gap(gap_at, grid, rel_tol=1e-9)
+    assert report.curve == [(d, gap_at(d)) for d in grid.tolist()]
+    assert min(report.curve, key=lambda p: p[1])[0] == 3.0
+    assert not report.boundary_minimum
+    assert report.gap == pytest.approx(0.05, abs=1e-7)
+    assert report.delta_star == pytest.approx(7.2, abs=1e-7)
+
+
+def test_minimize_gap_lower_boundary_wins():
+    calls = []
+
+    def gap_at(d):
+        calls.append(d)
+        return min(0.8 + 0.1 * (d - 3.0) ** 2, 0.2 + 0.3 * (10.0 - d))
+
+    grid = np.linspace(0.0, 10.0, 21)
+    report = minimize_gap(gap_at, grid, rel_tol=1e-6)
+    assert len(calls) > len(grid)  # the interior dip at 3 was refined
+    assert report.boundary_minimum
+    assert report.gap == 0.2
+    assert report.delta_star == 10.0
 
 
 def test_min_gap_scan_star22_interior_minimum(star22):
