@@ -2,8 +2,17 @@
 
 Vertex subsets are Python ints with bit v set when vertex v is in the set,
 so arbitrary n is supported and set algebra is plain integer arithmetic.
+An enumerated ``Space`` also keeps its masks as uint64, so it needs n <= 64.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import CapacityError
+
+MASK_BITS = 64
 
 
 def popcount(mask: int) -> int:
@@ -62,27 +71,6 @@ def enumerate_independent_sets_of_size(n: int, adj: list[int], b: int) -> list[i
     return out
 
 
-def spin_exchange_targets(mask: int, adj: list[int]) -> list[int]:
-    """Independent sets reachable by moving one occupied vertex to an
-    unoccupied neighbour (the configuration-graph adjacency rule)."""
-    out = []
-    m = mask
-    while m:
-        low = m & -m
-        u = low.bit_length() - 1
-        m ^= low
-        without = mask ^ low
-        free = adj[u] & ~mask
-        while free:
-            fl = free & -free
-            v = fl.bit_length() - 1
-            free ^= fl
-            if adj[v] & without:
-                continue
-            out.append(without | fl)
-    return out
-
-
 def components(vertices: int, adj: list[int]) -> list[int]:
     """Connected components of the subgraph induced on ``vertices``, as
     masks in order of their lowest vertex."""
@@ -105,3 +93,59 @@ def components(vertices: int, adj: list[int]) -> list[int]:
         comps.append(comp)
         todo &= ~comp
     return comps
+
+
+def require_mask_width(n: int) -> None:
+    """Fail fast when an enumerated space's uint64 masks cannot hold n."""
+    if n > MASK_BITS:
+        raise CapacityError(
+            f"enumerated spaces hold n <= {MASK_BITS} vertices in uint64 "
+            f"masks (got n={n})")
+
+
+@dataclass(frozen=True, eq=False)
+class Space:
+    """An ordered configuration basis and the rows its moves land on.
+
+    ``flips[i, v]`` is the row of ``basis[i]`` with vertex v toggled and
+    ``exchanges[i, e]`` the row reached by moving the occupied tail of the
+    e-th entry of ``graph.directed_edges()`` to its free head; -1 marks a
+    move that leaves the basis or does not apply.  Rows are int32, half the
+    memory of int64; operators stay far below 2^31 rows.
+    """
+
+    basis: list[int]
+    masks: np.ndarray     # uint64, in basis order
+    sizes: np.ndarray     # occupied vertices per row
+    index: dict           # mask -> row
+    flips: np.ndarray     # [dim, n]
+    exchanges: np.ndarray  # [dim, 2m]
+
+    @classmethod
+    def of(cls, graph, basis) -> "Space":
+        """The move tables of any ordered list of distinct masks."""
+        require_mask_width(graph.n)
+        basis = list(basis)
+        masks = np.array(basis, dtype=np.uint64)
+        order = np.argsort(masks)
+        ordered = masks[order]
+        bit = [np.uint64(1 << v) for v in range(graph.n)]
+
+        def table(moves):
+            out = np.full((len(masks), len(moves)), -1, dtype=np.int32)
+            for col, (applies, flipped) in enumerate(moves):
+                targets = masks ^ flipped
+                pos = np.minimum(np.searchsorted(ordered, targets),
+                                 max(len(masks) - 1, 0))
+                hit = applies & (ordered[pos] == targets)
+                out[hit, col] = order[pos[hit]]
+            return out
+
+        occupied = [(masks & b) != 0 for b in bit]
+        return cls(
+            basis=basis, masks=masks,
+            sizes=np.bitwise_count(masks).astype(np.int64),
+            index={z: i for i, z in enumerate(basis)},
+            flips=table([(True, b) for b in bit]),
+            exchanges=table([(occupied[u] & ~occupied[v], bit[u] | bit[v])
+                             for u, v in graph.directed_edges()]))

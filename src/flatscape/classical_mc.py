@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bits import components, popcount
+from .bits import Space, components, popcount
 from .errors import ConfigError
 from .graphs import Graph
 from .landscape import independence_polynomial
-from .spectral import restricted_basis
+from .spectral import restricted_basis, violation_count
 
 RNG_CHUNK = 8192
 
@@ -366,54 +366,41 @@ def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None) -> MCResult
                     config=asdict(config))
 
 
+def _metropolis(beta: float, d_e: np.ndarray) -> np.ndarray:
+    """min(1, exp(-beta * dE)) per entry, as exp(min(0, -beta * dE)) so it
+    never overflows.  The exponent takes a few distinct values; math.exp
+    on each keeps the entries identical to the scalar rule the samplers
+    apply (np.exp may differ in the last bit)."""
+    x, inverse = np.unique(np.minimum(0.0, -beta * d_e), return_inverse=True)
+    return np.array([math.exp(v) for v in x.tolist()])[inverse]
+
+
 def transition_matrix(graph: Graph, beta: float, config: SAConfig,
                       basis: list[int] | None = None):
     """Exact single-update transition matrix of the SA kernel.
 
     Constructed from the proposal measure and Metropolis rule directly (not
-    sampled); rows sum to one with the self-loop on the diagonal.
+    sampled); rows sum to one with the self-loop on the diagonal.  Moves
+    that leave the basis (blocked additions in restricted mode) stay put.
     """
     if basis is None:
         basis = restricted_basis(graph) if config.mode == "restricted" \
             else list(range(1 << graph.n))
-    index = {z: i for i, z in enumerate(basis)}
-    n = graph.n
-    adj = graph.adjacency()
-    dir_edges = graph.directed_edges()
+    space = Space.of(graph, basis)
     p_flip, p_ex = config.weights()
-    delta = config.delta
-    penalty = config.penalty if config.penalty is not None else 2.0 * n
+    energy = -config.delta * space.sizes
+    if config.mode == "penalty":
+        penalty = config.penalty if config.penalty is not None \
+            else 2.0 * graph.n
+        energy = energy + penalty * violation_count(graph, space.masks)
     dim = len(basis)
     P = np.zeros((dim, dim))
-
-    def energy(z):
-        e = -delta * popcount(z)
-        if config.mode == "penalty":
-            e += penalty * sum(1 for u, v in graph.edges
-                               if (z >> u) & 1 and (z >> v) & 1)
-        return e
-
-    for i, z in enumerate(basis):
-        ez = energy(z)
-        for v in range(n):
-            z2 = z ^ (1 << v)
-            j = index.get(z2)
-            if j is None:
-                continue  # restricted mode: blocked additions stay put
-            acc = min(1.0, math.exp(-beta * (energy(z2) - ez)))
-            P[i, j] += (p_flip / n) * acc
-        if dir_edges:
-            for (u, v) in dir_edges:
-                if not (z >> u) & 1 or (z >> v) & 1:
-                    continue
-                z2 = (z & ~(1 << u)) | (1 << v)
-                j = index.get(z2)
-                if j is None:
-                    continue
-                acc = min(1.0, math.exp(-beta * (energy(z2) - ez)))
-                P[i, j] += (p_ex / len(dir_edges)) * acc
-        P[i, i] = 0.0
-        P[i, i] = 1.0 - P[i].sum()
+    for moves, p_move in ((space.flips, p_flip), (space.exchanges, p_ex)):
+        rows, slots = np.nonzero(moves >= 0)
+        cols = moves[rows, slots]
+        P[rows, cols] += p_move / max(moves.shape[1], 1) * _metropolis(
+            beta, energy[cols] - energy[rows])
+    P[np.diag_indices(dim)] = 1.0 - P.sum(axis=1)
     return P, basis
 
 

@@ -328,7 +328,7 @@ def _cmd_gap(args, run: _Run) -> int:
     doc = report.to_document()
     doc["instance"] = to_document(graph)
     run.write(args.out, _canonical_json(doc))
-    if args.dump_states and args.nb is None:
+    if args.dump_states:
         op = build_operator(graph, args.omega, report.delta_star, args.lam)
         w, v = lowest_eigenpairs(op, 2)
         rows = [{"mask": z, "ground": v[i, 0], "excited": v[i, 1]}

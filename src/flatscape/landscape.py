@@ -16,8 +16,8 @@ import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from .bits import (components, enumerate_independent_sets_of_size, popcount,
-                   spin_exchange_targets)
+from .bits import (Space, components, enumerate_independent_sets_of_size,
+                   popcount)
 from .errors import CapacityError, EmptyManifoldError
 from .graphs import Graph
 
@@ -245,13 +245,11 @@ def _move_adjacency(neighbors) -> scipy.sparse.csr_matrix:
 
 
 def configuration_graph(graph: Graph, b: int) -> ConfigurationGraph:
-    adj = graph.adjacency()
-    nodes = enumerate_independent_sets_of_size(graph.n, adj, b)
+    nodes = enumerate_independent_sets_of_size(graph.n, graph.adjacency(), b)
     if not nodes:
         raise EmptyManifoldError(f"no independent sets of size {b}")
-    index = {z: i for i, z in enumerate(nodes)}
-    neighbors = tuple(tuple(sorted(index[t] for t in spin_exchange_targets(z, adj)))
-                      for z in nodes)
+    neighbors = tuple(tuple(sorted(row[row >= 0].tolist()))
+                      for row in Space.of(graph, nodes).exchanges)
     _, labels = scipy.sparse.csgraph.connected_components(
         _move_adjacency(neighbors), directed=False)
     return ConfigurationGraph(b=b, nodes=tuple(nodes), neighbors=neighbors,

@@ -20,12 +20,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.linalg
 
-from .bits import popcount
 from .classical_mc import _Uniforms, _stream
 from .errors import CapacityError, ConfigError
 from .graphs import Graph
 from .landscape import independence_polynomial
-from .spectral import build_operator, restricted_basis
+from .spectral import build_operator
 
 DENSE_WORLDLINE_LIMIT = 4096
 
@@ -101,15 +100,13 @@ class WorldlineEngine:
     def __init__(self, graph: Graph, config: QMCConfig):
         self.graph = graph
         self.config = config
-        basis = restricted_basis(graph)
-        if len(basis) > DENSE_WORLDLINE_LIMIT:
-            raise CapacityError(
-                f"restricted dimension {len(basis)} exceeds the dense "
-                f"exponentiation limit {DENSE_WORLDLINE_LIMIT}")
-        self.basis = basis
-        self.index = {z: i for i, z in enumerate(basis)}
-        dim = len(basis)
         op = build_operator(graph, config.omega, config.delta, config.lam)
+        if op.dim > DENSE_WORLDLINE_LIMIT:
+            raise CapacityError(
+                f"restricted dimension {op.dim} exceeds the dense "
+                f"exponentiation limit {DENSE_WORLDLINE_LIMIT}")
+        self.basis = op.basis
+        self.index = op.space.index
         H = op.matrix.toarray()
         diag = np.diag(H).copy()
         H_od = H - np.diag(diag)
@@ -126,13 +123,8 @@ class WorldlineEngine:
         self.diag_list = self.diag_weight.tolist()
         self.log_bond_rows = self.log_bond.tolist()
         self.log_diag_list = self.log_diag.tolist()
-        self.flip_to = np.full((dim, graph.n), -1, dtype=np.int64)
-        for i, z in enumerate(basis):
-            for v in range(graph.n):
-                j = self.index.get(z ^ (1 << v))
-                if j is not None:
-                    self.flip_to[i, v] = j
-        self.flip_rows = [list(map(int, row)) for row in self.flip_to]
+        self.flip_to = op.space.flips
+        self.flip_rows = self.flip_to.tolist()
 
     def log_weight(self, slices: list[int]) -> float:
         total = 0.0
@@ -415,27 +407,25 @@ class QMCBoundReport:
         }
 
 
-def _restricted_gibbs_populations(full, b: int, beta: float):
+def _restricted_gibbs_populations(full, b: int, beta: float) -> np.ndarray:
     """Diagonal Gibbs populations of the operator ``full`` restricted to
-    configurations of size < b (dense diagonalization).
+    configurations of size < b (dense diagonalization), which are the
+    leading rows of its size-sorted basis.
 
     Each diagonal entry is a Rayleigh quotient, so min(diag H) >= E0; the
     eigenpairs above min(diag H) + 40/beta weigh under e^-40 of the ground
     state and are left out.
     """
-    basis = [z for z in full.basis if popcount(z) <= b - 1]
-    if len(basis) > DENSE_WORLDLINE_LIMIT:
+    dim = int(np.searchsorted(full.sizes(), b))
+    if dim > DENSE_WORLDLINE_LIMIT:
         raise CapacityError(
-            f"restricted space of {len(basis)} states exceeds the dense limit")
-    index = {z: i for i, z in enumerate(basis)}
-    keep = [full.index[z] for z in basis]
-    H = full.matrix[keep][:, keep].toarray(order="F")
+            f"restricted space of {dim} states exceeds the dense limit")
+    H = full.matrix[:dim, :dim].toarray(order="F")
     top = np.diag(H).min() + 40.0 / beta if beta > 0 else np.inf
     w, V = scipy.linalg.eigh(H, overwrite_a=True,
                              subset_by_value=(-np.inf, top))
     pops = (V ** 2) @ np.exp(-beta * (w - w[0]))
-    pops /= pops.sum()
-    return basis, index, pops
+    return pops / pops.sum()
 
 
 def qmc_bound_inputs(graph: Graph, b: int | None = None, omega: float = 0.3,
@@ -452,6 +442,8 @@ def qmc_bound_inputs(graph: Graph, b: int | None = None, omega: float = 0.3,
     """
     if eps >= 0.5:
         raise ValueError("eps must be < 1/2")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     profile = independence_polynomial(graph)
     sizes = [b] if b is not None else profile.bound_sizes()
     if any(size < 1 or size > profile.alpha for size in sizes):
@@ -460,23 +452,18 @@ def qmc_bound_inputs(graph: Graph, b: int | None = None, omega: float = 0.3,
     e_max: dict[int, float] = {}
     z_arg: dict[int, int] = {}
     for size in sizes:
-        basis, index, pops = _restricted_gibbs_populations(full, size, beta)
-        # restricted-space configurations within k flips of a size-b set
-        # (hypercube distance; intermediate configurations unconstrained)
-        targets = [z for z in full.basis if popcount(z) == size]
-        candidates: set[int] = set()
-        for z in targets:
-            ball = {z}
-            for _ in range(k):
-                ball |= {w ^ (1 << v) for w in ball for v in range(graph.n)}
-            candidates |= {w for w in ball if w in index}
-        best_z, best_p = None, -1.0
-        for z in candidates:
-            p = float(pops[index[z]])
-            if p > best_p:
-                best_z, best_p = z, p
-        e_max[size] = best_p * profile.counts[size - 1]
-        z_arg[size] = best_z
+        pops = _restricted_gibbs_populations(full, size, beta)
+        # independent sets within Hamming distance k of a size-b set are
+        # within k flips through independent sets (drop the surplus
+        # vertices first, then add the missing ones)
+        ball = full.sizes() == size
+        for _ in range(k):
+            reached = full.space.flips[ball]
+            ball[reached[reached >= 0]] = True
+        rows = np.flatnonzero(ball[:len(pops)])
+        best = rows[np.argmax(pops[rows])]
+        e_max[size] = float(pops[best]) * profile.counts[size - 1]
+        z_arg[size] = full.basis[best]
     log_factor = math.log(1.0 / (2.0 * eps))
     n = graph.n
     prefactor = log_factor / (2.0 * n * k * n ** k)

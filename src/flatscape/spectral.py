@@ -19,7 +19,9 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .bits import enumerate_independent_sets, popcount, spin_exchange_targets
+from .bits import (Space, enumerate_independent_sets,
+                   enumerate_independent_sets_of_size, popcount,
+                   require_mask_width)
 from .errors import CapacityError, ConfigError, ConvergenceError
 from .graphs import Graph
 
@@ -36,89 +38,78 @@ def restricted_basis(graph: Graph) -> list[int]:
 
 
 def manifold_basis(graph: Graph, b: int) -> list[int]:
-    return [z for z in restricted_basis(graph) if popcount(z) == b]
+    return sorted(enumerate_independent_sets_of_size(graph.n,
+                                                     graph.adjacency(), b))
+
+
+def _move_matrix(moves: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Unit entries from each row to every row one move away, for a move
+    table of a ``Space`` (its flips or its exchanges)."""
+    rows, slots = np.nonzero(moves >= 0)
+    dim = len(moves)
+    return scipy.sparse.csr_matrix(
+        (np.ones(len(rows)), (rows, moves[rows, slots])), shape=(dim, dim))
+
+
+def _laplacian(exchanges: np.ndarray) -> scipy.sparse.csr_matrix:
+    exchange = _move_matrix(exchanges)
+    degree = np.asarray(exchange.sum(axis=1)).ravel()
+    return (scipy.sparse.diags(degree) - exchange).tocsr()
 
 
 def drive_matrix(graph: Graph, basis: list[int]) -> scipy.sparse.csr_matrix:
     """Single-spin-flip generator: unit entries between basis states one
     flip apart."""
-    index = {z: i for i, z in enumerate(basis)}
-    rows, cols = [], []
-    for i, z in enumerate(basis):
-        for v in range(graph.n):
-            j = index.get(z ^ (1 << v))
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-    vals = np.ones(len(rows))
-    return scipy.sparse.csr_matrix((vals, (rows, cols)),
-                                   shape=(len(basis), len(basis)))
+    return _move_matrix(Space.of(graph, basis).flips)
 
 
 def spin_exchange_matrix(graph: Graph, basis: list[int]) -> scipy.sparse.csr_matrix:
     """Unit entries between independent sets related by moving one occupied
     vertex to an unoccupied neighbour."""
-    adj = graph.adjacency()
-    index = {z: i for i, z in enumerate(basis)}
-    rows, cols = [], []
-    for i, z in enumerate(basis):
-        for t in spin_exchange_targets(z, adj):
-            j = index.get(t)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-    vals = np.ones(len(rows))
-    return scipy.sparse.csr_matrix((vals, (rows, cols)),
-                                   shape=(len(basis), len(basis)))
+    return _move_matrix(Space.of(graph, basis).exchanges)
 
 
 def free_vertex_diag(graph: Graph, basis: list[int]) -> np.ndarray:
     """Per-configuration count of vertices addable without a violation."""
-    adj = graph.adjacency()
-    out = np.zeros(len(basis))
-    for i, z in enumerate(basis):
-        free = 0
-        for v in range(graph.n):
-            if not (z >> v) & 1 and not (adj[v] & z):
-                free += 1
-        out[i] = free
+    masks = np.asarray(basis, dtype=np.uint64)
+    out = np.zeros(len(masks))
+    for v, nbrs in enumerate(graph.adjacency()):
+        out += (masks & np.uint64(nbrs | 1 << v)) == 0
     return out
 
 
 def laplacian_matrix(graph: Graph, basis: list[int]) -> scipy.sparse.csr_matrix:
     """Configuration-graph Laplacian (degree diagonal minus exchange
     adjacency); block diagonal over fixed-size manifolds."""
-    exchange = spin_exchange_matrix(graph, basis)
-    degree = np.asarray(exchange.sum(axis=1)).ravel()
-    return (scipy.sparse.diags(degree) - exchange).tocsr()
+    return _laplacian(Space.of(graph, basis).exchanges)
 
 
-def violation_count(graph: Graph, mask: int) -> int:
-    return sum(1 for u, v in graph.edges if (mask >> u) & 1 and (mask >> v) & 1)
+def violation_count(graph: Graph, mask):
+    """Edges with both ends occupied, for one mask or a uint64 mask array."""
+    return sum((mask >> u) & (mask >> v) & 1 for u, v in graph.edges)
 
 
 @dataclass
 class OperatorHandle:
     """A sparse symmetric operator on an explicit configuration basis."""
 
-    basis: list[int]
+    space: Space
     matrix: scipy.sparse.csr_matrix
     coefficients: dict
     mode: str
     manifold: int | None
     graph: Graph
-    index: dict = field(repr=False, default_factory=dict)
 
-    def __post_init__(self):
-        if not self.index:
-            self.index = {z: i for i, z in enumerate(self.basis)}
+    @property
+    def basis(self) -> list[int]:
+        return self.space.basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.space.basis)
 
     def sizes(self) -> np.ndarray:
-        return np.array([popcount(z) for z in self.basis])
+        return self.space.sizes
 
 
 def build_operator(graph: Graph, omega: float, delta: float, lam: float = 0.0,
@@ -144,31 +135,29 @@ def build_operator(graph: Graph, omega: float, delta: float, lam: float = 0.0,
         if graph.n > 24:
             raise CapacityError(f"penalty mode enumerates 2^n; n={graph.n} > 24")
         basis = list(range(1 << graph.n))
-    elif manifold is not None:
-        basis = manifold_basis(graph, manifold)
     else:
-        basis = restricted_basis(graph)
+        require_mask_width(graph.n)
+        basis = (restricted_basis(graph) if manifold is None
+                 else manifold_basis(graph, manifold))
     dim = len(basis)
     # generous upfront estimate: flips + exchanges per row
     est_nnz = dim * (graph.n + 2)
     if est_nnz > nnz_limit:
         raise CapacityError(
             f"operator would need ~{est_nnz} nonzeros, over the {nnz_limit} limit")
-    sizes = np.array([popcount(z) for z in basis], dtype=float)
-    diag = -delta * sizes
+    space = Space.of(graph, basis)
+    diag = -delta * space.sizes
     if mode == "penalty":
-        diag = diag + np.array(
-            [U * violation_count(graph, z) for z in basis], dtype=float)
+        diag = diag + U * violation_count(graph, space.masks)
     H = scipy.sparse.diags(diag).tocsr()
     if omega:
-        H = H - omega * drive_matrix(graph, basis)
+        H = H - omega * _move_matrix(space.flips)
     if lam:
-        H = H + lam * laplacian_matrix(graph, basis)
-    handle = OperatorHandle(
-        basis=basis, matrix=H.tocsr(),
+        H = H + lam * _laplacian(space.exchanges)
+    return OperatorHandle(
+        space=space, matrix=H.tocsr(),
         coefficients={"omega": omega, "delta": delta, "lam": lam, "U": U},
         mode=mode, manifold=manifold, graph=graph)
-    return handle
 
 
 def _as_matrix(op):
@@ -318,13 +307,15 @@ def scan_minimum_gap(factory, deltas, rel_tol: float = 1e-6,
     """Minimum-gap scan of the operators ``factory(delta)`` over the grid
     ``deltas`` (see ``minimize_gap``), plus the ground energy ``e_star`` at
     the minimum."""
+    ground = {}
+
     def gap_at(d):
         w = lowest_eigenvalues(factory(d), eig_count)
+        ground[d] = float(w[0])
         return float(w[1] - w[0])
 
     report = minimize_gap(gap_at, deltas, rel_tol)
-    report.e_star = float(
-        lowest_eigenvalues(factory(report.delta_star), eig_count)[0])
+    report.e_star = ground[report.delta_star]
     return report
 
 
@@ -335,10 +326,9 @@ def min_gap_scan(graph: Graph, omega: float = 1.0, lam: float = 0.0,
     """Minimum-gap scan over the detuning at fixed drive for the (possibly
     Laplacian-modified) Hamiltonian on the restricted space."""
     base = build_operator(graph, omega, 0.0, lam, nnz_limit=nnz_limit)
-    sizes = base.sizes().astype(float)
 
     def factory(d):
-        return base.matrix + scipy.sparse.diags(-d * sizes)
+        return base.matrix + scipy.sparse.diags(-d * base.sizes())
 
     grid = np.linspace(delta_range[0], delta_range[1], points)
     report = scan_minimum_gap(factory, grid, rel_tol)
@@ -374,12 +364,10 @@ def _manifold_ground(graph: Graph, b: int):
     dim = len(basis)
     if dim == 0:
         return basis, None, 0.0, 0.0, False
-    if dim == 1:
-        vec = np.ones(1)
-        fv = free_vertex_diag(graph, basis)
-        return basis, vec, 0.0, float(fv[0]), False
-    exchange = spin_exchange_matrix(graph, basis)
     free = free_vertex_diag(graph, basis)
+    if dim == 1:
+        return basis, np.ones(1), 0.0, float(free[0]), False
+    exchange = _move_matrix(Space.of(graph, basis).exchanges)
     w, v = scipy.linalg.eigh((exchange - scipy.sparse.diags(free)).toarray())
     vec = v[:, -1]
     if vec.sum() < 0:
@@ -402,8 +390,7 @@ def perturbative_states(graph: Graph, alpha: int | None = None,
     difference against 3 (alpha - b).
     """
     if alpha is None:
-        sizes = [popcount(z) for z in restricted_basis(graph)]
-        alpha = max(sizes)
+        alpha = popcount(restricted_basis(graph)[-1])
     g_basis, g_vec, g_se, _, g_degen = _manifold_ground(graph, alpha)
     best = None
     for b in range(alpha - 1, max(alpha - 1 - candidates, 0), -1):
@@ -630,14 +617,9 @@ def hamming_gap_estimate(g_basis: list[int], g_amps: np.ndarray,
     """Low-order coupling estimate from pairwise Hamming distances:
     2 * sum over pairs of crossing^d(z,z') <z|G><z'|E>, plus the
     (distance, population-product) histogram."""
-    g_masks = np.asarray(g_basis, dtype=np.int64)
-    e_masks = np.asarray(e_basis, dtype=np.int64)
-    xor = g_masks[:, None] ^ e_masks[None, :]
-    dist = np.zeros(xor.shape, dtype=np.int64)
-    work = xor.copy()
-    while work.any():
-        dist += work & 1
-        work >>= 1
+    g_masks = np.asarray(g_basis, dtype=np.uint64)
+    e_masks = np.asarray(e_basis, dtype=np.uint64)
+    dist = np.bitwise_count(g_masks[:, None] ^ e_masks[None, :])
     amp_products = np.outer(g_amps, e_amps)
     estimate = 2.0 * float(np.sum(crossing ** dist * amp_products))
     pop_products = np.outer(g_amps ** 2, e_amps ** 2)

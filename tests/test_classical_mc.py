@@ -88,6 +88,16 @@ def test_detailed_balance_exact_penalty(star22):
     assert np.abs(flow - flow.T).max() <= 1e-12
 
 
+@pytest.mark.parametrize("beta, mode, penalty", [(800.0, "restricted", None),
+                                                 (200.0, "penalty", 3.0)])
+def test_transition_matrix_at_large_beta(star22, beta, mode, penalty):
+    # exp(-beta * dE) alone overflows once -beta * dE > 709
+    config = SAConfig(betas=(beta,), mode=mode, penalty=penalty)
+    P, _ = transition_matrix(star22, beta, config)
+    assert (P >= 0.0).all()
+    assert np.allclose(P.sum(axis=1), 1.0, atol=1e-14)
+
+
 def test_zero_temperature_moves_follow_exchange_graph(star22):
     # at beta -> infinity from a size-2 set, only exchanges fire until the
     # maximum set is reached via the centre-adjacent configurations

@@ -6,6 +6,7 @@ import pytest
 
 from flatscape.cli import main
 from flatscape.graphs import deserialize, generate_star, serialize
+from flatscape.spectral import restricted_basis
 
 
 def run_cli(args):
@@ -81,6 +82,19 @@ def test_star_gap_scans_follow_omega(tmp_path, omega, delta_range):
         doc = json.loads(out.read_text())
         assert doc["method"]["omega"] == float(omega)
         assert doc["gap"] == pytest.approx(expected["gap"], rel=1e-6)
+
+
+def test_star_gap_dumps_generic_states(tmp_path):
+    # --nb scans the symmetric sector; the dump is the generic-basis pair
+    # of the same star at the scan's minimum
+    out, dump = tmp_path / "g.json", tmp_path / "ds.csv"
+    assert run_cli(["gap", "--nb", "3", "--l", "2", "--dump-states",
+                    str(dump), "--out", str(out)]) == 0
+    lines = dump.read_text().splitlines()
+    assert lines[0] == "mask,ground,excited"
+    assert len(lines) - 1 == len(restricted_basis(generate_star(3, 2)))
+    manifest = json.loads((tmp_path / "g.json.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out), str(dump)]
 
 
 def test_usage_error_exit_code(tmp_path, capsys):

@@ -148,6 +148,11 @@ def test_qmc_bound_reduces_to_pt_local_when_emax_one(star22):
     assert report.bound == pytest.approx(manual, rel=1e-12)
 
 
+def test_qmc_bound_rejects_zero_flip_radius(star22):
+    with pytest.raises(ValueError, match="k must be"):
+        qmc_bound_inputs(star22, k=0)
+
+
 def test_qmc_run_deterministic(star22):
     config = QMCConfig(beta=1.0, slices=8, omega=0.4, sweeps=500, seed=21)
     a = qmc_run(star22, config)
@@ -207,9 +212,10 @@ def test_heat_bath_line_matches_exact_conditional():
 @pytest.mark.parametrize("lam", [0.0, 50.0])
 @pytest.mark.parametrize("beta", [1e-9, 2.0, 20.0])
 def test_emax_matches_full_eigh_oracle(graph, lam, beta):
-    report = qmc_bound_inputs(graph, omega=0.3, delta=1.0, lam=lam,
-                              beta=beta)
-    assert report.e_max
-    for b, e in report.e_max.items():
-        assert e == pytest.approx(
-            brute_emax(graph, b, 0.3, 1.0, lam, beta), rel=1e-10), b
+    for k in (1, 2):
+        report = qmc_bound_inputs(graph, omega=0.3, delta=1.0, lam=lam,
+                                  beta=beta, k=k)
+        assert report.e_max
+        for b, e in report.e_max.items():
+            oracle = brute_emax(graph, b, 0.3, 1.0, lam, beta, k)
+            assert e == pytest.approx(oracle, rel=1e-10), (k, b)

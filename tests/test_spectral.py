@@ -66,6 +66,23 @@ def test_capacity_error():
         build_operator(g, 1.0, 1.0, nnz_limit=1000)
 
 
+def test_mask_width_limit_fails_before_enumeration(monkeypatch):
+    from flatscape import spectral
+
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated past the mask-width limit")
+
+    monkeypatch.setattr(spectral, "enumerate_independent_sets",
+                        enumerate_nothing)
+    monkeypatch.setattr(spectral, "enumerate_independent_sets_of_size",
+                        enumerate_nothing)
+    k65 = Graph(n=65, edges=tuple((u, v) for u in range(65)
+                                  for v in range(u + 1, 65)))
+    for manifold in (None, 1):
+        with pytest.raises(CapacityError, match="64"):
+            build_operator(k65, 1.0, 1.0, manifold=manifold)
+
+
 def test_laplacian_rows_sum_to_zero_within_manifolds(star22):
     for b in (1, 2, 3):
         basis = manifold_basis(star22, b)
@@ -257,6 +274,15 @@ def test_hamming_estimate_single_pair():
     assert hist == {1: 1.0}
 
 
+def test_hamming_estimate_uses_all_64_bits():
+    top = 1 << 63
+    est, hist = hamming_gap_estimate([top], np.array([1.0]),
+                                     [top | 0b1], np.array([1.0]),
+                                     crossing=0.3)
+    assert est == pytest.approx(2 * 0.3)
+    assert hist == {1: 1.0}
+
+
 def test_hamming_estimate_leading_order_scaling():
     # min distance 2: estimate ~ crossing^2 for small crossing
     g_basis, e_basis = [0b0011], [0b1100]
@@ -349,3 +375,30 @@ def test_heff_entries_dense_match_projector_oracle(graph):
         want = brute_heff_entries(op.matrix, G, E, float(z))
         for key in ("GG", "GE", "EG", "EE"):
             assert got[key] == pytest.approx(want[key], rel=1e-10), (z, key)
+
+
+def test_scan_solves_once_per_gap_evaluation(star22, monkeypatch):
+    # e_star comes from the search's own solve at delta*, not a repeat
+    from flatscape import spectral
+
+    calls = {"eig": 0, "gap": 0}
+    eig, search = spectral.lowest_eigenvalues, spectral.minimize_gap
+
+    def counted_eig(*args, **kwargs):
+        calls["eig"] += 1
+        return eig(*args, **kwargs)
+
+    def counted_search(gap_at, *args, **kwargs):
+        def counted_gap(d):
+            calls["gap"] += 1
+            return gap_at(d)
+        return search(counted_gap, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "lowest_eigenvalues", counted_eig)
+    monkeypatch.setattr(spectral, "minimize_gap", counted_search)
+    report = min_gap_scan(star22, omega=1.0, delta_range=(0.3, 2.0),
+                          points=24)
+    assert calls["gap"] > 24
+    assert calls["eig"] == calls["gap"]
+    op = build_operator(star22, omega=1.0, delta=report.delta_star)
+    assert report.e_star == eig(op)[0]
