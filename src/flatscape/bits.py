@@ -7,6 +7,7 @@ An enumerated ``Space`` also keeps its masks as uint64, so it needs n <= 64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,42 +111,48 @@ class Space:
     ``flips[i, v]`` is the row of ``basis[i]`` with vertex v toggled and
     ``exchanges[i, e]`` the row reached by moving the occupied tail of the
     e-th entry of ``graph.directed_edges()`` to its free head; -1 marks a
-    move that leaves the basis or does not apply.  Rows are int32, half the
-    memory of int64; operators stay far below 2^31 rows.
+    move that leaves the basis or does not apply.  Each table is built on
+    first access.  Rows are int32, half the memory of int64; operators stay
+    far below 2^31 rows.
     """
 
+    graph: object
     basis: list[int]
     masks: np.ndarray     # uint64, in basis order
     sizes: np.ndarray     # occupied vertices per row
     index: dict           # mask -> row
-    flips: np.ndarray     # [dim, n]
-    exchanges: np.ndarray  # [dim, 2m]
 
     @classmethod
     def of(cls, graph, basis) -> "Space":
-        """The move tables of any ordered list of distinct masks."""
+        """The space of any ordered list of distinct masks."""
         require_mask_width(graph.n)
         basis = list(basis)
         masks = np.array(basis, dtype=np.uint64)
+        return cls(graph=graph, basis=basis, masks=masks,
+                   sizes=np.bitwise_count(masks).astype(np.int64),
+                   index={z: i for i, z in enumerate(basis)})
+
+    def _table(self, moves) -> np.ndarray:
+        masks = self.masks
         order = np.argsort(masks)
         ordered = masks[order]
-        bit = [np.uint64(1 << v) for v in range(graph.n)]
+        out = np.full((len(masks), len(moves)), -1, dtype=np.int32)
+        for col, (applies, flipped) in enumerate(moves):
+            targets = masks ^ flipped
+            pos = np.minimum(np.searchsorted(ordered, targets),
+                             max(len(masks) - 1, 0))
+            hit = applies & (ordered[pos] == targets)
+            out[hit, col] = order[pos[hit]]
+        return out
 
-        def table(moves):
-            out = np.full((len(masks), len(moves)), -1, dtype=np.int32)
-            for col, (applies, flipped) in enumerate(moves):
-                targets = masks ^ flipped
-                pos = np.minimum(np.searchsorted(ordered, targets),
-                                 max(len(masks) - 1, 0))
-                hit = applies & (ordered[pos] == targets)
-                out[hit, col] = order[pos[hit]]
-            return out
+    @cached_property
+    def flips(self) -> np.ndarray:     # [dim, n]
+        return self._table([(True, np.uint64(1 << v))
+                            for v in range(self.graph.n)])
 
-        occupied = [(masks & b) != 0 for b in bit]
-        return cls(
-            basis=basis, masks=masks,
-            sizes=np.bitwise_count(masks).astype(np.int64),
-            index={z: i for i, z in enumerate(basis)},
-            flips=table([(True, b) for b in bit]),
-            exchanges=table([(occupied[u] & ~occupied[v], bit[u] | bit[v])
-                             for u, v in graph.directed_edges()]))
+    @cached_property
+    def exchanges(self) -> np.ndarray:  # [dim, 2m]
+        bit = [np.uint64(1 << v) for v in range(self.graph.n)]
+        occupied = [(self.masks & b) != 0 for b in bit]
+        return self._table([(occupied[u] & ~occupied[v], bit[u] | bit[v])
+                            for u, v in self.graph.directed_edges()])

@@ -14,7 +14,9 @@ hundreds of branches for ell = 2.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -138,6 +140,17 @@ def _path_sets(ell: int) -> list[int]:
     return sorted(out)
 
 
+def _built_once(method):
+    """Memoise a zero-argument operator method on its space instance."""
+    @functools.wraps(method)
+    def once(self):
+        built = vars(self).setdefault("_built", {})
+        if method.__name__ not in built:
+            built[method.__name__] = method(self)
+        return built[method.__name__]
+    return once
+
+
 class SymmetricStarSpace:
     """Star-graph operators in the branch-permutation-symmetric sector.
 
@@ -148,6 +161,9 @@ class SymmetricStarSpace:
     The ground and first-excited states of the full star Hamiltonian lie in
     this sector (non-positive off-diagonals plus permutation symmetry), so
     minimum-gap scans and resolvent work are exact here.
+
+    The drive, exchange, Laplacian, degree and free-vertex operators are
+    built once, on first use; callers share them and must not modify them.
     """
 
     def __init__(self, n_b: int, ell: int):
@@ -193,32 +209,18 @@ class SymmetricStarSpace:
                     self.exchanges_a.append((j, i))
                     if self.constrained[i] and self.constrained[j]:
                         self.exchanges_b.append((j, i))
-        self.exch_deg_a = [0] * K
-        self.exch_deg_b = [0] * K
-        for _, i in self.exchanges_a:
-            self.exch_deg_a[i] += 1
-        for _, i in self.exchanges_b:
-            self.exch_deg_b[i] += 1
+        self.exch_deg_a = Counter(i for _, i in self.exchanges_a)
+        self.exch_deg_b = Counter(i for _, i in self.exchanges_b)
 
-        # per-branch free-vertex counts (centre absent / present)
-        self.free_a = []
-        for s in states:
-            f = 0
-            for v in range(ell):
-                if (s >> v) & 1:
-                    continue
-                left = v > 0 and (s >> (v - 1)) & 1
-                right = v < ell - 1 and (s >> (v + 1)) & 1
-                if not (left or right):
-                    f += 1
-            self.free_a.append(f)
+        # per-branch free-vertex counts: v is free when v-1, v, v+1 are empty
+        near = [(7 << v >> 1) & ((1 << ell) - 1) for v in range(ell)]
+        self.free_a = [sum(not s & w for w in near) for s in states]
         v0_free = [self.constrained[i] and v1_empty[i] for i in range(K)]
         self.free_b = [self.free_a[i] - (1 if v0_free[i] else 0) for i in range(K)]
         # centre -> first-vertex hop target, defined where the hop lands on
         # an independent set
         self.centre_hop = {i: index[states[i] | 1]
                            for i in range(K) if self.constrained[i] and v1_empty[i]}
-        self.v1_empty = v1_empty
 
         self.basis_a = list(combinations_with_replacement(range(K), n_b))
         con_states = [i for i in range(K) if self.constrained[i]]
@@ -285,6 +287,7 @@ class SymmetricStarSpace:
             sink(i, j, coef)
             sink(j, i, coef)
 
+    @_built_once
     def drive_matrix(self) -> scipy.sparse.csr_matrix:
         """Single-spin-flip generator (matrix elements 1 per allowed flip)."""
         rows, cols, vals = [], [], []
@@ -297,6 +300,7 @@ class SymmetricStarSpace:
         return scipy.sparse.csr_matrix((vals, (rows, cols)),
                                        shape=(self.dim, self.dim))
 
+    @_built_once
     def spin_exchange_matrix(self) -> scipy.sparse.csr_matrix:
         rows, cols, vals = [], [], []
         sink = lambda r, c, v: (rows.append(r), cols.append(c), vals.append(v))
@@ -308,6 +312,7 @@ class SymmetricStarSpace:
         return scipy.sparse.csr_matrix((vals, (rows, cols)),
                                        shape=(self.dim, self.dim))
 
+    @_built_once
     def exchange_degree_diag(self) -> np.ndarray:
         """Configuration-graph degree of each basis state (possible spin
         exchanges, including hops on or off the centre)."""
@@ -323,6 +328,7 @@ class SymmetricStarSpace:
             diag[i] = d
         return diag
 
+    @_built_once
     def free_vertex_diag(self) -> np.ndarray:
         diag = np.zeros(self.dim)
         for m, i in self.index_a.items():
@@ -334,13 +340,14 @@ class SymmetricStarSpace:
             diag[i] = sum(self.free_b[s] for s in m)
         return diag
 
+    @_built_once
     def laplacian_matrix(self) -> scipy.sparse.csr_matrix:
         return (scipy.sparse.diags(self.exchange_degree_diag())
                 - self.spin_exchange_matrix()).tocsr()
 
     def hamiltonian(self, omega: float, delta: float,
                     lam: float = 0.0) -> scipy.sparse.csr_matrix:
-        """H = H_cost - H_drive + lam * H_laplacian in the symmetric sector."""
+        """H = H_cost - omega * H_drive + lam * H_laplacian, a fresh matrix."""
         H = scipy.sparse.diags(-delta * self.total_size.astype(float))
         H = H - omega * self.drive_matrix()
         if lam:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from oracles import brute_independent_sets
 
@@ -11,7 +12,8 @@ from flatscape.landscape import independence_polynomial
 from flatscape.spectral import build_operator, lowest_eigenpairs
 from flatscape.star_models import (SymmetricStarSpace, central_absent_count,
                                    central_present_count, exchange_density,
-                                   star_level_crossing, star_wavefunction)
+                                   star_gap_scan, star_level_crossing,
+                                   star_wavefunction)
 
 
 def test_exchange_density_reference_values():
@@ -109,6 +111,63 @@ def test_symmetric_space_matches_explicit_spectra(n_b, ell):
         w_sym = scipy.linalg.eigh(Hs.toarray(), eigvals_only=True,
                                   subset_by_index=(0, min(1, Hs.shape[0] - 1)))
         assert np.allclose(w_full[:2], w_sym[:2], atol=1e-10)
+
+
+@pytest.mark.parametrize("n_b,ell", [(3, 2), (2, 4)])
+def test_hamiltonian_from_stored_operators_is_exact(n_b, ell):
+    # the stored drive and Laplacian serve every (omega, delta, lam) in any
+    # order, and a caller writing into one result cannot reach the store
+    sym = SymmetricStarSpace(n_b, ell)
+    points = ((1.0, 0.7, 50.0), (2.0, 1.3, 0.0), (0.3, 2.0, 1.0),
+              (1.0, 0.7, 50.0))
+    for omega, delta, lam in points:
+        fresh = SymmetricStarSpace(n_b, ell)
+        want = (scipy.sparse.diags(-delta * fresh.total_size.astype(float))
+                - omega * fresh.drive_matrix())
+        if lam:
+            want = want + lam * fresh.laplacian_matrix()
+        want = want.tocsr()
+        got = sym.hamiltonian(omega, delta, lam)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        got.data[:] = 0.0
+
+
+@pytest.mark.parametrize("lam,passes", [(0.0, 2), (1.0, 4)])
+def test_star_scan_builds_operators_once(monkeypatch, lam, passes):
+    # one accumulation pass per sector for the drive (and for the spin
+    # exchange when lam != 0), yet one assembly per gap evaluation
+    from flatscape import spectral
+
+    calls = {"accumulate": 0, "hamiltonian": 0, "gap": 0}
+    accumulate = SymmetricStarSpace._accumulate_one_branch
+    hamiltonian = SymmetricStarSpace.hamiltonian
+    search = spectral.minimize_gap
+
+    def counted_accumulate(*args, **kwargs):
+        calls["accumulate"] += 1
+        return accumulate(*args, **kwargs)
+
+    def counted_hamiltonian(*args, **kwargs):
+        calls["hamiltonian"] += 1
+        return hamiltonian(*args, **kwargs)
+
+    def counted_search(gap_at, *args, **kwargs):
+        def counted_gap(d):
+            calls["gap"] += 1
+            return gap_at(d)
+        return search(counted_gap, *args, **kwargs)
+
+    monkeypatch.setattr(SymmetricStarSpace, "_accumulate_one_branch",
+                        counted_accumulate)
+    monkeypatch.setattr(SymmetricStarSpace, "hamiltonian", counted_hamiltonian)
+    monkeypatch.setattr(spectral, "minimize_gap", counted_search)
+    report = star_gap_scan(3, 2, lam=lam)
+    assert report.gap is not None
+    assert calls["gap"] > 64
+    assert calls["accumulate"] == passes
+    assert calls["hamiltonian"] == calls["gap"]
 
 
 def test_symmetric_dimension_reduction():
