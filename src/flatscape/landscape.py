@@ -11,18 +11,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg  # noqa: F401 (csgraph first adds ~30 ms to start-up)
 import scipy.sparse
 import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from .bits import (Space, components, enumerate_independent_sets_of_size,
                    popcount)
 from .errors import CapacityError, EmptyManifoldError
 from .graphs import Graph
+from .spectral import lowest_eigenvalues
 
 ENUMERATION_LIMIT = 30          # default exact-counting vertex limit
-DENSE_LAPLACIAN_LIMIT = 2048    # dense eigensolve up to this many nodes
 
 BOUND_KINDS = ("sa", "pt_local", "pt_isoenergetic", "qmc")
 
@@ -265,13 +264,7 @@ def laplacian_gap(cg: ConfigurationGraph) -> float:
         return math.inf
     lap = scipy.sparse.csgraph.laplacian(
         _move_adjacency(cg.neighbors)[comp][:, comp])
-    if m <= DENSE_LAPLACIAN_LIMIT:
-        w = scipy.linalg.eigh(lap.toarray(), eigvals_only=True,
-                              subset_by_index=(0, 1))
-    else:
-        w = np.sort(scipy.sparse.linalg.eigsh(
-            lap, k=2, which="SA", return_eigenvectors=False,
-            ncv=min(m, 64), maxiter=100 * m))
+    w = lowest_eigenvalues(lap, 2)
     return float(w[1] - w[0])
 
 

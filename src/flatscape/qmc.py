@@ -21,10 +21,10 @@ import numpy as np
 import scipy.linalg
 
 from .classical_mc import _Uniforms, _stream
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, ConvergenceError
 from .graphs import Graph
 from .landscape import independence_polynomial
-from .spectral import build_operator
+from .spectral import DENSE_EIG_LIMIT, build_operator, lowest_eigenpairs
 
 DENSE_WORLDLINE_LIMIT = 4096
 
@@ -407,23 +407,57 @@ class QMCBoundReport:
         }
 
 
+def _lanczos_window(H, top: float):
+    """The eigenpairs of H up to ``top`` by Lanczos, or None.
+
+    The Sylvester inertia of H - top*I, from one dense Bunch-Kaufman LDL^T,
+    counts them first; Lanczos asks for one more, and its window must hold
+    that many (it can miss a copy of a repeated eigenvalue).  None also when
+    Gershgorin's bound puts the whole block below ``top``, when the window
+    holds over 1/32 of it (near dim 2700-3000, Lanczos for k pairs costs as
+    much as dense ``eigh`` at k = dim/32), or when Lanczos does not converge."""
+    diag = H.diagonal()
+    radius = np.asarray(abs(H).sum(axis=1)).ravel() - abs(diag)
+    if (diag + radius).max() <= top:
+        return None
+    A = H.toarray(order="F")
+    A[np.diag_indices_from(A)] -= top
+    # lwork n * block size: the default, n, runs unblocked and 10x slower
+    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(A, lower=1, overwrite_a=1,
+                                              lwork=64 * len(A))
+    d, pair = ldu.diagonal(), ipiv < 0      # pair: rows of 2x2 blocks of D
+    j = np.flatnonzero(pair)[::2]
+    det = d[j] * d[j + 1] - ldu[j + 1, j] ** 2
+    below = (np.count_nonzero(d[~pair] < 0) + np.count_nonzero(det < 0)
+             + 2 * np.count_nonzero((det > 0) & (d[j] < 0)))
+    if not 0 < below <= len(A) // 32:
+        return None
+    try:
+        w, V = lowest_eigenpairs(H, below + 1)
+    except ConvergenceError:
+        return None
+    inside = w <= top
+    return (w[inside], V[:, inside]) if inside.sum() == below else None
+
+
 def _restricted_gibbs_populations(full, b: int, beta: float) -> np.ndarray:
     """Diagonal Gibbs populations of the operator ``full`` restricted to
-    configurations of size < b (dense diagonalization), which are the
-    leading rows of its size-sorted basis.
+    configurations of size < b, the leading rows of its size-sorted basis.
 
     Each diagonal entry is a Rayleigh quotient, so min(diag H) >= E0; the
     eigenpairs above min(diag H) + 40/beta weigh under e^-40 of the ground
-    state and are left out.
+    state and are left out; dense ``eigh`` covers what _lanczos_window does not.
     """
     dim = int(np.searchsorted(full.sizes(), b))
     if dim > DENSE_WORLDLINE_LIMIT:
         raise CapacityError(
             f"restricted space of {dim} states exceeds the dense limit")
-    H = full.matrix[:dim, :dim].toarray(order="F")
-    top = np.diag(H).min() + 40.0 / beta if beta > 0 else np.inf
-    w, V = scipy.linalg.eigh(H, overwrite_a=True,
-                             subset_by_value=(-np.inf, top))
+    H = full.matrix[:dim, :dim]
+    top = H.diagonal().min() + 40.0 / beta if beta > 0 else np.inf
+    pairs = (_lanczos_window(H, top) if dim > DENSE_EIG_LIMIT and beta > 0
+             else None)
+    w, V = pairs or scipy.linalg.eigh(H.toarray(order="F"), overwrite_a=True,
+                                      subset_by_value=(-np.inf, top))
     pops = (V ** 2) @ np.exp(-beta * (w - w[0]))
     return pops / pops.sum()
 

@@ -39,9 +39,6 @@ class ChainModel:
         if any(t <= 0 for t in self.hops):
             raise ConfigError("broken chain: non-positive coupling")
 
-    def site_energies(self, delta: float) -> np.ndarray:
-        return -delta * np.arange(self.alpha + 1, dtype=float)
-
     def eigenvalues(self, delta: float, count: int | None = None,
                     bulk_only: bool = False) -> np.ndarray:
         """Lowest eigenvalues via the dedicated symmetric-tridiagonal solver

@@ -213,3 +213,27 @@ def test_manifest_written_when_failure_precedes_output(tmp_path, capsys):
     assert manifest["status"] == 3
     assert manifest["outputs"] == []
     assert str(big) in manifest["input_digests"]
+
+
+def test_gap_documents_repeat_across_processes(tmp_path):
+    # a Lanczos-path scan (dim 661) gives the same bytes in fresh processes
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import flatscape
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(flatscape.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    inst = tmp_path / "ud.json"
+    assert run_cli(["gen", "--width", "5", "--height", "4", "--filling",
+                    "0.8", "--seed", "7", "--out", str(inst)]) == 0
+    docs = []
+    for k in range(2):
+        out = tmp_path / f"gap{k}.json"
+        subprocess.run([sys.executable, "-m", "flatscape.cli", "gap", "--in",
+                        str(inst), "--out", str(out)], env=env, check=True)
+        docs.append(out.read_bytes())
+    assert json.loads(docs[0])["method"]["dim"] == 661
+    assert docs[0] == docs[1]

@@ -11,7 +11,7 @@ from flatscape.graphs import Graph, generate_star, generate_unit_disk
 from flatscape.qmc import (QMCConfig, WorldlineEngine, qmc_bound_inputs,
                            qmc_run, trotter_error_proxy,
                            worldline_transition_matrix)
-from flatscape.spectral import restricted_basis
+from flatscape.spectral import lowest_eigenpairs, restricted_basis
 
 
 def test_config_validation():
@@ -219,3 +219,79 @@ def test_emax_matches_full_eigh_oracle(graph, lam, beta):
         for b, e in report.e_max.items():
             oracle = brute_emax(graph, b, 0.3, 1.0, lam, beta, k)
             assert e == pytest.approx(oracle, rel=1e-10), (k, b)
+
+
+@pytest.mark.parametrize("lam", [0.0, 50.0])
+@pytest.mark.parametrize("beta", [2.0, 20.0])
+def test_emax_gibbs_window_on_degenerate_star(lam, beta):
+    # generic basis of star(3, 4): branch permutations repeat eigenvalues
+    # inside the Gibbs window, which Lanczos alone may miss
+    g = generate_star(3, 4)
+    report = qmc_bound_inputs(g, omega=0.3, delta=1.0, lam=lam, beta=beta)
+    for b, e in report.e_max.items():
+        oracle = brute_emax(g, b, 0.3, 1.0, lam, beta)
+        assert e == pytest.approx(oracle, rel=1e-10), b
+
+
+def test_gibbs_window_falls_back_when_lanczos_drops_a_copy(monkeypatch):
+    # the dropped copy sits inside the window, so the inertia count must
+    # send every block to the dense solve, bit for bit
+    from flatscape import qmc
+
+    g = generate_star(3, 4)
+    args = dict(omega=0.3, delta=1.0, lam=50.0, beta=20.0)
+    with monkeypatch.context() as m:
+        m.setattr(qmc, "DENSE_EIG_LIMIT", 10 ** 6)
+        dense = qmc_bound_inputs(g, **args).e_max
+    dropped = []
+
+    def drop_one_copy(H, count):
+        w, V = lowest_eigenpairs(H, count)
+        repeated = np.flatnonzero(np.diff(w) < 1e-9)
+        if len(repeated):
+            dropped.append(float(w[repeated[0]]))
+            w, V = np.delete(w, repeated[0]), np.delete(V, repeated[0], axis=1)
+        return w, V
+
+    monkeypatch.setattr(qmc, "lowest_eigenpairs", drop_one_copy)
+    assert qmc_bound_inputs(g, **args).e_max == dense
+    assert dropped
+
+
+def test_gibbs_window_falls_back_when_lanczos_fails(monkeypatch):
+    from flatscape import qmc
+    from flatscape.errors import ConvergenceError
+
+    g = generate_star(3, 4)
+    args = dict(omega=0.3, delta=1.0, lam=50.0, beta=20.0)
+    with monkeypatch.context() as m:
+        m.setattr(qmc, "DENSE_EIG_LIMIT", 10 ** 6)
+        dense = qmc_bound_inputs(g, **args).e_max
+    failed = []
+
+    def no_convergence(H, count):
+        failed.append(count)
+        raise ConvergenceError("no convergence")
+
+    monkeypatch.setattr(qmc, "lowest_eigenpairs", no_convergence)
+    assert qmc_bound_inputs(g, **args).e_max == dense
+    assert failed
+
+
+def test_gibbs_window_skips_the_count_when_it_holds_every_state(monkeypatch):
+    # at lambda = 0 Gershgorin's bound puts every eigenvalue of each block
+    # below the window's top, so no block pays for the inertia count
+    import scipy.linalg.lapack
+
+    factor, counts = scipy.linalg.lapack.dsytrf, []
+
+    def counted(*args, **kwargs):
+        counts[-1] += 1
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", counted)
+    g = generate_star(3, 4)
+    for lam in (0.0, 50.0):
+        counts.append(0)
+        qmc_bound_inputs(g, omega=0.3, delta=1.0, lam=lam, beta=2.0)
+    assert counts[0] == 0 < counts[1]

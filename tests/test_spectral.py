@@ -402,3 +402,20 @@ def test_scan_solves_once_per_gap_evaluation(star22, monkeypatch):
     assert calls["eig"] == calls["gap"]
     op = build_operator(star22, omega=1.0, delta=report.delta_star)
     assert report.e_star == eig(op)[0]
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_lanczos_scan_matches_dense_on_paths(n, monkeypatch):
+    # the first excited state of a path is odd under its reflection, so a
+    # reflection-even start vector (all ones) can miss it
+    from flatscape import spectral
+
+    monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 0)
+    g = Graph(n=n, edges=tuple((i, i + 1) for i in range(n - 1)))
+    report = min_gap_scan(g, omega=1.0, delta_range=(0.1, 6.0), points=24)
+    for d, gap in report.curve:
+        op = build_operator(g, omega=1.0, delta=d)
+        w = scipy.linalg.eigh(op.matrix.toarray(), eigvals_only=True,
+                              subset_by_index=(0, 1))
+        assert gap == pytest.approx(w[1] - w[0], abs=1e-10), d
+
