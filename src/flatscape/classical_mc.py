@@ -16,7 +16,7 @@ its own Philox stream keyed by (seed, trial index).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .landscape import independence_polynomial
 from .spectral import restricted_basis, violation_count
 
 RNG_CHUNK = 8192
+# the TTS bootstrap's stream index; trial indices never reach it
+BOOTSTRAP_STREAM = 2 ** 63 - 1
 
 
 def geometric_betas(lo: float = 0.1, hi: float = 5.0, num: int = 16):
@@ -227,12 +229,13 @@ def _resolve_alpha(graph: Graph, alpha: int | None) -> int:
 
 
 def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
-           stop_at_hit: bool = False) -> MCResult:
-    """Anneal one chain through the beta ladder."""
+           stop_at_hit: bool = False, trial: int = 0) -> MCResult:
+    """Anneal one chain through the beta ladder on the Philox stream
+    (config.seed, trial)."""
     alpha = _resolve_alpha(graph, alpha)
     p_flip, _ = config.weights()
     chain = _Chain(graph, config.mode, config.penalty, config.delta)
-    u01 = _Uniforms(_stream(config.seed, 0))
+    u01 = _Uniforms(_stream(config.seed, trial))
     n = max(graph.n, 1)
     histogram: dict[int, int] | None = {} if config.record_histogram else None
     trace: list | None = [] if config.trace_stride else None
@@ -241,6 +244,7 @@ def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
     first_hit = None
     proposals = 0
     sweeps_done = 0
+    stopped = False
     for beta in config.betas:
         accepted = 0
         attempted = 0
@@ -255,27 +259,24 @@ def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
                     best_mask, best_size = chain.mask, size
                 if first_hit is None and size >= alpha:
                     first_hit = proposals / n
-                    if stop_at_hit:
-                        acceptance[beta] = accepted / max(attempted, 1)
-                        return MCResult(
-                            best_mask=best_mask, best_size=best_size,
-                            first_hit_sweep=first_hit, sweeps=sweeps_done,
-                            acceptance=acceptance, histogram=histogram,
-                            replica_histograms=None, trace=trace,
-                            rng={"generator": "philox",
-                                 "key": [config.seed, 0]},
-                            config=asdict(config))
+                    stopped = stop_at_hit
+                    if stopped:
+                        break
+            if stopped:
+                break
             sweeps_done += 1
             if histogram is not None:
                 histogram[chain.mask] = histogram.get(chain.mask, 0) + 1
             if trace is not None and sweeps_done % config.trace_stride == 0:
                 trace.append((sweeps_done, chain.energy()))
         acceptance[beta] = accepted / max(attempted, 1)
+        if stopped:
+            break
     return MCResult(best_mask=best_mask, best_size=best_size,
                     first_hit_sweep=first_hit, sweeps=sweeps_done,
                     acceptance=acceptance, histogram=histogram,
                     replica_histograms=None, trace=trace,
-                    rng={"generator": "philox", "key": [config.seed, 0]},
+                    rng={"generator": "philox", "key": [config.seed, trial]},
                     config=asdict(config))
 
 
@@ -284,15 +285,17 @@ def _clusters(mask_i: int, mask_j: int, adj: list[int]) -> list[int]:
     return components(mask_i ^ mask_j, adj)
 
 
-def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None) -> MCResult:
-    """Parallel tempering: per-replica local sweeps, adjacent replica
-    exchange, and optional isoenergetic cluster moves."""
+def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None,
+           trial: int = 0) -> MCResult:
+    """Parallel tempering on the Philox stream (config.seed, trial):
+    per-replica local sweeps, adjacent replica exchange, and optional
+    isoenergetic cluster moves."""
     alpha = _resolve_alpha(graph, alpha)
     p_flip, _ = config.weights()
     m_rep = config.replicas
     chains = [_Chain(graph, config.mode, config.penalty, config.delta)
               for _ in range(m_rep)]
-    u01 = _Uniforms(_stream(config.seed, 0))
+    u01 = _Uniforms(_stream(config.seed, trial))
     n = max(graph.n, 1)
     adj = graph.adjacency()
     histograms = [dict() for _ in range(m_rep)] if config.record_histogram else None
@@ -328,10 +331,7 @@ def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None) -> MCResult
                 log_acc = (bi - bj) * (ei - ej)
                 if log_acc >= 0 or u01() < math.exp(log_acc):
                     swap_accepts += 1
-                    for attr in ("mask", "size", "violations"):
-                        tmp = getattr(chains[i], attr)
-                        setattr(chains[i], attr, getattr(chains[i + 1], attr))
-                        setattr(chains[i + 1], attr, tmp)
+                    chains[i], chains[i + 1] = chains[i + 1], chains[i]
             if config.isoenergetic and m_rep >= 2:
                 iso_attempts += 1
                 pair = int(u01() * (m_rep - 1))
@@ -362,7 +362,7 @@ def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None) -> MCResult
                     first_hit_sweep=first_hit, sweeps=config.sweeps,
                     acceptance=acceptance, histogram=None,
                     replica_histograms=histograms, trace=None,
-                    rng={"generator": "philox", "key": [config.seed, 0]},
+                    rng={"generator": "philox", "key": [config.seed, trial]},
                     config=asdict(config))
 
 
@@ -417,15 +417,17 @@ class TTSEstimate:
 
 
 def estimate_tts(graph: Graph, config: SAConfig, p_target: float = 0.75,
-                 sweep_grid=None, trials: int = 64, seed: int = 0,
-                 alpha: int | None = None, bootstrap: int = 200) -> TTSEstimate:
+                 sweep_grid=None, trials: int = 64, alpha: int | None = None,
+                 bootstrap: int = 200) -> TTSEstimate:
     """Empirical time-to-solution for a fixed-schedule SA chain.
 
     Each trial runs once to the longest budget and records its first-hit
     sweep; success probabilities at every budget follow from the first-hit
     distribution.  TTS(T) = T * ln(1 - p_target) / ln(1 - p(T)), with the
     saturation convention TTS(T) = T when p(T) = 1; censored trials (no hit
-    anywhere) set the flag instead of crashing.
+    anywhere) set the flag instead of crashing.  Trial t runs on the
+    Philox stream (config.seed, t); the bootstrap resamples on
+    (config.seed, BOOTSTRAP_STREAM).
     """
     alpha = _resolve_alpha(graph, alpha)
     if sweep_grid is None:
@@ -434,15 +436,12 @@ def estimate_tts(graph: Graph, config: SAConfig, p_target: float = 0.75,
     horizon = sweep_grid[-1]
     n_rungs = max(len(config.betas), 1)
     per_rung = max(horizon // n_rungs + 1, 1)
+    trial_config = replace(config, sweeps_per_beta=per_rung,
+                           record_histogram=False, trace_stride=0)
     hits = []
     for trial in range(trials):
-        trial_config = SAConfig(
-            betas=config.betas, sweeps_per_beta=per_rung,
-            flip_weight=config.flip_weight,
-            exchange_weight=config.exchange_weight, mode=config.mode,
-            penalty=config.penalty, delta=config.delta,
-            seed=config.seed + 7919 * trial + seed)
-        result = sa_run(graph, trial_config, alpha=alpha, stop_at_hit=True)
+        result = sa_run(graph, trial_config, alpha=alpha, stop_at_hit=True,
+                        trial=trial)
         hits.append(result.first_hit_sweep if result.first_hit_sweep is not None
                     else math.inf)
     hits = np.array(hits)
@@ -465,7 +464,7 @@ def estimate_tts(graph: Graph, config: SAConfig, p_target: float = 0.75,
     censored = not np.isfinite(hits).any()
     ci_low = ci_high = None
     if not censored and bootstrap:
-        rng = _stream(seed, 1)
+        rng = _stream(config.seed, BOOTSTRAP_STREAM)
         values = []
         for _ in range(bootstrap):
             sample = hits[rng.integers(0, len(hits), size=len(hits))]

@@ -211,7 +211,7 @@ def _cmd_sa(args, run: _Run) -> int:
     if args.tts:
         grid = [2 ** k for k in range(2, args.tts_max_exp + 1)]
         est = estimate_tts(graph, config, p_target=args.p_target,
-                           sweep_grid=grid, trials=args.trials, seed=args.seed)
+                           sweep_grid=grid, trials=args.trials)
         doc = {
             "version": 1, "kind": "tts",
             "tts": est.tts, "sweeps_at_min": est.sweeps_at_min,
@@ -226,41 +226,26 @@ def _cmd_sa(args, run: _Run) -> int:
         if est.censored:
             raise CensoredResult("no successful trial within budget")
         return 0
-    results = []
-    for trial in range(args.trials):
-        cfg = SAConfig(betas=betas, sweeps_per_beta=args.sweeps,
-                       seed=args.seed + 7919 * trial)
-        results.append(sa_run(graph, cfg))
-    doc = {
-        "version": 1, "kind": "sa_runs", "trials": args.trials,
-        "best_size": max(r.best_size for r in results),
-        "hit_fraction": float(np.mean([r.first_hit_sweep is not None
-                                       for r in results])),
-        "acceptance": results[0].acceptance,
-    }
-    run.write(args.out, _canonical_json(doc))
-    if args.csv:
-        rows = [{"trial": t, "sweeps": r.sweeps,
-                 "success": int(r.first_hit_sweep is not None),
-                 "first_hit": r.first_hit_sweep}
-                for t, r in enumerate(results)]
-        _write_csv(run, args.csv, ["trial", "sweeps", "success", "first_hit"],
-                   rows)
-    return 0
+    return _run_trials(args, run, "sa_runs",
+                       lambda t: sa_run(graph, config, trial=t))
 
 
 def _cmd_pt(args, run: _Run) -> int:
     graph = _load_graph(run, args.inp)
     betas = tuple(float(b) for b in args.beta.split(",")) if args.beta else \
         PTConfig().betas
-    results = []
-    for trial in range(args.trials):
-        cfg = PTConfig(betas=betas, sweeps=args.sweeps,
-                       isoenergetic=args.isoenergetic,
-                       seed=args.seed + 7919 * trial)
-        results.append(pt_run(graph, cfg))
+    config = PTConfig(betas=betas, sweeps=args.sweeps,
+                      isoenergetic=args.isoenergetic, seed=args.seed)
+    return _run_trials(args, run, "pt_runs",
+                       lambda t: pt_run(graph, config, trial=t))
+
+
+def _run_trials(args, run: _Run, kind: str, run_trial) -> int:
+    """Run trials 0 .. args.trials - 1 (trial t samples the Philox stream
+    (seed, t)) and write the summary document and the per-trial CSV."""
+    results = [run_trial(t) for t in range(args.trials)]
     doc = {
-        "version": 1, "kind": "pt_runs", "trials": args.trials,
+        "version": 1, "kind": kind, "trials": args.trials,
         "best_size": max(r.best_size for r in results),
         "hit_fraction": float(np.mean([r.first_hit_sweep is not None
                                        for r in results])),

@@ -63,12 +63,6 @@ def drive_matrix(graph: Graph, basis: list[int]) -> scipy.sparse.csr_matrix:
     return _move_matrix(Space.of(graph, basis).flips)
 
 
-def spin_exchange_matrix(graph: Graph, basis: list[int]) -> scipy.sparse.csr_matrix:
-    """Unit entries between independent sets related by moving one occupied
-    vertex to an unoccupied neighbour."""
-    return _move_matrix(Space.of(graph, basis).exchanges)
-
-
 def free_vertex_diag(graph: Graph, basis: list[int]) -> np.ndarray:
     """Per-configuration count of vertices addable without a violation."""
     masks = np.asarray(basis, dtype=np.uint64)

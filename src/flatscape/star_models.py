@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse
 
+from .bits import Space, enumerate_independent_sets
+from .graphs import Graph
 from .spectral import GapReport, scan_minimum_gap
 
 
@@ -125,21 +126,6 @@ def star_wavefunction(n_b: int, ell: int, walls) -> float:
     return amp
 
 
-def _path_sets(ell: int) -> list[int]:
-    out = []
-
-    def rec(mask: int, v: int):
-        if v == ell:
-            out.append(mask)
-            return
-        rec(mask, v + 1)
-        if v == 0 or not (mask >> (v - 1)) & 1:
-            rec(mask | (1 << v), v + 1)
-
-    rec(0, 0)
-    return sorted(out)
-
-
 def _built_once(method):
     """Memoise a zero-argument operator method on its space instance."""
     @functools.wraps(method)
@@ -175,52 +161,31 @@ class SymmetricStarSpace:
         self.ell = ell
         self.n = n_b * ell + 1
         self.alpha = ell * n_b // 2 + 1
-        states = _path_sets(ell)
+        # one branch is the ell-vertex path whose vertex 0 touches the centre
+        path = Graph(n=ell, edges=tuple((v, v + 1) for v in range(ell - 1)))
+        states = sorted(enumerate_independent_sets(ell, path.adjacency()))
+        branch = Space.of(path, states)
         self.branch_states = states
         K = len(states)
-        index = {s: i for i, s in enumerate(states)}
-        self.size = [bin(s).count("1") for s in states]
-        self.constrained = [not (s & 1) for s in states]
-        v1_empty = [ell < 2 or not (s >> 1) & 1 for s in states]
+        self.size = branch.sizes.tolist()
+        self.constrained = ((branch.masks & np.uint64(1)) == 0).tolist()
 
-        # within-branch single flips (a, b): |a> <- |b|
-        self.flips: list[tuple[int, int]] = []
-        for i, s in enumerate(states):
-            for v in range(ell):
-                t = s ^ (1 << v)
-                j = index.get(t)
-                if j is not None and j > i:
-                    self.flips.append((i, j))
-                    self.flips.append((j, i))
-        # within-branch spin exchanges, centre absent and centre present
-        self.exchanges_a: list[tuple[int, int]] = []
-        self.exchanges_b: list[tuple[int, int]] = []
-        for i, s in enumerate(states):
-            for u in range(ell):
-                if not (s >> u) & 1:
-                    continue
-                for v in (u - 1, u + 1):
-                    if not 0 <= v < ell or (s >> v) & 1:
-                        continue
-                    t = (s & ~(1 << u)) | (1 << v)
-                    j = index.get(t)
-                    if j is None:
-                        continue
-                    self.exchanges_a.append((j, i))
-                    if self.constrained[i] and self.constrained[j]:
-                        self.exchanges_b.append((j, i))
-        self.exch_deg_a = Counter(i for _, i in self.exchanges_a)
-        self.exch_deg_b = Counter(i for _, i in self.exchanges_b)
+        def moves(table, keep):
+            """Per source branch state b, the states a its moves reach
+            (a <- b), both ends kept."""
+            return [[a for a in row if a >= 0 and keep[a]] if keep[b] else []
+                    for b, row in enumerate(table.tolist())]
 
-        # per-branch free-vertex counts: v is free when v-1, v, v+1 are empty
-        near = [(7 << v >> 1) & ((1 << ell) - 1) for v in range(ell)]
-        self.free_a = [sum(not s & w for w in near) for s in states]
-        v0_free = [self.constrained[i] and v1_empty[i] for i in range(K)]
-        self.free_b = [self.free_a[i] - (1 if v0_free[i] else 0) for i in range(K)]
+        # sector B (centre present) keeps vertex 0 empty at both ends
+        every = [True] * K
+        self.flips_a = moves(branch.flips, every)
+        self.flips_b = moves(branch.flips, self.constrained)
+        self.exchanges_a = moves(branch.exchanges, every)
+        self.exchanges_b = moves(branch.exchanges, self.constrained)
         # centre -> first-vertex hop target, defined where the hop lands on
         # an independent set
-        self.centre_hop = {i: index[states[i] | 1]
-                           for i in range(K) if self.constrained[i] and v1_empty[i]}
+        self.centre_hop = {b: a for b, a in enumerate(branch.flips[:, 0].tolist())
+                           if self.constrained[b] and a >= 0}
 
         self.basis_a = list(combinations_with_replacement(range(K), n_b))
         con_states = [i for i in range(K) if self.constrained[i]]
@@ -244,16 +209,14 @@ class SymmetricStarSpace:
             c[s] = c.get(s, 0) + 1
         return c
 
-    def _accumulate_one_branch(self, pairs, basis, index, sink, coef):
-        """sum_i T_i for off-diagonal one-branch transitions (a <- b)."""
-        by_source: dict[int, list[int]] = {}
-        for a, b in pairs:
-            by_source.setdefault(b, []).append(a)
+    def _accumulate_one_branch(self, targets, basis, index, sink, coef):
+        """sum_i T_i for off-diagonal one-branch transitions, ``targets[b]``
+        listing the states a with a <- b."""
         for m in basis:
             i = index[m]
             counts = self._counts(m)
             for b, cnt in counts.items():
-                for a in by_source.get(b, ()):
+                for a in targets[b]:
                     m2 = list(m)
                     m2.remove(b)
                     m2.append(a)
@@ -292,10 +255,10 @@ class SymmetricStarSpace:
         """Single-spin-flip generator (matrix elements 1 per allowed flip)."""
         rows, cols, vals = [], [], []
         sink = lambda r, c, v: (rows.append(r), cols.append(c), vals.append(v))
-        self._accumulate_one_branch(self.flips, self.basis_a, self.index_a, sink, 1.0)
-        flips_b = [(a, b) for a, b in self.flips
-                   if self.constrained[a] and self.constrained[b]]
-        self._accumulate_one_branch(flips_b, self.basis_b, self.index_b, sink, 1.0)
+        self._accumulate_one_branch(self.flips_a, self.basis_a, self.index_a,
+                                    sink, 1.0)
+        self._accumulate_one_branch(self.flips_b, self.basis_b, self.index_b,
+                                    sink, 1.0)
         self._centre_flip(sink, 1.0)
         return scipy.sparse.csr_matrix((vals, (rows, cols)),
                                        shape=(self.dim, self.dim))
@@ -312,33 +275,29 @@ class SymmetricStarSpace:
         return scipy.sparse.csr_matrix((vals, (rows, cols)),
                                        shape=(self.dim, self.dim))
 
+    def _moves_out(self, op, raising: bool = False) -> np.ndarray:
+        """Moves of ``op`` out of one configuration of each orbit, counting
+        only the size-raising ones if ``raising``.  With s = sqrt(permutation
+        multiplicity), the entry <m'|op|m> stands for op[m', m] * s[m'] / s[m]
+        moves out of orbit m; the counts are integers."""
+        t = op.tocoo()
+        log_s = np.array([0.5 * math.log(self.permutation_multiplicity(i))
+                          for i in range(self.dim)])
+        w = t.data * np.exp(log_s[t.row] - log_s[t.col])
+        if raising:
+            w = w * (self.total_size[t.row] > self.total_size[t.col])
+        return np.rint(np.bincount(t.col, weights=w, minlength=self.dim))
+
     @_built_once
     def exchange_degree_diag(self) -> np.ndarray:
         """Configuration-graph degree of each basis state (possible spin
         exchanges, including hops on or off the centre)."""
-        diag = np.zeros(self.dim)
-        for m, i in self.index_a.items():
-            d = sum(self.exch_deg_a[s] for s in m)
-            if sum(0 if self.constrained[s] else 1 for s in m) == 1:
-                d += 1  # the unique occupied first vertex may hop onto the centre
-            diag[i] = d
-        for m, i in self.index_b.items():
-            d = sum(self.exch_deg_b[s] for s in m)
-            d += sum(1 for s in m if s in self.centre_hop)
-            diag[i] = d
-        return diag
+        return self._moves_out(self.spin_exchange_matrix())
 
     @_built_once
     def free_vertex_diag(self) -> np.ndarray:
-        diag = np.zeros(self.dim)
-        for m, i in self.index_a.items():
-            f = sum(self.free_a[s] for s in m)
-            if all(self.constrained[s] for s in m):
-                f += 1  # the centre itself is free
-            diag[i] = f
-        for m, i in self.index_b.items():
-            diag[i] = sum(self.free_b[s] for s in m)
-        return diag
+        """Vertices each basis state can add, centre included."""
+        return self._moves_out(self.drive_matrix(), raising=True)
 
     @_built_once
     def laplacian_matrix(self) -> scipy.sparse.csr_matrix:

@@ -216,7 +216,7 @@ def test_c06_tts_tracks_sa_bound():
         config = SAConfig(betas=(4.0,), seed=50 + n_b)
         est = estimate_tts(g, config,
                            sweep_grid=[2 ** k for k in range(2, 15)],
-                           trials=256, seed=n_b)
+                           trials=256)
         assert not est.censored
         xs_ratio.append(math.log(float(profile.max_suffix_ratio)))
         xs_bound.append(math.log(classical_bound(profile, "sa", k=1, eps=0.25)))

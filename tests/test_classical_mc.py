@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from flatscape import classical_mc
+
 from oracles import gibbs_distribution, total_variation
 
 from flatscape.classical_mc import (MCResult, PTConfig, SAConfig,
@@ -249,12 +251,58 @@ def test_tts_star_family_tracks_bound_slope():
         profile = independence_polynomial(g)
         config = SAConfig(betas=(2.5,), seed=100 + n_b)
         est = estimate_tts(g, config, sweep_grid=[2 ** k for k in range(2, 13)],
-                           trials=48, seed=n_b)
+                           trials=48)
         assert not est.censored
         xs.append(math.log(float(profile.max_suffix_ratio)))
         ys.append(math.log(est.tts))
     slope = np.polyfit(xs, ys, 1)[0]
     assert 0.6 <= slope <= 1.4  # quadratic-speedup baseline is slope 1
+
+
+def test_trial_keys_are_recorded(star22):
+    sa = SAConfig(betas=(1.0,), sweeps_per_beta=20, seed=9)
+    pt = PTConfig(betas=(0.5, 1.0), sweeps=20, seed=9)
+    for t in (0, 1, 5):
+        assert sa_run(star22, sa, trial=t).rng["key"] == [9, t]
+        assert pt_run(star22, pt, trial=t).rng["key"] == [9, t]
+    assert sa_run(star22, sa) == sa_run(star22, sa, trial=0)
+    assert sa_run(star22, sa, trial=1) != sa_run(star22, sa, trial=2)
+
+
+def test_tts_trial_t_is_sa_trial_t(monkeypatch):
+    g = generate_star(4, 2)
+    config = SAConfig(betas=(2.0,), seed=4)
+    hits = []
+    real = classical_mc.sa_run
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        hits.append(result.first_hit_sweep)
+        return result
+
+    monkeypatch.setattr(classical_mc, "sa_run", recorded)
+    estimate_tts(g, config, sweep_grid=[4, 16, 64], trials=12, bootstrap=0)
+    # a trial runs horizon // rungs + 1 sweeps per rung
+    single = SAConfig(betas=(2.0,), sweeps_per_beta=65, seed=4)
+    assert hits == [sa_run(g, single, stop_at_hit=True, trial=t).first_hit_sweep
+                    for t in range(12)]
+    assert len(set(hits)) > 1
+
+
+def test_tts_bootstrap_key_differs_from_trial_keys(monkeypatch):
+    keys = []
+    real = classical_mc._stream
+
+    def recorded(seed, stream):
+        keys.append((seed, stream))
+        return real(seed, stream)
+
+    monkeypatch.setattr(classical_mc, "_stream", recorded)
+    est = estimate_tts(generate_star(2, 2), SAConfig(betas=(2.0,), seed=3),
+                       sweep_grid=[4, 16], trials=8, bootstrap=5)
+    assert est.ci_low is not None
+    assert keys[:-1] == [(3, t) for t in range(8)]
+    assert keys[-1] not in keys[:-1]
 
 
 def test_mc_result_summary_fields(star22):

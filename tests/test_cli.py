@@ -131,6 +131,32 @@ def test_censored_tts_exit_code(tmp_path, capsys):
         assert code == 0  # lucky seed; acceptable either way
 
 
+@pytest.mark.parametrize("command,sampler", [("sa", "sa_run"),
+                                             ("pt", "pt_run")])
+def test_trials_are_keyed_by_seed_and_trial(tmp_path, monkeypatch, command,
+                                            sampler):
+    # trial t of --seed s samples the Philox stream (s, t), so trial 1 of
+    # --seed 0 does not replay trial 0 of --seed 7919
+    from flatscape import cli
+
+    inst = tmp_path / "i.json"
+    inst.write_text(serialize(generate_star(2, 2)))
+    keys = []
+    real = getattr(cli, sampler)
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        keys.append(tuple(result.rng["key"]))
+        return result
+
+    monkeypatch.setattr(cli, sampler, recorded)
+    for seed, trials in ((0, 3), (7919, 2)):
+        assert run_cli([command, "--in", str(inst), "--sweeps", "20",
+                        "--trials", str(trials), "--seed", str(seed),
+                        "--out", str(tmp_path / f"{seed}.json")]) == 0
+    assert keys == [(0, 0), (0, 1), (0, 2), (7919, 0), (7919, 1)]
+
+
 def test_qmc_bound_inputs_cli(tmp_path):
     inst = tmp_path / "i.json"
     run_cli(["gen", "--nb", "2", "--l", "2", "--out", str(inst)])

@@ -7,9 +7,11 @@ import scipy.sparse
 
 from oracles import brute_independent_sets
 
+from flatscape.bits import Space
 from flatscape.graphs import generate_star
 from flatscape.landscape import independence_polynomial
-from flatscape.spectral import build_operator, lowest_eigenpairs
+from flatscape.spectral import (build_operator, free_vertex_diag,
+                                lowest_eigenpairs, restricted_basis)
 from flatscape.star_models import (SymmetricStarSpace, central_absent_count,
                                    central_present_count, exchange_density,
                                    star_gap_scan, star_level_crossing,
@@ -168,6 +170,24 @@ def test_star_scan_builds_operators_once(monkeypatch, lam, passes):
     assert calls["gap"] > 64
     assert calls["accumulate"] == passes
     assert calls["hamiltonian"] == calls["gap"]
+
+
+@pytest.mark.parametrize("n_b,ell", [(3, 2), (2, 4), (1, 6)])
+def test_sector_diagonals_count_generic_moves(n_b, ell):
+    # the orbit-weighted move counts equal the generic basis's exchange
+    # degree and free-vertex count at one configuration of every orbit
+    g = generate_star(n_b, ell)
+    space = Space.of(g, restricted_basis(g))
+    degree = (space.exchanges >= 0).sum(axis=1)
+    free = free_vertex_diag(g, space.basis)
+    sym = SymmetricStarSpace(n_b, ell)
+    for i, m in enumerate(sym.basis_a + sym.basis_b):
+        mask = int(sym.sector_b[i])
+        for branch, state in enumerate(m):
+            mask |= sym.branch_states[state] << (1 + branch * ell)
+        row = space.index[mask]
+        assert sym.exchange_degree_diag()[i] == degree[row]
+        assert sym.free_vertex_diag()[i] == free[row]
 
 
 def test_symmetric_dimension_reduction():
