@@ -17,7 +17,7 @@ MASK_BITS = 64
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def adjacency_masks(n: int, edges) -> list[int]:
@@ -60,7 +60,7 @@ def enumerate_independent_sets_of_size(n: int, adj: list[int], b: int) -> list[i
             out.append(mask)
             return
         c = candidates
-        remaining = bin(c).count("1")
+        remaining = c.bit_count()
         while c and remaining >= b - size:
             low = c & -c
             v = low.bit_length() - 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -36,24 +37,28 @@ def geometric_betas(lo: float = 0.1, hi: float = 5.0, num: int = 16):
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
+        raise ConfigError(f"Philox key ({seed}, {stream}) outside [0, 2^64)")
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed, stream], dtype=np.uint64)))
 
 
 class _Uniforms:
-    """Chunked uniform draws from one Philox stream."""
+    """The uniform draws of one Philox stream in stream order, generated
+    RNG_CHUNK at a time as lists of Python floats (the doubles numpy
+    returns).  Iterating and ``take`` read on from one position; hot loops
+    zip the iterator or call its ``__next__``."""
 
     def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.buf = rng.random(RNG_CHUNK)
-        self.pos = 0
+        chunks = iter(lambda: rng.random(RNG_CHUNK).tolist(), None)
+        self.draws = chain.from_iterable(chunks)
 
-    def __call__(self) -> float:
-        if self.pos == len(self.buf):
-            self.buf = self.rng.random(RNG_CHUNK)
-            self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return v
+    def __iter__(self):
+        return self.draws
+
+    def take(self, k: int) -> list[float]:
+        """The next k draws."""
+        return list(islice(self.draws, k))
 
 
 @dataclass
@@ -146,80 +151,85 @@ class MCResult:
     config: dict
 
 
-class _Chain:
-    """One Metropolis chain on bitmask states."""
+def _moves(graph: Graph, config) -> tuple:
+    """(p_flip, flips, exchanges, delta, penalty) of one chain: flips[v] is
+    (bit, neighbours) of v, exchanges[e] (tail bit, head bit, tail and head
+    neighbours) of directed edge e; penalty is None in restricted mode."""
+    adj = graph.adjacency()
+    penalty = (2.0 * graph.n if config.penalty is None else config.penalty) \
+        if config.mode == "penalty" else None
+    return (config.weights()[0],
+            [(1 << v, adj[v]) for v in range(graph.n)],
+            [(1 << u, 1 << v, adj[u], adj[v])
+             for u, v in graph.directed_edges()],
+            config.delta, penalty)
 
-    def __init__(self, graph: Graph, mode: str, penalty: float | None,
-                 delta: float):
-        self.graph = graph
-        self.n = graph.n
-        self.adj = graph.adjacency()
-        self.dir_edges = graph.directed_edges()
-        self.mode = mode
-        self.delta = delta
-        self.penalty = (2.0 * graph.n if penalty is None else penalty) \
-            if mode == "penalty" else None
-        self.mask = 0
-        self.size = 0
-        self.violations = 0
 
-    def energy(self) -> float:
-        e = -self.delta * self.size
-        if self.mode == "penalty":
-            e += self.penalty * self.violations
-        return e
-
-    def propose(self, u01, p_flip: float, beta: float) -> bool:
-        """One proposed update; three uniforms consumed; returns accepted."""
-        r_move, r_pick, r_acc = u01(), u01(), u01()
+def _local_moves(moves: tuple, rep: tuple, triples, beta: float,
+                 target: int):
+    """Metropolis proposals on rep = (mask, size, violations), one per
+    (move, pick, accept) triple of uniforms in ``triples``, up to an accepted
+    move that leaves a valid set (no violations) of ``target`` or more
+    vertices; ``triples`` then resumes with the next proposal.  Returns the
+    new replica, the accepted count and the proposals made."""
+    p_flip, flips, exchanges, delta, penalty = moves
+    n, n_ex = len(flips), len(exchanges)
+    mask, size, viol = rep
+    # a restricted removal passes when r_acc < exp(-beta * delta): always
+    # at delta <= 0, as r_acc < 1
+    w_remove = 1.0 if delta <= 0 else math.exp(-beta * delta)
+    accepted = done = 0
+    for r_move, r_pick, r_acc in triples:
+        done += 1
         if r_move < p_flip:
-            v = int(r_pick * self.n)
-            bit = 1 << v
-            conflicts = popcount(self.adj[v] & self.mask)
-            if self.mask & bit:
-                d_h = self.delta
-                if self.mode == "penalty":
-                    d_h -= self.penalty * conflicts
-                if d_h <= 0 or r_acc < math.exp(-beta * d_h):
-                    self.mask ^= bit
-                    self.size -= 1
-                    if self.mode == "penalty":
-                        self.violations -= conflicts
-                    return True
-                return False
-            if self.mode == "restricted":
-                if conflicts:
-                    return False
-                self.mask |= bit
-                self.size += 1
-                return True
-            d_h = -self.delta + self.penalty * conflicts
-            if d_h <= 0 or r_acc < math.exp(-beta * d_h):
-                self.mask |= bit
-                self.size += 1
-                self.violations += conflicts
-                return True
-            return False
-        if not self.dir_edges:
-            return False
-        u, v = self.dir_edges[int(r_pick * len(self.dir_edges))]
-        ubit, vbit = 1 << u, 1 << v
-        if not (self.mask & ubit) or (self.mask & vbit):
-            return False
-        without = self.mask ^ ubit
-        if self.mode == "restricted":
-            if self.adj[v] & without:
-                return False
-            self.mask = without | vbit
-            return True
-        old_conf = popcount(self.adj[u] & without)
-        new_conf = popcount(self.adj[v] & without)
-        d_h = self.penalty * (new_conf - old_conf)
-        if d_h <= 0 or r_acc < math.exp(-beta * d_h):
-            self.mask = without | vbit
-            self.violations += new_conf - old_conf
-            return True
-        return False
+            bit, near = flips[int(r_pick * n)]
+            if penalty is not None:
+                d_viol = (near & mask).bit_count()
+                if mask & bit:
+                    d_h, d_size, d_viol = delta - penalty * d_viol, -1, -d_viol
+                else:
+                    d_h, d_size = -delta + penalty * d_viol, 1
+                if not (d_h <= 0 or r_acc < math.exp(-beta * d_h)):
+                    continue
+                viol += d_viol
+            elif mask & bit:
+                if not r_acc < w_remove:
+                    continue
+                d_size = -1
+            elif near & mask:
+                continue
+            else:
+                d_size = 1
+            mask ^= bit
+            size += d_size
+        elif n_ex:
+            ubit, vbit, near_u, near_v = exchanges[int(r_pick * n_ex)]
+            if not mask & ubit or mask & vbit:
+                continue
+            without = mask ^ ubit
+            if penalty is not None:
+                d_viol = ((near_v & without).bit_count()
+                          - (near_u & without).bit_count())
+                d_h = penalty * d_viol
+                if not (d_h <= 0 or r_acc < math.exp(-beta * d_h)):
+                    continue
+                viol += d_viol
+            elif near_v & without:
+                continue
+            mask = without | vbit
+        else:
+            continue
+        accepted += 1
+        if size >= target and not viol:
+            break
+    return (mask, size, viol), accepted, done
+
+
+def _energy(rep: tuple, delta: float, penalty: float | None) -> float:
+    e = -delta * rep[1]
+    if penalty is not None:
+        e += penalty * rep[2]
+    return e
 
 
 def _resolve_alpha(graph: Graph, alpha: int | None) -> int:
@@ -231,49 +241,58 @@ def _resolve_alpha(graph: Graph, alpha: int | None) -> int:
 def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
            stop_at_hit: bool = False, trial: int = 0) -> MCResult:
     """Anneal one chain through the beta ladder on the Philox stream
-    (config.seed, trial)."""
+    (config.seed, trial).  Best and first-hit sets are checked after every
+    proposal; _local_moves returns at each proposal that can change them."""
     alpha = _resolve_alpha(graph, alpha)
-    p_flip, _ = config.weights()
-    chain = _Chain(graph, config.mode, config.penalty, config.delta)
-    u01 = _Uniforms(_stream(config.seed, trial))
+    moves = _moves(graph, config)
+    it = iter(_Uniforms(_stream(config.seed, trial)))
+    triples = zip(it, it, it)
     n = max(graph.n, 1)
     histogram: dict[int, int] | None = {} if config.record_histogram else None
     trace: list | None = [] if config.trace_stride else None
+    recorded = histogram is not None or trace is not None
     acceptance = {}
+    rep = (0, 0, 0)
     best_mask, best_size = 0, 0
     first_hit = None
     proposals = 0
-    sweeps_done = 0
     stopped = False
     for beta in config.betas:
         accepted = 0
-        attempted = 0
-        for _ in range(config.sweeps_per_beta):
-            for _ in range(n):
-                accepted += chain.propose(u01, p_flip, beta)
-                attempted += 1
-                proposals += 1
-                size = chain.size if config.mode == "restricted" else (
-                    chain.size if chain.violations == 0 else -1)
-                if size > best_size:
-                    best_mask, best_size = chain.mask, size
-                if first_hit is None and size >= alpha:
-                    first_hit = proposals / n
-                    stopped = stop_at_hit
-                    if stopped:
-                        break
-            if stopped:
-                break
-            sweeps_done += 1
-            if histogram is not None:
-                histogram[chain.mask] = histogram.get(chain.mask, 0) + 1
-            if trace is not None and sweeps_done % config.trace_stride == 0:
-                trace.append((sweeps_done, chain.energy()))
-        acceptance[beta] = accepted / max(attempted, 1)
+        rung_start = proposals
+        rung_end = proposals + n * config.sweeps_per_beta
+        while proposals < rung_end:
+            # run to the next recorded sweep or the rung's end; a set already
+            # at the target is recorded after one more proposal
+            target = best_size + 1 if first_hit else min(best_size + 1, alpha)
+            size = rep[1] if not rep[2] else -1
+            count = 1 if size >= target else \
+                n - proposals % n if recorded else rung_end - proposals
+            rep, acc, done = _local_moves(moves, rep, islice(triples, count),
+                                          beta, target)
+            accepted += acc
+            proposals += done
+            size = rep[1] if not rep[2] else -1
+            if size > best_size:
+                best_mask, best_size = rep[0], size
+            if first_hit is None and size >= alpha:
+                first_hit = proposals / n
+                if stop_at_hit:
+                    stopped = True
+                    break
+            sweep, offset = divmod(proposals, n)
+            if histogram is not None and not offset:
+                histogram[rep[0]] = histogram.get(rep[0], 0) + 1
+            if trace is not None and not offset and \
+                    sweep % config.trace_stride == 0:
+                trace.append((sweep, _energy(rep, *moves[3:])))
+        acceptance[beta] = accepted / max(proposals - rung_start, 1)
         if stopped:
             break
+    # a stopped chain does not count the sweep of its hit
     return MCResult(best_mask=best_mask, best_size=best_size,
-                    first_hit_sweep=first_hit, sweeps=sweeps_done,
+                    first_hit_sweep=first_hit,
+                    sweeps=(proposals - stopped) // n,
                     acceptance=acceptance, histogram=histogram,
                     replica_histograms=None, trace=trace,
                     rng={"generator": "philox", "key": [config.seed, trial]},
@@ -289,72 +308,72 @@ def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None,
            trial: int = 0) -> MCResult:
     """Parallel tempering on the Philox stream (config.seed, trial):
     per-replica local sweeps, adjacent replica exchange, and optional
-    isoenergetic cluster moves."""
+    isoenergetic cluster moves.  Best and first-hit sets are checked after
+    each replica's sweep."""
     alpha = _resolve_alpha(graph, alpha)
-    p_flip, _ = config.weights()
+    moves = _moves(graph, config)
+    delta, penalty = moves[3:]
+    betas = config.betas
     m_rep = config.replicas
-    chains = [_Chain(graph, config.mode, config.penalty, config.delta)
-              for _ in range(m_rep)]
-    u01 = _Uniforms(_stream(config.seed, trial))
+    reps = [(0, 0, 0)] * m_rep
+    it = iter(_Uniforms(_stream(config.seed, trial)))
+    triples = zip(it, it, it)
+    draw = it.__next__
     n = max(graph.n, 1)
     adj = graph.adjacency()
     histograms = [dict() for _ in range(m_rep)] if config.record_histogram else None
-    acceptance = {}
     swap_attempts = swap_accepts = 0
     iso_attempts = iso_accepts = 0
     local_acc = [0] * m_rep
-    local_att = [0] * m_rep
     best_mask, best_size = 0, 0
     first_hit = None
     proposals = 0
     for sweep in range(config.sweeps):
-        for i, chain in enumerate(chains):
-            beta = config.betas[i]
-            for _ in range(n):
-                local_acc[i] += chain.propose(u01, p_flip, beta)
-                local_att[i] += 1
+        for i, beta in enumerate(betas):
+            reps[i], acc, _ = _local_moves(moves, reps[i], islice(triples, n),
+                                           beta, n + 1)
+            local_acc[i] += acc
             proposals += n
-            size = chain.size if config.mode == "restricted" or \
-                chain.violations == 0 else -1
+            mask, size, viol = reps[i]
+            size = -1 if viol else size
             if size > best_size:
-                best_mask, best_size = chain.mask, size
+                best_mask, best_size = mask, size
             if first_hit is None and size >= alpha:
                 first_hit = proposals / (n * m_rep)
         if histograms is not None:
-            for i, chain in enumerate(chains):
-                histograms[i][chain.mask] = histograms[i].get(chain.mask, 0) + 1
+            for i, (mask, _, _) in enumerate(reps):
+                histograms[i][mask] = histograms[i].get(mask, 0) + 1
         if config.swap_every and (sweep + 1) % config.swap_every == 0:
             for i in range(m_rep - 1):
                 swap_attempts += 1
-                bi, bj = config.betas[i], config.betas[i + 1]
-                ei, ej = chains[i].energy(), chains[i + 1].energy()
+                bi, bj = betas[i], betas[i + 1]
+                ei, ej = (_energy(r, delta, penalty) for r in reps[i:i + 2])
                 log_acc = (bi - bj) * (ei - ej)
-                if log_acc >= 0 or u01() < math.exp(log_acc):
+                if log_acc >= 0 or draw() < math.exp(log_acc):
                     swap_accepts += 1
-                    chains[i], chains[i + 1] = chains[i + 1], chains[i]
+                    reps[i], reps[i + 1] = reps[i + 1], reps[i]
             if config.isoenergetic and m_rep >= 2:
                 iso_attempts += 1
-                pair = int(u01() * (m_rep - 1))
-                ci, cj = chains[pair], chains[pair + 1]
-                comps = _clusters(ci.mask, cj.mask, adj)
+                pair = int(draw() * (m_rep - 1))
+                (mi, si, vi), (mj, sj, vj) = reps[pair], reps[pair + 1]
+                comps = _clusters(mi, mj, adj)
                 if comps:
-                    cluster = comps[int(u01() * len(comps))]
-                    di = popcount(ci.mask & cluster)
-                    dj = popcount(cj.mask & cluster)
-                    bi, bj = config.betas[pair], config.betas[pair + 1]
+                    cluster = comps[int(draw() * len(comps))]
+                    di = popcount(mi & cluster)
+                    dj = popcount(mj & cluster)
+                    bi, bj = betas[pair], betas[pair + 1]
                     # swapping the cluster changes each replica's size by
                     # +-(dj - di); the pair's total energy is conserved
-                    d_h_i = -ci.delta * (dj - di)
+                    d_h_i = -delta * (dj - di)
                     log_acc = -(bi - bj) * d_h_i
-                    if log_acc >= 0 or u01() < math.exp(log_acc):
+                    if log_acc >= 0 or draw() < math.exp(log_acc):
                         iso_accepts += 1
-                        new_i = (ci.mask & ~cluster) | (cj.mask & cluster)
-                        new_j = (cj.mask & ~cluster) | (ci.mask & cluster)
-                        ci.mask, cj.mask = new_i, new_j
-                        ci.size += dj - di
-                        cj.size += di - dj
-    for i, beta in enumerate(config.betas):
-        acceptance[f"local_beta_{beta:g}"] = local_acc[i] / max(local_att[i], 1)
+                        reps[pair] = ((mi & ~cluster) | (mj & cluster),
+                                      si + (dj - di), vi)
+                        reps[pair + 1] = ((mj & ~cluster) | (mi & cluster),
+                                          sj + (di - dj), vj)
+    acceptance = {f"local_beta_{beta:g}": acc / max(config.sweeps * n, 1)
+                  for beta, acc in zip(betas, local_acc)}
     acceptance["replica_exchange"] = swap_accepts / max(swap_attempts, 1)
     if config.isoenergetic:
         acceptance["isoenergetic"] = iso_accepts / max(iso_attempts, 1)

@@ -116,11 +116,9 @@ class WorldlineEngine:
             self.log_bond = np.where(bond > 0.0, np.log(np.maximum(bond, 1e-300)),
                                      -np.inf)
         self.log_diag = -config.beta / config.slices * diag
-        self.bond = bond
-        self.diag_weight = np.exp(self.log_diag - self.log_diag.max())
         # plain-list mirrors for the samplers' hot loops
         self.bond_rows = bond.tolist()
-        self.diag_list = self.diag_weight.tolist()
+        self.diag_list = np.exp(self.log_diag - self.log_diag.max()).tolist()
         self.log_bond_rows = self.log_bond.tolist()
         self.log_diag_list = self.log_diag.tolist()
         self.flip_to = op.space.flips
@@ -201,7 +199,8 @@ def resample_vertex_line(engine: WorldlineEngine, state, v: int, u01):
     total = s00[0] + s11[0]
     if total <= 0.0:
         raise ConfigError("vertex line has no admissible timeline")
-    x0 = 0 if u01() * total < s00[0] else 1
+    draws = u01.take(m)
+    x0 = 0 if draws[0] * total < s00[0] else 1
     prev = x0
     out = [0] * m
     out[0] = opt0[0] if x0 == 0 else opt1[0]
@@ -215,7 +214,7 @@ def resample_vertex_line(engine: WorldlineEngine, state, v: int, u01):
         total = w0 + w1
         if total <= 0.0:
             raise ConfigError("conditional timeline weight vanished")
-        prev = 0 if u01() * total < w0 else 1
+        prev = 0 if draws[k] * total < w0 else 1
         out[k] = opt0[k] if prev == 0 else opt1[k]
     return out
 
@@ -256,14 +255,15 @@ def qmc_run(graph: Graph, config: QMCConfig) -> QMCResult:
     log_diag = engine.log_diag_list
     flip_rows = engine.flip_rows
     u01 = _Uniforms(_stream(config.seed, 0))
+    draw = iter(u01).__next__
     marginal: dict[int, int] = {}
     site_acc = site_att = seg_acc = seg_att = 0
     segment_attempts = math.ceil(config.segment_factor * n)
     for sweep in range(config.sweeps):
         for _ in range(m * n):
             site_att += 1
-            s = int(u01() * m)
-            v = int(u01() * n)
+            s = int(draw() * m)
+            v = int(draw() * n)
             cur = state[s]
             new = flip_rows[cur][v]
             if new < 0:
@@ -274,14 +274,14 @@ def qmc_run(graph: Graph, config: QMCConfig) -> QMCResult:
                      + log_diag[new]
                      - log_bond[prev][cur] - log_bond[cur][nxt]
                      - log_diag[cur])
-            if d_log >= 0 or u01() < math.exp(d_log):
+            if d_log >= 0 or draw() < math.exp(d_log):
                 state[s] = new
                 site_acc += 1
         for _ in range(segment_attempts):
             seg_att += 1
-            v = int(u01() * n)
-            start = int(u01() * m)
-            length = 1 + int(u01() * m)
+            v = int(draw() * n)
+            start = int(draw() * m)
+            length = 1 + int(draw() * m)
             slots = [(start + j) % m for j in range(length)]
             proposal = {}
             valid = True
@@ -295,7 +295,7 @@ def qmc_run(graph: Graph, config: QMCConfig) -> QMCResult:
                 continue
             d_log = _segment_delta(state, set(slots), proposal,
                                    log_bond, log_diag, m)
-            if d_log >= 0 or u01() < math.exp(d_log):
+            if d_log >= 0 or draw() < math.exp(d_log):
                 for s, j in proposal.items():
                     state[s] = j
                 seg_acc += 1

@@ -4,6 +4,8 @@ Everything here recomputes quantities from first principles (2^n subset
 sweeps, dense linear algebra) without touching the package's enumeration or
 solver paths, so oracle and implementation can disagree.
 """
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -169,3 +171,248 @@ def brute_emax(graph, b, omega, delta, lam, beta, k=1):
         ball |= {z ^ (1 << v) for z in ball for v in range(graph.n)}
     best = max(pops[pos[z]] for z in ball if z in pos)
     return float(best) * int(np.sum(ok & (sizes == b - 1)))
+
+
+# --- reference scalar samplers -------------------------------------------
+# The one-proposal-at-a-time SA and PT chains the package ran before its
+# samplers read their uniforms as chunk lists, kept verbatim (numpy scalar
+# draws, an object per chain) as the byte-identity reference for
+# classical_mc.sa_run and pt_run.  Each returns the MCResult fields it
+# fills, as a dict.
+
+SCALAR_CHUNK = 8192
+
+
+def _scalar_components(vertices, adj):
+    comps = []
+    todo = vertices
+    while todo:
+        seed = todo & -todo
+        comp = seed
+        frontier = seed
+        while frontier:
+            grow = 0
+            f = frontier
+            while f:
+                low = f & -f
+                v = low.bit_length() - 1
+                f ^= low
+                grow |= adj[v] & todo & ~comp
+            comp |= grow
+            frontier = grow
+        comps.append(comp)
+        todo &= ~comp
+    return comps
+
+
+class ScalarUniforms:
+    """Chunked uniform draws from Philox (seed, stream), one numpy scalar
+    per call."""
+
+    def __init__(self, seed, stream):
+        self.rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        self.buf = self.rng.random(SCALAR_CHUNK)
+        self.pos = 0
+
+    def __call__(self):
+        if self.pos == len(self.buf):
+            self.buf = self.rng.random(SCALAR_CHUNK)
+            self.pos = 0
+        v = self.buf[self.pos]
+        self.pos += 1
+        return v
+
+
+class ScalarChain:
+    """One Metropolis chain on bitmask states."""
+
+    def __init__(self, graph, mode, penalty, delta):
+        self.graph = graph
+        self.n = graph.n
+        self.adj = graph.adjacency()
+        self.dir_edges = graph.directed_edges()
+        self.mode = mode
+        self.delta = delta
+        self.penalty = (2.0 * graph.n if penalty is None else penalty) \
+            if mode == "penalty" else None
+        self.mask = 0
+        self.size = 0
+        self.violations = 0
+
+    def energy(self):
+        e = -self.delta * self.size
+        if self.mode == "penalty":
+            e += self.penalty * self.violations
+        return e
+
+    def propose(self, u01, p_flip, beta):
+        """One proposed update; three uniforms consumed; returns accepted."""
+        r_move, r_pick, r_acc = u01(), u01(), u01()
+        if r_move < p_flip:
+            v = int(r_pick * self.n)
+            bit = 1 << v
+            conflicts = bin(self.adj[v] & self.mask).count("1")
+            if self.mask & bit:
+                d_h = self.delta
+                if self.mode == "penalty":
+                    d_h -= self.penalty * conflicts
+                if d_h <= 0 or r_acc < math.exp(-beta * d_h):
+                    self.mask ^= bit
+                    self.size -= 1
+                    if self.mode == "penalty":
+                        self.violations -= conflicts
+                    return True
+                return False
+            if self.mode == "restricted":
+                if conflicts:
+                    return False
+                self.mask |= bit
+                self.size += 1
+                return True
+            d_h = -self.delta + self.penalty * conflicts
+            if d_h <= 0 or r_acc < math.exp(-beta * d_h):
+                self.mask |= bit
+                self.size += 1
+                self.violations += conflicts
+                return True
+            return False
+        if not self.dir_edges:
+            return False
+        u, v = self.dir_edges[int(r_pick * len(self.dir_edges))]
+        ubit, vbit = 1 << u, 1 << v
+        if not (self.mask & ubit) or (self.mask & vbit):
+            return False
+        without = self.mask ^ ubit
+        if self.mode == "restricted":
+            if self.adj[v] & without:
+                return False
+            self.mask = without | vbit
+            return True
+        old_conf = bin(self.adj[u] & without).count("1")
+        new_conf = bin(self.adj[v] & without).count("1")
+        d_h = self.penalty * (new_conf - old_conf)
+        if d_h <= 0 or r_acc < math.exp(-beta * d_h):
+            self.mask = without | vbit
+            self.violations += new_conf - old_conf
+            return True
+        return False
+
+
+def _p_flip(config):
+    return config.flip_weight / (config.flip_weight + config.exchange_weight)
+
+
+def scalar_sa_run(graph, config, alpha, stop_at_hit=False, trial=0):
+    p_flip = _p_flip(config)
+    chain = ScalarChain(graph, config.mode, config.penalty, config.delta)
+    u01 = ScalarUniforms(config.seed, trial)
+    n = max(graph.n, 1)
+    histogram = {} if config.record_histogram else None
+    trace = [] if config.trace_stride else None
+    acceptance = {}
+    best_mask, best_size = 0, 0
+    first_hit = None
+    proposals = 0
+    sweeps_done = 0
+    stopped = False
+    for beta in config.betas:
+        accepted = 0
+        attempted = 0
+        for _ in range(config.sweeps_per_beta):
+            for _ in range(n):
+                accepted += chain.propose(u01, p_flip, beta)
+                attempted += 1
+                proposals += 1
+                size = chain.size if config.mode == "restricted" else (
+                    chain.size if chain.violations == 0 else -1)
+                if size > best_size:
+                    best_mask, best_size = chain.mask, size
+                if first_hit is None and size >= alpha:
+                    first_hit = proposals / n
+                    stopped = stop_at_hit
+                    if stopped:
+                        break
+            if stopped:
+                break
+            sweeps_done += 1
+            if histogram is not None:
+                histogram[chain.mask] = histogram.get(chain.mask, 0) + 1
+            if trace is not None and sweeps_done % config.trace_stride == 0:
+                trace.append((sweeps_done, chain.energy()))
+        acceptance[beta] = accepted / max(attempted, 1)
+        if stopped:
+            break
+    return dict(best_mask=best_mask, best_size=best_size,
+                first_hit_sweep=first_hit, sweeps=sweeps_done,
+                acceptance=acceptance, histogram=histogram, trace=trace)
+
+
+def scalar_pt_run(graph, config, alpha, trial=0):
+    p_flip = _p_flip(config)
+    m_rep = len(config.betas)
+    chains = [ScalarChain(graph, config.mode, config.penalty, config.delta)
+              for _ in range(m_rep)]
+    u01 = ScalarUniforms(config.seed, trial)
+    n = max(graph.n, 1)
+    adj = graph.adjacency()
+    histograms = [dict() for _ in range(m_rep)] if config.record_histogram else None
+    acceptance = {}
+    swap_attempts = swap_accepts = 0
+    iso_attempts = iso_accepts = 0
+    local_acc = [0] * m_rep
+    local_att = [0] * m_rep
+    best_mask, best_size = 0, 0
+    first_hit = None
+    proposals = 0
+    for sweep in range(config.sweeps):
+        for i, chain in enumerate(chains):
+            beta = config.betas[i]
+            for _ in range(n):
+                local_acc[i] += chain.propose(u01, p_flip, beta)
+                local_att[i] += 1
+            proposals += n
+            size = chain.size if config.mode == "restricted" or \
+                chain.violations == 0 else -1
+            if size > best_size:
+                best_mask, best_size = chain.mask, size
+            if first_hit is None and size >= alpha:
+                first_hit = proposals / (n * m_rep)
+        if histograms is not None:
+            for i, chain in enumerate(chains):
+                histograms[i][chain.mask] = histograms[i].get(chain.mask, 0) + 1
+        if config.swap_every and (sweep + 1) % config.swap_every == 0:
+            for i in range(m_rep - 1):
+                swap_attempts += 1
+                bi, bj = config.betas[i], config.betas[i + 1]
+                ei, ej = chains[i].energy(), chains[i + 1].energy()
+                log_acc = (bi - bj) * (ei - ej)
+                if log_acc >= 0 or u01() < math.exp(log_acc):
+                    swap_accepts += 1
+                    chains[i], chains[i + 1] = chains[i + 1], chains[i]
+            if config.isoenergetic and m_rep >= 2:
+                iso_attempts += 1
+                pair = int(u01() * (m_rep - 1))
+                ci, cj = chains[pair], chains[pair + 1]
+                comps = _scalar_components(ci.mask ^ cj.mask, adj)
+                if comps:
+                    cluster = comps[int(u01() * len(comps))]
+                    di = bin(ci.mask & cluster).count("1")
+                    dj = bin(cj.mask & cluster).count("1")
+                    bi, bj = config.betas[pair], config.betas[pair + 1]
+                    d_h_i = -ci.delta * (dj - di)
+                    log_acc = -(bi - bj) * d_h_i
+                    if log_acc >= 0 or u01() < math.exp(log_acc):
+                        iso_accepts += 1
+                        new_i = (ci.mask & ~cluster) | (cj.mask & cluster)
+                        new_j = (cj.mask & ~cluster) | (ci.mask & cluster)
+                        ci.mask, cj.mask = new_i, new_j
+                        ci.size += dj - di
+                        cj.size += di - dj
+    for i, beta in enumerate(config.betas):
+        acceptance[f"local_beta_{beta:g}"] = local_acc[i] / max(local_att[i], 1)
+    acceptance["replica_exchange"] = swap_accepts / max(swap_attempts, 1)
+    if config.isoenergetic:
+        acceptance["isoenergetic"] = iso_accepts / max(iso_attempts, 1)
+    return dict(best_mask=best_mask, best_size=best_size,
+                first_hit_sweep=first_hit, sweeps=config.sweeps,
+                acceptance=acceptance, replica_histograms=histograms)

@@ -1,17 +1,20 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from flatscape import classical_mc
 
-from oracles import gibbs_distribution, total_variation
+from oracles import (brute_counts, gibbs_distribution, scalar_pt_run,
+                     scalar_sa_run, total_variation)
 
-from flatscape.classical_mc import (MCResult, PTConfig, SAConfig,
-                                    estimate_tts, geometric_betas, pt_run,
-                                    sa_run, transition_matrix)
+from flatscape.classical_mc import (RNG_CHUNK, MCResult, PTConfig, SAConfig,
+                                    _stream, _Uniforms, estimate_tts,
+                                    geometric_betas, pt_run, sa_run,
+                                    transition_matrix)
 from flatscape.errors import ConfigError
-from flatscape.graphs import Graph, generate_star
+from flatscape.graphs import Graph, generate_star, generate_unit_disk
 from flatscape.landscape import independence_polynomial
 
 
@@ -315,3 +318,79 @@ def test_mc_result_summary_fields(star22):
     assert result.trace and all(s % 50 == 0 for s, _ in result.trace)
     assert result.best_size <= 3
     assert result.rng["generator"] == "philox"
+
+
+def test_uniforms_follow_the_generator_across_chunks():
+    # iteration, take(k) and zipped triples read one sequence: rng.random's
+    expected = _stream(5, 2).random(5 * RNG_CHUNK).tolist()
+    u = _Uniforms(_stream(5, 2))
+    it = iter(u)
+    got = u.take(1) + [next(it)] + u.take(0) + u.take(RNG_CHUNK + 1)
+    # one triple straddles the second chunk boundary
+    for triple in islice(zip(it, it, it), RNG_CHUNK // 3 + 1):
+        got += triple
+    got += u.take(2 * RNG_CHUNK) + [next(it) for _ in range(5)]
+    assert len(got) == 4 * RNG_CHUNK + 9
+    assert got == expected[:len(got)]
+    assert all(type(x) is float for x in got)
+
+
+def test_philox_key_words_are_uint64():
+    # 2^64 - 1 is a key word of its own, not a float64 wrap to 0
+    assert not np.array_equal(_stream(2 ** 64 - 1, 0).random(4),
+                              _stream(0, 0).random(4))
+    # keys in range keep the stream numpy draws for the plain list key
+    for key in ([5, 3], [5, 2 ** 63 - 1]):
+        assert np.array_equal(_stream(*key).bit_generator.random_raw(8),
+                              np.random.Philox(key=key).random_raw(8))
+    for seed, stream in ((-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)):
+        with pytest.raises(ConfigError):
+            _stream(seed, stream)
+
+
+UD43 = generate_unit_disk(4, 3, 0.8, seed=3)
+MODES = [("restricted", None), ("penalty", None), ("penalty", 1.5)]
+MC_GRAPHS = pytest.mark.parametrize("graph", [generate_star(2, 2), UD43],
+                                    ids=["star22", "ud-4x3-s3"])
+
+
+def _alpha(graph):
+    return len(brute_counts(graph)) - 1
+
+
+@MC_GRAPHS
+@pytest.mark.parametrize("mode, penalty", MODES)
+def test_sa_matches_scalar_chain(graph, mode, penalty):
+    # every field of sa_run equals the one-proposal-at-a-time reference,
+    # over runs that cross many 8192-draw chunks (3 draws per proposal)
+    alpha = _alpha(graph)
+    cases = [  # (stop_at_hit, trace_stride, flip_weight, alpha, seed, trial)
+        (False, 0, 0.5, alpha, 3, 0),
+        (False, 7, 0.3, alpha, 4, 2),
+        (True, 0, 0.5, alpha, 5, 1),
+        (True, 3, 0.5, 0, 6, 0),       # hit in hand before any proposal
+        (False, 0, 0.5, alpha + 1, 7, 0),
+    ]
+    for stop, stride, flip, a, seed, trial in cases:
+        config = SAConfig(betas=geometric_betas(0.3, 3.0, 4),
+                          sweeps_per_beta=6000 // graph.n, flip_weight=flip,
+                          exchange_weight=1.0 - flip, mode=mode,
+                          penalty=penalty, seed=seed,
+                          record_histogram=stride == 0, trace_stride=stride)
+        got = sa_run(graph, config, alpha=a, stop_at_hit=stop, trial=trial)
+        want = scalar_sa_run(graph, config, a, stop_at_hit=stop, trial=trial)
+        assert {k: getattr(got, k) for k in want} == want, (stop, stride)
+
+
+@MC_GRAPHS
+@pytest.mark.parametrize("mode, penalty", MODES)
+def test_pt_matches_scalar_chain(graph, mode, penalty):
+    alpha = _alpha(graph)
+    for swap_every, iso, seed, trial in ((1, False, 3, 0), (3, True, 4, 1),
+                                         (2, True, 5, 0)):
+        config = PTConfig(betas=(0.5, 1.0, 1.5, 2.0), sweeps=6000 // graph.n,
+                          swap_every=swap_every, isoenergetic=iso, mode=mode,
+                          penalty=penalty, seed=seed, record_histogram=True)
+        got = pt_run(graph, config, alpha=alpha, trial=trial)
+        want = scalar_pt_run(graph, config, alpha, trial=trial)
+        assert {k: getattr(got, k) for k in want} == want, (swap_every, iso)

@@ -157,6 +157,21 @@ def test_trials_are_keyed_by_seed_and_trial(tmp_path, monkeypatch, command,
     assert keys == [(0, 0), (0, 1), (0, 2), (7919, 0), (7919, 1)]
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_outside_uint64_exit_code(tmp_path, capsys, seed):
+    # Philox key words are uint64: a seed outside [0, 2^64) is a usage
+    # error, not a silent wrap or a traceback
+    inst = tmp_path / "i.json"
+    inst.write_text(serialize(generate_star(2, 2)))
+    out = tmp_path / "s.json"
+    assert run_cli(["sa", "--in", str(inst), "--sweeps", "5", "--trials", "1",
+                    "--seed", seed, "--out", str(out)]) == 2
+    assert "error[usage]" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
+    assert manifest["status"] == 2
+    assert manifest["seeds"] == [int(seed)]
+
+
 def test_qmc_bound_inputs_cli(tmp_path):
     inst = tmp_path / "i.json"
     run_cli(["gen", "--nb", "2", "--l", "2", "--out", str(inst)])
