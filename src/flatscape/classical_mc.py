@@ -304,6 +304,22 @@ def _clusters(mask_i: int, mask_j: int, adj: list[int]) -> list[int]:
     return components(mask_i ^ mask_j, adj)
 
 
+def _cluster_swap(graph: Graph, rep_i: tuple, rep_j: tuple, cluster: int,
+                  delta: float, penalty: float | None) -> tuple:
+    """Both replicas after swapping ``cluster`` between them, and the energy
+    change of the first.  The pair's total energy is conserved, penalties
+    included: every edge leaving a cluster ends where the two masks agree."""
+    (mi, si, _), (mj, sj, _) = rep_i, rep_j
+    di, dj = popcount(mi & cluster), popcount(mj & cluster)
+    mi, mj = (mi & ~cluster) | (mj & cluster), (mj & ~cluster) | (mi & cluster)
+    if penalty is None:  # independent sets stay independent
+        return (mi, si + dj - di, 0), (mj, sj + di - dj, 0), -delta * (dj - di)
+    new_i = (mi, si + dj - di, violation_count(graph, mi))
+    new_j = (mj, sj + di - dj, violation_count(graph, mj))
+    return new_i, new_j, (_energy(new_i, delta, penalty)
+                          - _energy(rep_i, delta, penalty))
+
+
 def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None,
            trial: int = 0) -> MCResult:
     """Parallel tempering on the Philox stream (config.seed, trial):
@@ -355,23 +371,16 @@ def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None,
             if config.isoenergetic and m_rep >= 2:
                 iso_attempts += 1
                 pair = int(draw() * (m_rep - 1))
-                (mi, si, vi), (mj, sj, vj) = reps[pair], reps[pair + 1]
-                comps = _clusters(mi, mj, adj)
+                comps = _clusters(reps[pair][0], reps[pair + 1][0], adj)
                 if comps:
                     cluster = comps[int(draw() * len(comps))]
-                    di = popcount(mi & cluster)
-                    dj = popcount(mj & cluster)
-                    bi, bj = betas[pair], betas[pair + 1]
-                    # swapping the cluster changes each replica's size by
-                    # +-(dj - di); the pair's total energy is conserved
-                    d_h_i = -delta * (dj - di)
-                    log_acc = -(bi - bj) * d_h_i
+                    new_i, new_j, d_h_i = _cluster_swap(
+                        graph, reps[pair], reps[pair + 1], cluster, delta,
+                        penalty)
+                    log_acc = -(betas[pair] - betas[pair + 1]) * d_h_i
                     if log_acc >= 0 or draw() < math.exp(log_acc):
                         iso_accepts += 1
-                        reps[pair] = ((mi & ~cluster) | (mj & cluster),
-                                      si + (dj - di), vi)
-                        reps[pair + 1] = ((mj & ~cluster) | (mi & cluster),
-                                          sj + (di - dj), vj)
+                        reps[pair], reps[pair + 1] = new_i, new_j
     acceptance = {f"local_beta_{beta:g}": acc / max(config.sweeps * n, 1)
                   for beta, acc in zip(betas, local_acc)}
     acceptance["replica_exchange"] = swap_accepts / max(swap_attempts, 1)

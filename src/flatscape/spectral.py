@@ -29,6 +29,7 @@ DENSE_EIG_LIMIT = 512
 DEFAULT_NNZ_LIMIT = 2_000_000
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEGENERACY_RTOL = 1e-8
+SERIES_MAX_TERMS = 64  # resolvent moment series; about 12 terms when h << pole
 
 
 def restricted_basis(graph: Graph) -> list[int]:
@@ -432,14 +433,18 @@ def embed_state(basis: list[int], sub_basis: list[int],
     return vec
 
 
-def _heff_solver(H, G: np.ndarray, E: np.ndarray, dense: bool,
+def _heff_solver(H, G: np.ndarray, E: np.ndarray, z0: float, dense: bool,
                  solve_tol: float):
-    """z -> 2x2 effective-Hamiltonian entries
-    <a| H |b> + <a| H Q (z - QHQ)^{-1} Q H |b> for a, b in {G, E}.
+    """(entries, counts): entries maps z to <a| H + H Q (z - QHQ)^{-1} Q H |b>
+    for a, b in {G, E}; counts holds the LDL^T factorizations and the most
+    series terms summed.
 
-    The dense path forms QHQ once, by a rank-4 update in O(dim^2): with
-    U = [G E] and W = HU - U (U^T H U) / 2, QHQ = H - U W^T - W U^T.  Each
-    energy is then one symmetric solve with both right-hand sides.
+    The dense path builds M = z0 - QHQ in place by a rank-4 update (with
+    U = [G E] and W = HU - U (U^T H U) / 2, QHQ = H - U W^T - W U^T) and
+    factors it once.  At z = z0 + s the resolvent term is the series
+    sum_{k>=1} (-s)^{k-1} rhs^T M^{-k} rhs, cut below double precision of
+    the entries; it diverges (ConvergenceError) when z - QHQ has an
+    eigenvalue within about |s| of z0.  The iterative path runs MINRES.
     """
     def project_out(x):
         return x - G * (G @ x) - E * (E @ x)
@@ -448,21 +453,43 @@ def _heff_solver(H, G: np.ndarray, E: np.ndarray, dense: bool,
     HU = H @ U
     base = U.T @ HU
     rhs = HU - U @ base  # Q H [G E]
+    counts = {"factorizations": 0, "series_terms": None}
     if dense:
-        # Fortran order lets LAPACK factor each copy of z - QHQ in place
-        QHQ = (H.toarray(order="F") if scipy.sparse.issparse(H)
-               else np.array(H, float, order="F"))
+        # one Fortran-ordered buffer; LAPACK reads its upper triangle only
+        M = (H.toarray(order="F") if scipy.sparse.issparse(H)
+             else np.array(H, float, order="F"))
         W = HU - 0.5 * U @ base
-        QHQ -= np.hstack([U, W]) @ np.hstack([W, U]).T
+        M = scipy.linalg.blas.dsyr2k(1.0, U, W, beta=-1.0, c=M, overwrite_c=1)
+        M[np.diag_indices_from(M)] += z0
+        ldl, piv, info = scipy.linalg.lapack.dsytrf(M, lwork=64 * len(M),
+                                                    overwrite_a=1)
+        if info > 0:
+            raise ConvergenceError(f"z0 = {z0!r} is an eigenvalue of QHQ")
+        counts["factorizations"] = 1
+        ys = [HU, scipy.linalg.lapack.dsytrs(ldl, piv, rhs)[0]]
 
-        def solve(z):
-            A = -QHQ
-            A[np.diag_indices_from(A)] += z
-            return scipy.linalg.solve(A, rhs, assume_a="sym", overwrite_a=True)
+        def moment(k):  # Y_a^T Y_{k-a}, Y_j = M^-j rhs; Y_0 = HU, Y_1 is in Q
+            while len(ys) <= (k + 1) // 2:
+                ys.append(scipy.linalg.lapack.dsytrs(ldl, piv, ys[-1])[0])
+            return ys[k // 2].T @ ys[k - k // 2]
+
+        def resolvent(z):
+            s, total, k = z - z0, moment(1), 1
+            cut = np.finfo(float).eps * np.abs(base + total).max()
+            while np.abs(term := (-s) ** k * moment(k + 1)).max() > cut:
+                if k == SERIES_MAX_TERMS:
+                    pole = abs(moment(k)).max() / abs(moment(k + 1)).max()
+                    raise ConvergenceError(
+                        f"resolvent series at z0 {s:+.3e} does not converge "
+                        f"in {k} terms: z - QHQ has an eigenvalue about "
+                        f"{pole:.3e} from z0", residuals=[pole])
+                total, k = total + term, k + 1
+            counts["series_terms"] = max(counts["series_terms"] or 0, k)
+            return total
     else:
         dim = H.shape[0]
 
-        def solve(z):
+        def resolvent(z):
             # acts as (z - QHQ) on the Q subspace and as the identity on the
             # P block, so MINRES stays well-posed; rhs lives in Q already
             def av(x):
@@ -483,19 +510,19 @@ def _heff_solver(H, G: np.ndarray, E: np.ndarray, dense: bool,
                         f"value of (z - QHQ) is {float(ritz[0]):.3e} "
                         "(pole proximity)", residuals=[float(ritz[0])])
                 ys.append(project_out(y))
-            return np.column_stack(ys)
+            return HU.T @ np.column_stack(ys)
 
     def entries(z):
-        m = base + HU.T @ solve(z)
+        m = base + resolvent(z)
         return {"GG": float(m[0, 0]), "GE": float(m[0, 1]),
                 "EG": float(m[1, 0]), "EE": float(m[1, 1])}
-    return entries
+    return entries, counts
 
 
 def _heff_entries(H, G: np.ndarray, E: np.ndarray, z: float,
                   dense: bool, solve_tol: float):
     """2x2 effective-Hamiltonian entries at the single energy z."""
-    return _heff_solver(H, G, E, dense, solve_tol)(z)
+    return _heff_solver(H, G, E, z, dense, solve_tol)[0](z)
 
 
 def _heff_series(H_cost_diag: np.ndarray, drive, G: np.ndarray, E: np.ndarray,
@@ -552,7 +579,9 @@ def resolvent_gap(H, G: np.ndarray, E: np.ndarray, z0: float,
     gap) are supplied, the overlap-area validity diagnostic.
 
     ``order`` switches to the truncated series in powers of the drive; the
-    default solves (z - QHQ) exactly.
+    default solves (z - QHQ) exactly, by _heff_solver, and raises
+    ConvergenceError when it has a pole within about h of z0.  ``method``
+    records the LDL^T factorizations and the most series terms summed.
     """
     H = _as_matrix(H)
     norm_g, norm_e = np.linalg.norm(G), np.linalg.norm(E)
@@ -570,8 +599,9 @@ def resolvent_gap(H, G: np.ndarray, E: np.ndarray, z0: float,
 
         def entries(z):
             return _heff_series(diag, drive, G, E, z, omega, order)
+        counts = {"factorizations": 0, "series_terms": None}
     else:
-        entries = _heff_solver(H, G, E, dense, solve_tol)
+        entries, counts = _heff_solver(H, G, E, z0, dense, solve_tol)
 
     ent0 = entries(z0)
     tilde = 2.0 * abs(ent0["GE"])
@@ -599,7 +629,7 @@ def resolvent_gap(H, G: np.ndarray, E: np.ndarray, z0: float,
         tilde_gap=tilde, corrected_gap=corrected,
         slopes={"m_gg": m_gg, "m_ee": m_ee, "m_ge": m_ge,
                 "f_gg": f_gg, "f_ee": f_ee},
-        method={"z0": z0, "order": order, "dense": dense, "h": h},
+        method={"z0": z0, "order": order, "dense": dense, "h": h, **counts},
     )
     if exact_pairs is not None:
         psi0, psi1, exact_gap = exact_pairs

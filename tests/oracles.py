@@ -205,6 +205,12 @@ def _scalar_components(vertices, adj):
     return comps
 
 
+def _scalar_violations(mask, adj):
+    """Edges with both ends in ``mask``."""
+    return sum(bin(adj[v] & mask).count("1")
+               for v in range(len(adj)) if mask >> v & 1) // 2
+
+
 class ScalarUniforms:
     """Chunked uniform draws from Philox (seed, stream), one numpy scalar
     per call."""
@@ -399,15 +405,25 @@ def scalar_pt_run(graph, config, alpha, trial=0):
                     di = bin(ci.mask & cluster).count("1")
                     dj = bin(cj.mask & cluster).count("1")
                     bi, bj = config.betas[pair], config.betas[pair + 1]
-                    d_h_i = -ci.delta * (dj - di)
+                    new_i = (ci.mask & ~cluster) | (cj.mask & cluster)
+                    new_j = (cj.mask & ~cluster) | (ci.mask & cluster)
+                    if config.mode == "penalty":
+                        # the pair's energy is conserved, so the move is
+                        # accepted on the first replica's energy change
+                        vi, vj = (_scalar_violations(m, adj)
+                                  for m in (new_i, new_j))
+                        d_h_i = (-ci.delta * (ci.size + dj - di)
+                                 + ci.penalty * vi) - ci.energy()
+                    else:
+                        vi = vj = 0
+                        d_h_i = -ci.delta * (dj - di)
                     log_acc = -(bi - bj) * d_h_i
                     if log_acc >= 0 or u01() < math.exp(log_acc):
                         iso_accepts += 1
-                        new_i = (ci.mask & ~cluster) | (cj.mask & cluster)
-                        new_j = (cj.mask & ~cluster) | (ci.mask & cluster)
                         ci.mask, cj.mask = new_i, new_j
                         ci.size += dj - di
                         cj.size += di - dj
+                        ci.violations, cj.violations = vi, vj
     for i, beta in enumerate(config.betas):
         acceptance[f"local_beta_{beta:g}"] = local_acc[i] / max(local_att[i], 1)
     acceptance["replica_exchange"] = swap_accepts / max(swap_attempts, 1)

@@ -218,6 +218,59 @@ def test_isoenergetic_cluster_swap_conserves_energy_exhaustive(star22):
                            for v in members)
 
 
+def test_isoenergetic_kernel_exact_penalty(star22):
+    """The penalty-mode cluster move, as a kernel on all 2^5 x 2^5 replica
+    pairs of star(2,2), leaves pi_bi x pi_bj stationary in detailed
+    balance, and each replica's violation count is its new mask's."""
+    from flatscape.classical_mc import _cluster_swap, _clusters, _moves
+    from flatscape.spectral import violation_count
+
+    bi, bj = 0.5, 2.0
+    config = PTConfig(betas=(bi, bj), isoenergetic=True, mode="penalty",
+                      penalty=1.0)
+    delta, penalty = _moves(star22, config)[3:]
+    adj = star22.adjacency()
+    states = 1 << star22.n
+    reps = [(m, bin(m).count("1"), violation_count(star22, m))
+            for m in range(states)]
+    energy = np.array([-delta * s + penalty * v for _, s, v in reps])
+
+    def gibbs(beta):
+        w = np.exp(-beta * (energy - energy.min()))
+        return w / w.sum()
+
+    pi = np.outer(gibbs(bi), gibbs(bj)).ravel()
+    K = np.zeros((states * states, states * states))
+    stale = []
+    for x in range(states):
+        for y in range(states):
+            row = x * states + y
+            comps = _clusters(x, y, adj)
+            for cluster in comps:
+                new_i, new_j, d_h = _cluster_swap(star22, reps[x], reps[y],
+                                                  cluster, delta, penalty)
+                stale += [r for r in (new_i, new_j) if r != reps[r[0]]]
+                accept = min(1.0, math.exp(-(bi - bj) * d_h))
+                K[row, new_i[0] * states + new_j[0]] += accept / len(comps)
+            K[row, row] += 1.0 - K[row].sum()
+    flow = pi[:, None] * K
+    assert np.abs(flow - flow.T).max() <= 1e-12
+    assert np.abs(pi @ K - pi).max() <= 1e-12
+    assert stale == []
+
+
+def test_pt_penalty_isoenergetic_reports_independent_sets():
+    g = generate_star(2, 2)
+    adj = g.adjacency()
+    for seed in range(20):
+        config = PTConfig(betas=(0.2, 0.5, 1.0, 2.0), sweeps=300,
+                          isoenergetic=True, mode="penalty", penalty=1.0,
+                          seed=seed)
+        mask = pt_run(g, config).best_mask
+        assert all(not adj[v] & mask for v in range(g.n) if mask >> v & 1), \
+            (seed, bin(mask))
+
+
 def test_tts_deterministic_solver_saturation():
     g = Graph(n=1, edges=())
     config = SAConfig(betas=(2.0,), exchange_weight=0.0, seed=0)

@@ -419,3 +419,65 @@ def test_lanczos_scan_matches_dense_on_paths(n, monkeypatch):
                               subset_by_index=(0, 1))
         assert gap == pytest.approx(w[1] - w[0], abs=1e-10), d
 
+
+
+def _crossing_pair(graph):
+    ps = perturbative_states(graph)
+    scan = min_gap_scan(graph, omega=1.0, delta_range=(0.3, 2.0), points=48)
+    op = build_operator(graph, omega=1.0, delta=scan.delta_star)
+    G = embed_state(op.basis, ps.ground_basis, ps.ground)
+    E = embed_state(op.basis, ps.excited_basis, ps.excited)
+    return op, G / np.linalg.norm(G), E / np.linalg.norm(E), scan.e_star
+
+
+@pytest.mark.parametrize("h_rel", [1e-4, 1e-2])
+@pytest.mark.parametrize("graph", [generate_star(2, 2),
+                                   generate_unit_disk(4, 3, 0.8, seed=3)],
+                         ids=["star22", "unit-disk-4x3-s3"])
+def test_heff_series_matches_projector_oracle_at_shifts(graph, h_rel):
+    """One factorization at z0 serves z0 +- h and z0 +- h/2 through the
+    moment series, as accurately as a fresh dense solve at each."""
+    from flatscape.spectral import _heff_solver
+
+    op, G, E, z0 = _crossing_pair(graph)
+    entries, counts = _heff_solver(op.matrix, G, E, z0, dense=True,
+                                   solve_tol=1e-12)
+    h = h_rel * max(abs(z0), 1.0)
+    for z in (z0 + h, z0 - h, z0 + h / 2, z0 - h / 2):
+        got = entries(z)
+        want = brute_heff_entries(op.matrix, G, E, z)
+        for key in ("GG", "GE", "EG", "EE"):
+            assert got[key] == pytest.approx(want[key], rel=1e-10), (z, key)
+    assert counts["factorizations"] == 1
+    assert counts["series_terms"] >= 4
+
+
+@pytest.mark.parametrize("graph", [generate_star(2, 2),
+                                   generate_unit_disk(4, 3, 0.8, seed=3)],
+                         ids=["star22", "unit-disk-4x3-s3"])
+def test_resolvent_step_past_a_pole_raises(graph):
+    """A step h that carries z0 + h past the lowest eigenvalue of QHQ on Q
+    has no convergent series; the error names the pole distance."""
+    from flatscape.errors import ConvergenceError
+
+    op, G, E, z0 = _crossing_pair(graph)
+    H = op.matrix.toarray()
+    B = scipy.linalg.null_space(np.column_stack([G, E]).T)  # basis of Q
+    pole = float(np.linalg.eigvalsh(B.T @ H @ B)[0]) - z0
+    assert pole > 0
+    scale = max(abs(z0), 1.0)
+    assert resolvent_gap(op.matrix, G, E, z0, h_rel=0.1 * pole / scale) \
+        .method["factorizations"] == 1
+    with pytest.raises(ConvergenceError) as err:
+        resolvent_gap(op.matrix, G, E, z0, h_rel=1.5 * pole / scale)
+    assert err.value.residuals[0] == pytest.approx(pole, rel=0.05)
+
+
+def test_resolvent_method_records_solver_counts(star22):
+    op, G, E, z0 = _crossing_pair(star22)
+    dense = resolvent_gap(op.matrix, G, E, z0)
+    assert dense.method["factorizations"] == 1
+    assert dense.method["series_terms"] >= 2
+    iterative = resolvent_gap(op.matrix, G, E, z0, dense_limit=1)
+    assert iterative.method["factorizations"] == 0
+    assert iterative.method["series_terms"] is None
