@@ -30,6 +30,9 @@ DEFAULT_NNZ_LIMIT = 2_000_000
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEGENERACY_RTOL = 1e-8
 SERIES_MAX_TERMS = 64  # resolvent moment series; about 12 terms when h << pole
+# ARPACK's stopping tolerance at scan points: a tenth of lowest_eigenpairs'
+# residual gate (1e-9 * ||H||), so ARPACK stops near where the gate passes
+SCAN_ARPACK_TOL = 1e-10
 
 
 def restricted_basis(graph: Graph) -> list[int]:
@@ -165,12 +168,14 @@ def operator_norm_bound(H) -> float:
 
 
 def lowest_eigenpairs(op, count: int = 2, residual_rtol: float = 1e-9,
-                      vectors: bool = True):
+                      vectors: bool = True, tol: float = 0.0):
     """The ``count`` algebraically smallest eigenpairs.
 
     Dense up to DENSE_EIG_LIMIT (vectors None unless ``vectors``), Lanczos
     above from a fixed start; every Lanczos pair is residual-checked against
-    ||H v - E v|| <= residual_rtol * ||H||.
+    ||H v - E v|| <= residual_rtol * ||H||.  ``tol`` is ARPACK's stopping
+    tolerance (0: machine precision); a Ritz pair stops at a residual of
+    about tol * |E|, so tol below residual_rtol lets ARPACK stop at the gate.
     """
     H = _as_matrix(op)
     dim = H.shape[0]
@@ -188,18 +193,25 @@ def lowest_eigenpairs(op, count: int = 2, residual_rtol: float = 1e-9,
         try:
             w, v = scipy.sparse.linalg.eigsh(
                 H, k=count, which="SA", ncv=min(dim - 1, ncv), maxiter=maxiter,
-                v0=v0)
+                v0=v0, tol=tol)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            last_residuals = getattr(exc, "eigenvalues", None)
+            last_residuals = _residuals(H, exc.eigenvalues, exc.eigenvectors)
             continue
         order = np.argsort(w)
         w, v = w[order], v[:, order]
-        last_residuals = np.linalg.norm(H @ v - v * w, axis=0).tolist()
+        last_residuals = _residuals(H, w, v)
         if max(last_residuals) <= residual_rtol * scale:
             return w, v
     raise ConvergenceError(
         f"Lanczos failed to reach residual {residual_rtol:.1e} * ||H||",
         residuals=last_residuals)
+
+
+def _residuals(H, w, v) -> list[float] | None:
+    """||H v - w v|| per pair, or None when there is no pair."""
+    if v is None or np.size(w) == 0:
+        return None
+    return np.linalg.norm(H @ v - v * w, axis=0).tolist()
 
 
 def lowest_eigenvalues(op, count: int = 2) -> np.ndarray:
@@ -267,27 +279,99 @@ def _golden_minimize(fn, a, b, rel_tol):
     return mid, fn(mid)
 
 
-def minimize_gap(gap_at, deltas, rel_tol: float) -> GapReport:
-    """Minimum of the scalar ``gap_at(delta)`` over a coarse grid, with
-    golden-section refinement around every interior local minimum.
+def _brent_root(fn, a, b, fa, fb, xtol):
+    """A root of ``fn`` in [a, b], where fa = fn(a) and fb = fn(b) differ in
+    sign: Brent's safeguarded inverse-quadratic / secant / bisection search
+    (Brent 1973, ch. 4), stopped once the bracket is under ``xtol``.
+    Returns the last iterate, the end of the final bracket with the smaller
+    |fn|."""
+    c, fc = b, fb
+    d = e = b - a
+    eps = np.finfo(float).eps
+    while True:
+        if (fb > 0 and fc > 0) or (fb < 0 and fc < 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * eps * abs(b) + 0.5 * xtol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = fn(b)
 
+
+def minimize_gap(gap_at, deltas, rel_tol: float) -> GapReport:
+    """Minimum of ``gap_at(delta)`` over a coarse grid, refined around every
+    interior local minimum.
+
+    ``gap_at`` returns the gap, or (gap, slope) with the slope d gap/d delta
+    or None.
     The avoided-crossing dip can be narrower than the grid spacing, so every
-    interior local minimum of the coarse curve is refined, the best refined
-    value wins, and the grid ends compete with it.  The report carries the
-    coarse curve, the gap, its delta and ``boundary_minimum``.
+    interior grid minimum k is refined.  With slopes, the sign of the slope
+    at delta_k picks the half bracket [delta_k-1, delta_k] or
+    [delta_k, delta_k+1]; where the slope there goes from - to +, Brent's
+    root search finds the zero of the slope to rel_tol / 2 (refinement
+    "root").  Otherwise golden section minimizes the gap on
+    [delta_k-1, delta_k+1] (refinement "golden").  Each delta is evaluated
+    once.  The best refined value wins and the grid ends compete with it.
+    The report carries the coarse curve, the gap, its delta,
+    ``boundary_minimum`` and, in ``method``, the evaluations (grid, refine)
+    and the refinement of each dip.
     """
     deltas = np.asarray(list(deltas), dtype=float)
     if len(deltas) < 3:
         raise ValueError("scan grid needs at least 3 points")
-    gaps = np.array([gap_at(d) for d in deltas])
+    seen = {}
+
+    def evaluate(d):
+        if d not in seen:
+            value = gap_at(d)
+            seen[d] = value if isinstance(value, tuple) else (value, None)
+        return seen[d]
+
+    gaps = np.array([evaluate(d)[0] for d in deltas.tolist()])
+    grid_evaluations = len(seen)
     curve = list(zip(deltas.tolist(), gaps.tolist()))
     interior = [k for k in range(1, len(deltas) - 1)
                 if gaps[k] <= gaps[k - 1] and gaps[k] <= gaps[k + 1]]
     report = GapReport(curve=curve)
-    best_gap, best_delta = math.inf, None
+    best_gap, best_delta, refinements = math.inf, None, []
     for k in interior:
-        d_min, g_min = _golden_minimize(gap_at, deltas[k - 1], deltas[k + 1],
-                                        rel_tol)
+        slope = evaluate(deltas[k])[1]
+        lo, hi = (k - 1, k) if slope is None or slope >= 0 else (k, k + 1)
+        a, b = float(deltas[lo]), float(deltas[hi])
+        fa, fb = evaluate(a)[1], evaluate(b)[1]
+        if fa is not None and fb is not None and fa < 0 <= fb:
+            d_min = _brent_root(lambda d: evaluate(d)[1], a, b, fa, fb,
+                                0.5 * rel_tol * max(1.0, abs(a), abs(b)))
+            g_min = evaluate(d_min)[0]
+            refinements.append("root")
+        else:
+            d_min, g_min = _golden_minimize(lambda d: evaluate(d)[0],
+                                            deltas[k - 1], deltas[k + 1],
+                                            rel_tol)
+            refinements.append("golden")
         if g_min < best_gap:
             best_gap, best_delta = g_min, d_min
     edge = int(np.argmin([gaps[0], gaps[-1]]))
@@ -298,20 +382,40 @@ def minimize_gap(gap_at, deltas, rel_tol: float) -> GapReport:
         report.gap, report.delta_star = edge_gap, edge_delta
     else:
         report.gap, report.delta_star = best_gap, best_delta
+    report.method = {"evaluations": {"grid": grid_evaluations,
+                                     "refine": len(seen) - grid_evaluations},
+                     "refinement": refinements}
     return report
 
 
+def gap_point(H, derivative=None, eig_count: int = 2):
+    """(ground energy, gap, slope) of one scan point: the slope is the
+    Hellmann-Feynman derivative of the gap,
+    <psi1|dH/d delta|psi1> - <psi0|dH/d delta|psi0>, for ``derivative`` the
+    diagonal of dH/d delta, or None without it.  ARPACK stops at
+    SCAN_ARPACK_TOL; the residual gate itself is unchanged."""
+    w, v = lowest_eigenpairs(H, eig_count, tol=SCAN_ARPACK_TOL)
+    slope = (None if derivative is None
+             else float(derivative @ (v[:, 1] ** 2 - v[:, 0] ** 2)))
+    return float(w[0]), float(w[1] - w[0]), slope
+
+
 def scan_minimum_gap(factory, deltas, rel_tol: float = 1e-6,
-                     eig_count: int = 2) -> GapReport:
+                     eig_count: int = 2, derivative=None) -> GapReport:
     """Minimum-gap scan of the operators ``factory(delta)`` over the grid
     ``deltas`` (see ``minimize_gap``), plus the ground energy ``e_star`` at
-    the minimum."""
+    the minimum.
+
+    Each point is one ``gap_point`` solve.  With ``derivative``, the
+    diagonal of dH/d delta, every point also gives the gap's slope from the
+    eigenvectors the solve returns anyway, and the dips are refined by a
+    root search on it; without it, by golden section.
+    """
     ground = {}
 
     def gap_at(d):
-        w = lowest_eigenvalues(factory(d), eig_count)
-        ground[d] = float(w[0])
-        return float(w[1] - w[0])
+        ground[d], gap, slope = gap_point(factory(d), derivative, eig_count)
+        return gap, slope
 
     report = minimize_gap(gap_at, deltas, rel_tol)
     report.e_star = ground[report.delta_star]
@@ -330,12 +434,13 @@ def min_gap_scan(graph: Graph, omega: float = 1.0, lam: float = 0.0,
         return base.matrix + scipy.sparse.diags(-d * base.sizes())
 
     grid = np.linspace(delta_range[0], delta_range[1], points)
-    report = scan_minimum_gap(factory, grid, rel_tol)
+    report = scan_minimum_gap(factory, grid, rel_tol,
+                              derivative=-base.sizes())
     if report.delta_star is not None and report.delta_star != 0.0:
         report.crossing = omega / report.delta_star
-    report.method = {"omega": omega, "lam": lam, "points": points,
-                     "delta_range": list(delta_range), "basis": "restricted",
-                     "dim": base.dim}
+    report.method.update({"omega": omega, "lam": lam, "points": points,
+                          "delta_range": list(delta_range),
+                          "basis": "restricted", "dim": base.dim})
     return report
 
 

@@ -403,9 +403,10 @@ def star_gap_scan(n_b: int, ell: int, omega: float = 1.0, lam: float = 0.0,
         centre = math.sqrt(max(n_b, 2.0))
     grid = omega * np.linspace(max(0.2, span[0] * centre),
                                span[1] * centre + 0.8, points)
-    report = scan_minimum_gap(lambda d: space.hamiltonian(omega, d, lam), grid)
+    report = scan_minimum_gap(lambda d: space.hamiltonian(omega, d, lam), grid,
+                              derivative=-space.total_size)
     if report.delta_star:
         report.crossing = omega / report.delta_star
-    report.method = {"omega": omega, "lam": lam, "basis": "branch-symmetric",
-                     "dim": space.dim}
+    report.method.update({"omega": omega, "lam": lam,
+                          "basis": "branch-symmetric", "dim": space.dim})
     return report

@@ -61,7 +61,8 @@ def star_symmetric_scan(n_b, ell, lam=0.0, points=64):
     pred = star_level_crossing(max(n_b, 2), ell)
     centre = 1.0 / pred.crossing if n_b >= 2 else 1.0
     grid = np.linspace(max(0.2, 0.35 * centre), 1.6 * centre + 0.8, points)
-    report = scan_minimum_gap(lambda d: space.hamiltonian(1.0, d, lam), grid)
+    report = scan_minimum_gap(lambda d: space.hamiltonian(1.0, d, lam), grid,
+                              derivative=-space.total_size)
     assert not report.boundary_minimum
     report.crossing = 1.0 / report.delta_star
     return space, report
@@ -283,7 +284,7 @@ def test_c08_chain_matches_full_modified_gap():
 
         lo = max(0.1, diag.min_gap_delta - 0.6)
         grid = np.linspace(lo, diag.min_gap_delta + 0.6, 41)
-        rep = scan_minimum_gap(factory, grid)
+        rep = scan_minimum_gap(factory, grid, derivative=-sizes)
         worst = max(worst, abs(diag.min_gap - rep.gap) / diag.min_gap)
     check("C8", "chain vs full modified gap at strong delocalizer (20 inst.)",
           worst <= 0.10, f"max rel dev = {worst:.4f}")

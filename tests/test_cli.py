@@ -278,3 +278,34 @@ def test_gap_documents_repeat_across_processes(tmp_path):
         docs.append(out.read_bytes())
     assert json.loads(docs[0])["method"]["dim"] == 661
     assert docs[0] == docs[1]
+
+
+def test_spectral_pipelines_do_not_import_scipy_optimize(tmp_path):
+    # importing scipy.optimize costs about 15 MiB of resident memory, which
+    # no spectral pipeline needs: the gap scan's root search is its own
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import flatscape
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(flatscape.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    inst, out = tmp_path / "ud.json", str(tmp_path / "out.json")
+    script = f"""
+import sys
+from flatscape.cli import main
+inst = {str(inst)!r}
+for argv in (["gap", "--nb", "2", "--l", "8"],
+             ["gen", "--width", "4", "--height", "4", "--filling", "0.8",
+              "--seed", "3", "--out", inst],
+             ["resolvent", "--in", inst],
+             ["qmc", "--bound-inputs", "--in", inst]):
+    argv = argv if "--out" in argv else argv + ["--out", {out!r}]
+    assert main(argv) == 0, argv
+print("scipy.optimize" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.split()[-1] == "False"

@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from oracles import brute_heff_entries, dense_hamiltonian
 
-from flatscape.errors import CapacityError, ConfigError
+from flatscape.errors import CapacityError, ConfigError, ConvergenceError
 from flatscape.graphs import Graph, generate_star, generate_unit_disk
 from flatscape.landscape import independence_polynomial
 from flatscape.spectral import (build_operator, embed_state,
                                 free_vertex_diag, hamming_gap_estimate,
                                 laplacian_matrix, lowest_eigenpairs,
-                                manifold_basis, min_gap_scan, minimize_gap,
-                                perturbative_states, resolvent_gap,
-                                restricted_basis)
+                                gap_point, manifold_basis, min_gap_scan,
+                                minimize_gap, perturbative_states,
+                                resolvent_gap, restricted_basis)
+from flatscape.star_models import SymmetricStarSpace
 
 
 def test_single_vertex_operator_matrix():
@@ -129,6 +131,35 @@ def test_lowest_eigenpairs_krylov_matches_dense():
         assert r <= 1e-9 * abs(op.matrix).sum(axis=1).max()
 
 
+@pytest.mark.parametrize("partial", [1, 0])
+def test_no_convergence_reports_residual_norms(monkeypatch, partial):
+    # ARPACK's partial pairs on no convergence: the error carries their
+    # residual norms ||H v - theta v||, not their eigenvalues
+    import scipy.sparse.linalg
+
+    from flatscape import spectral
+
+    g = Graph(n=10, edges=tuple((i, i + 1) for i in range(9)))
+    op = build_operator(g, omega=1.0, delta=1.0)
+    w, v = scipy.linalg.eigh(op.matrix.toarray(), subset_by_index=(0, 1))
+    theta = w[:partial] + 1e-3
+    vecs = v[:, :partial] + 1e-3
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("stub", theta, vecs)
+
+    monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 0)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(ConvergenceError) as err:
+        lowest_eigenpairs(op, 2)
+    if partial:
+        want = np.linalg.norm(op.matrix @ vecs - vecs * theta, axis=0)
+        assert err.value.residuals == pytest.approx(want.tolist(), rel=1e-12)
+        assert err.value.residuals != pytest.approx(theta.tolist())
+    else:
+        assert err.value.residuals is None
+
+
 def test_min_gap_scan_boundary_flag_single_vertex():
     g = Graph(n=1, edges=())
     report = min_gap_scan(g, omega=1.0, delta_range=(0.2, 4.0), points=16)
@@ -166,6 +197,95 @@ def test_minimize_gap_lower_boundary_wins():
     assert report.boundary_minimum
     assert report.gap == 0.2
     assert report.delta_star == 10.0
+
+
+def _avoided_crossing(g0, s, d0):
+    def gap_slope(d):
+        gap = math.sqrt(g0 ** 2 + s ** 2 * (d - d0) ** 2)
+        return gap, s ** 2 * (d - d0) / gap
+    return gap_slope
+
+
+def test_minimize_gap_root_search_on_avoided_crossing():
+    # sqrt(g0^2 + s^2 (delta - delta0)^2): the slope's root is delta0
+    calls = []
+    gap_slope = _avoided_crossing(1e-3, 1.0, 2.3456)
+
+    def gap_at(d):
+        calls.append(d)
+        return gap_slope(d)
+
+    grid = np.linspace(0.2, 6.0, 64)
+    report = minimize_gap(gap_at, grid, rel_tol=1e-6)
+    assert report.method["refinement"] == ["root"]
+    assert report.method["evaluations"] == {
+        "grid": 64, "refine": len(calls) - 64}
+    assert len(calls) - 64 <= 12
+    assert len(set(calls)) == len(calls)
+    assert abs(report.delta_star - 2.3456) <= 1e-6 * 2.3456
+    assert report.gap == gap_slope(report.delta_star)[0]
+
+
+def test_minimize_gap_root_search_takes_the_half_bracket():
+    # slopes -, +, - at the grid minimum delta = 4: the outer slopes share a
+    # sign, the left half [3, 4] holds the minimum
+    def gap_at(d):
+        return (1.5 + math.sin(3.1 * d) + 0.2 * d + 0.02 * (d - 3.0) ** 2,
+                3.1 * math.cos(3.1 * d) + 0.2 + 0.04 * (d - 3.0))
+
+    grid = np.linspace(0.0, 6.0, 7)
+    assert [np.sign(gap_at(d)[1]) for d in (3.0, 4.0, 5.0)] == [-1, 1, -1]
+    report = minimize_gap(gap_at, grid, rel_tol=1e-9)
+    assert report.method["refinement"] == ["root"]
+    lo, hi = 3.0, 4.0  # bisect the slope for the reference minimum
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gap_at(mid)[1] < 0 else (lo, mid)
+    assert report.delta_star == pytest.approx(lo, abs=1e-8)
+
+
+def test_minimize_gap_without_sign_change_matches_golden_bit_for_bit():
+    # slopes +, +, + around the grid minimum delta = 3: no bracket, so the
+    # search falls back to golden section exactly as for a float callable
+    def gap_slope(d):
+        return (1.5 + math.sin(5.9 * d) + 0.1 * d + 0.02 * (d - 3.0) ** 2,
+                5.9 * math.cos(5.9 * d) + 0.1 + 0.04 * (d - 3.0))
+
+    grid = np.linspace(0.0, 6.0, 7)
+    assert all(gap_slope(d)[1] > 0 for d in (2.0, 3.0, 4.0))
+    with_slope = minimize_gap(gap_slope, grid, rel_tol=1e-6)
+    plain = minimize_gap(lambda d: gap_slope(d)[0], grid, rel_tol=1e-6)
+    assert with_slope.method["refinement"] == ["golden"]
+    assert plain.method["refinement"] == ["golden"]
+    assert with_slope.method == plain.method
+    assert with_slope.gap == plain.gap
+    assert with_slope.delta_star == plain.delta_star
+    assert with_slope.curve == plain.curve
+
+
+@pytest.mark.parametrize("case", ["star-3-6-sector", "unit-disk-4x3"])
+def test_hellmann_feynman_slope_matches_central_difference(case):
+    if case == "star-3-6-sector":
+        space = SymmetricStarSpace(3, 6)
+        deltas = (0.6, 1.0, 1.4)
+
+        def factory(d):
+            return space.hamiltonian(1.0, d)
+        derivative = -space.total_size
+    else:
+        g = generate_unit_disk(4, 3, 0.8, seed=3)
+        base = build_operator(g, omega=1.0, delta=0.0)
+        deltas = (0.5, 1.5, 3.0)
+
+        def factory(d):
+            return base.matrix + scipy.sparse.diags(-d * base.sizes())
+        derivative = -base.sizes()
+    h = 1e-5
+    for d in deltas:
+        _, _, slope = gap_point(factory(d), derivative)
+        _, up, _ = gap_point(factory(d + h), derivative)
+        _, down, _ = gap_point(factory(d - h), derivative)
+        assert slope == pytest.approx((up - down) / (2 * h), rel=1e-6), d
 
 
 def test_min_gap_scan_star22_interior_minimum(star22):
@@ -382,7 +502,7 @@ def test_scan_solves_once_per_gap_evaluation(star22, monkeypatch):
     from flatscape import spectral
 
     calls = {"eig": 0, "gap": 0}
-    eig, search = spectral.lowest_eigenvalues, spectral.minimize_gap
+    eig, search = spectral.lowest_eigenpairs, spectral.minimize_gap
 
     def counted_eig(*args, **kwargs):
         calls["eig"] += 1
@@ -394,14 +514,14 @@ def test_scan_solves_once_per_gap_evaluation(star22, monkeypatch):
             return gap_at(d)
         return search(counted_gap, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "lowest_eigenvalues", counted_eig)
+    monkeypatch.setattr(spectral, "lowest_eigenpairs", counted_eig)
     monkeypatch.setattr(spectral, "minimize_gap", counted_search)
     report = min_gap_scan(star22, omega=1.0, delta_range=(0.3, 2.0),
                           points=24)
     assert calls["gap"] > 24
     assert calls["eig"] == calls["gap"]
     op = build_operator(star22, omega=1.0, delta=report.delta_star)
-    assert report.e_star == eig(op)[0]
+    assert report.e_star == eig(op)[0][0]
 
 
 @pytest.mark.parametrize("n", [12, 14])
