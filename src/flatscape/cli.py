@@ -58,6 +58,12 @@ def _warn(kind: str, message: str) -> None:
     print(f"flatscape: warning[{kind}]: {message}", file=sys.stderr)
 
 
+def _warn_boundary(scan) -> None:
+    if scan.boundary_minimum:
+        _warn("boundary", "no interior minimum over the scan range; "
+              "reporting the boundary value")
+
+
 def _resolve_out(path: str) -> str:
     if path == "-":
         return path
@@ -307,9 +313,7 @@ def _cmd_gap(args, run: _Run) -> int:
             report = min_gap_scan(graph, omega=args.omega, lam=args.lam,
                                   delta_range=_parse_range(args.delta_range),
                                   points=args.points)
-    if report.boundary_minimum:
-        _warn("boundary", "no interior minimum over the scan range; "
-              "reporting the boundary value")
+    _warn_boundary(report)
     doc = report.to_document()
     doc["instance"] = to_document(graph)
     run.write(args.out, _canonical_json(doc))
@@ -332,6 +336,7 @@ def _cmd_resolvent(args, run: _Run) -> int:
     scan = min_gap_scan(graph, omega=args.omega, lam=0.0,
                         delta_range=_parse_range(args.delta_range),
                         points=args.points)
+    _warn_boundary(scan)
     op = build_operator(graph, args.omega, scan.delta_star, 0.0)
     G = embed_state(op.basis, states.ground_basis, states.ground)
     E = embed_state(op.basis, states.excited_basis, states.excited)
@@ -341,6 +346,7 @@ def _cmd_resolvent(args, run: _Run) -> int:
     estimate, histogram = hamming_gap_estimate(
         states.ground_basis, states.ground, states.excited_basis,
         states.excited, states.crossing)
+    report.boundary_minimum = scan.boundary_minimum
     doc = report.to_document()
     doc.update({
         "instance": to_document(graph),

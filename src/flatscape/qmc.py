@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.linalg
@@ -94,7 +95,11 @@ class WorldlineEngine:
     Holds the restricted basis, the dense log bond matrix, per-slice
     diagonal log factors, and the flip table mapping (state, vertex) to the
     flipped state's index (-1 when the flip leaves the independent-set
-    space).
+    space).  For the heat bath, per vertex v: ``lower[v][s]`` is state s
+    with v removed, ``upper[v][s]`` is s with v added (-1 when that leaves
+    the space), and ``blocks[v]`` memoizes the normalized 2x2 transfer
+    block of each pair of consecutive v-free slice states (see
+    ``transfer_block``); it fills on first use and lives with the engine.
     """
 
     def __init__(self, graph: Graph, config: QMCConfig):
@@ -123,48 +128,23 @@ class WorldlineEngine:
         self.log_diag_list = self.log_diag.tolist()
         self.flip_to = op.space.flips
         self.flip_rows = self.flip_to.tolist()
+        rows = np.arange(op.dim)[:, None]
+        occupied = (op.space.masks[:, None]
+                    >> np.arange(graph.n, dtype=np.uint64)) & np.uint64(1) == 1
+        self.lower = np.where(occupied, self.flip_to, rows).T.tolist()
+        self.upper = np.where(occupied, rows, self.flip_to).T.tolist()
+        self.blocks = [{} for _ in range(graph.n)]
 
-    def log_weight(self, slices: list[int]) -> float:
-        total = 0.0
-        m = len(slices)
-        for i in range(m):
-            j = slices[(i + 1) % m]
-            total += self.log_bond[slices[i], j] + self.log_diag[j]
-        return total
-
-
-def resample_vertex_line(engine: WorldlineEngine, state, v: int, u01):
-    """Exact Gibbs draw of vertex v's occupation timeline conditioned on all
-    other vertices: forward transfer-matrix products around the cycle, then
-    sequential backward sampling.  Returns the new slice indices.
-
-    Scalar 2x2 arithmetic throughout; the per-slice normalizations cancel in
-    every conditional, so only relative weights are kept.
-    """
-    m = len(state)
-    bond = engine.bond_rows
-    diag = engine.diag_list
-    flip_rows = engine.flip_rows
-    basis = engine.basis
-    bit = 1 << v
-    opt0 = [0] * m
-    opt1 = [0] * m
-    for i, s in enumerate(state):
-        if basis[s] & bit:
-            opt1[i] = s
-            opt0[i] = flip_rows[s][v]
-        else:
-            opt0[i] = s
-            opt1[i] = flip_rows[s][v]
-    # per-bond 2x2 transfer entries, normalized by their max
-    t00 = [0.0] * m
-    t01 = [0.0] * m
-    t10 = [0.0] * m
-    t11 = [0.0] * m
-    for i in range(m):
-        j = (i + 1) % m
-        a0, a1 = opt0[i], opt1[i]
-        b0, b1 = opt0[j], opt1[j]
+    def transfer_block(self, v: int, a0: int, b0: int) -> tuple:
+        """The transfer block (t00, t01, t10, t11) of vertex v's line
+        between consecutive slices whose v-free states are a0 and b0:
+        t_xy = bond[a_x][b_y] * diag[b_y] over the largest of the four, with
+        a1, b1 the states with v added (weight 0 when that is not
+        independent).  Memoized in ``blocks[v]``; an inadmissible block (all
+        four weights 0) raises ConfigError and is never stored."""
+        bond = self.bond_rows
+        diag = self.diag_list
+        a1, b1 = self.upper[v][a0], self.upper[v][b0]
         row0 = bond[a0]
         w00 = row0[b0] * diag[b0]
         w01 = row0[b1] * diag[b1] if b1 >= 0 else 0.0
@@ -177,45 +157,96 @@ def resample_vertex_line(engine: WorldlineEngine, state, v: int, u01):
         peak = max(w00, w01, w10, w11)
         if peak <= 0.0:
             raise ConfigError("vertex line has no admissible timeline")
-        t00[i], t01[i] = w00 / peak, w01 / peak
-        t10[i], t11[i] = w10 / peak, w11 / peak
-    # suffix products S[k] = T_k ... T_{m-1}, normalized per step
-    s00 = [0.0] * (m + 1)
-    s01 = [0.0] * (m + 1)
-    s10 = [0.0] * (m + 1)
-    s11 = [0.0] * (m + 1)
-    s00[m] = s11[m] = 1.0
+        block = (w00 / peak, w01 / peak, w10 / peak, w11 / peak)
+        self.blocks[v][a0 * len(self.basis) + b0] = block
+        return block
+
+    def log_weight(self, slices: list[int]) -> float:
+        total = 0.0
+        m = len(slices)
+        for i in range(m):
+            j = slices[(i + 1) % m]
+            total += self.log_bond[slices[i], j] + self.log_diag[j]
+        return total
+
+
+def resample_vertex_line(engine: WorldlineEngine, state, v: int, u01):
+    """Exact Gibbs draw of vertex v's occupation timeline conditioned on all
+    other vertices: transfer-matrix products around the cycle, then
+    sequential sampling.  Returns the new slice indices.
+
+    Slice k takes v-free state opt0[k] (x = 0) or that state with v added
+    (x = 1); the 2x2 block from slice k to k+1 is read from the engine's
+    memo, keyed by the two v-free states.  One backward loop forms the
+    suffix products S[k] = T_k ... T_{m-1}, normalized per step (the
+    normalizations cancel in every conditional); x0 is drawn from the
+    trace, then x1..x_{m-1} from the column of S that x0 picks.
+    """
+    m = len(state)
+    lower = engine.lower[v]
+    upper = engine.upper[v]
+    memo = engine.blocks[v]
+    dim = len(engine.basis)
+    opt0 = [lower[s] for s in state]
+    blocks = [None] * m
+    s00 = [0.0] * m
+    s01 = [0.0] * m
+    s10 = [0.0] * m
+    s11 = [0.0] * m
+    e = h = 1.0
+    f = g = 0.0
+    b0 = opt0[0]
     for k in range(m - 1, -1, -1):
-        a, b, c, d = t00[k], t01[k], t10[k], t11[k]
-        e, f, g, h = s00[k + 1], s01[k + 1], s10[k + 1], s11[k + 1]
+        a0 = opt0[k]
+        block = memo.get(a0 * dim + b0)
+        if block is None:
+            block = engine.transfer_block(v, a0, b0)
+        blocks[k] = block
+        a, b, c, d = block
         p00 = a * e + b * g
         p01 = a * f + b * h
         p10 = c * e + d * g
         p11 = c * f + d * h
-        peak = max(p00, p01, p10, p11)
+        peak = p00
+        if p01 > peak:
+            peak = p01
+        if p10 > peak:
+            peak = p10
+        if p11 > peak:
+            peak = p11
         inv = 1.0 / peak if peak > 0.0 else 1.0
-        s00[k], s01[k] = p00 * inv, p01 * inv
-        s10[k], s11[k] = p10 * inv, p11 * inv
-    total = s00[0] + s11[0]
+        s00[k] = e = p00 * inv
+        s01[k] = f = p01 * inv
+        s10[k] = g = p10 * inv
+        s11[k] = h = p11 * inv
+        b0 = a0
+    total = e + h
     if total <= 0.0:
         raise ConfigError("vertex line has no admissible timeline")
     draws = u01.take(m)
-    x0 = 0 if draws[0] * total < s00[0] else 1
-    prev = x0
-    out = [0] * m
-    out[0] = opt0[0] if x0 == 0 else opt1[0]
+    if draws[0] * total < e:
+        prev, col0, col1 = 0, s00, s10
+    else:
+        prev, col0, col1 = 1, s01, s11
+    out = opt0[:]
+    if prev:
+        out[0] = upper[out[0]]
     for k in range(1, m):
-        if prev == 0:
-            w0 = t00[k - 1] * (s00[k] if x0 == 0 else s01[k])
-            w1 = t01[k - 1] * (s10[k] if x0 == 0 else s11[k])
+        t00, t01, t10, t11 = blocks[k - 1]
+        if prev:
+            w0 = t10 * col0[k]
+            w1 = t11 * col1[k]
         else:
-            w0 = t10[k - 1] * (s00[k] if x0 == 0 else s01[k])
-            w1 = t11[k - 1] * (s10[k] if x0 == 0 else s11[k])
+            w0 = t00 * col0[k]
+            w1 = t01 * col1[k]
         total = w0 + w1
         if total <= 0.0:
             raise ConfigError("conditional timeline weight vanished")
-        prev = 0 if draws[k] * total < w0 else 1
-        out[k] = opt0[k] if prev == 0 else opt1[k]
+        if draws[k] * total < w0:
+            prev = 0
+        else:
+            prev = 1
+            out[k] = upper[out[k]]
     return out
 
 
@@ -254,34 +285,38 @@ def qmc_run(graph: Graph, config: QMCConfig) -> QMCResult:
     log_bond = engine.log_bond_rows
     log_diag = engine.log_diag_list
     flip_rows = engine.flip_rows
+    exp = math.exp
+    trunc = math.trunc  # int(x) for x >= 0, at half the cost of the int call
     u01 = _Uniforms(_stream(config.seed, 0))
-    draw = iter(u01).__next__
-    marginal: dict[int, int] = {}
-    site_acc = site_att = seg_acc = seg_att = 0
+    it = iter(u01)
+    pairs = zip(it, it)  # (slice, vertex) draws; accept draws read between
+    draw = it.__next__
+    visits = [0] * len(engine.basis)
+    site_acc = seg_acc = seg_att = 0
+    site_att = config.sweeps * m * n
     segment_attempts = math.ceil(config.segment_factor * n)
     for sweep in range(config.sweeps):
-        for _ in range(m * n):
-            site_att += 1
-            s = int(draw() * m)
-            v = int(draw() * n)
+        for r_s, r_v in islice(pairs, m * n):
+            s = trunc(r_s * m)
+            v = trunc(r_v * n)
             cur = state[s]
             new = flip_rows[cur][v]
             if new < 0:
                 continue
-            prev = state[s - 1 if s else m - 1]
-            nxt = state[s + 1 if s < m - 1 else 0]
+            prev = state[s - 1]
+            nxt = state[s + 1 - m]
             d_log = (log_bond[prev][new] + log_bond[new][nxt]
                      + log_diag[new]
                      - log_bond[prev][cur] - log_bond[cur][nxt]
                      - log_diag[cur])
-            if d_log >= 0 or draw() < math.exp(d_log):
+            if d_log >= 0 or draw() < exp(d_log):
                 state[s] = new
                 site_acc += 1
         for _ in range(segment_attempts):
             seg_att += 1
-            v = int(draw() * n)
-            start = int(draw() * m)
-            length = 1 + int(draw() * m)
+            v = trunc(draw() * n)
+            start = trunc(draw() * m)
+            length = 1 + trunc(draw() * m)
             slots = [(start + j) % m for j in range(length)]
             proposal = {}
             valid = True
@@ -295,7 +330,7 @@ def qmc_run(graph: Graph, config: QMCConfig) -> QMCResult:
                 continue
             d_log = _segment_delta(state, set(slots), proposal,
                                    log_bond, log_diag, m)
-            if d_log >= 0 or draw() < math.exp(d_log):
+            if d_log >= 0 or draw() < exp(d_log):
                 for s, j in proposal.items():
                     state[s] = j
                 seg_acc += 1
@@ -304,8 +339,8 @@ def qmc_run(graph: Graph, config: QMCConfig) -> QMCResult:
                 state = resample_vertex_line(engine, state, v, u01)
         if sweep >= config.burn_in:
             for s in state:
-                z = engine.basis[s]
-                marginal[z] = marginal.get(z, 0) + 1
+                visits[s] += 1
+    marginal = {z: c for z, c in zip(engine.basis, visits) if c}
     return QMCResult(
         marginal=marginal,
         acceptance={"site": site_acc / max(site_att, 1),

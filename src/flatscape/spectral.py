@@ -25,7 +25,10 @@ from .bits import (Space, enumerate_independent_sets,
 from .errors import CapacityError, ConfigError, ConvergenceError
 from .graphs import Graph
 
-DENSE_EIG_LIMIT = 512
+# dense eigh up to here, Lanczos above: the two cost the same near 250 rows
+# for two eigenpairs with vectors at SCAN_ARPACK_TOL, on star-sector and
+# unit-disk operators alike (BENCH_13.json)
+DENSE_EIG_LIMIT = 256
 DEFAULT_NNZ_LIMIT = 2_000_000
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEGENERACY_RTOL = 1e-8

@@ -432,3 +432,173 @@ def scalar_pt_run(graph, config, alpha, trial=0):
     return dict(best_mask=best_mask, best_size=best_size,
                 first_hit_sweep=first_hit, sweeps=config.sweeps,
                 acceptance=acceptance, replica_histograms=histograms)
+
+
+# Reference worldline chain: qmc.qmc_run, resample_vertex_line and
+# _segment_delta as they were before the heat bath read memoized transfer
+# blocks, run on the same engine tables and Philox stream.  qmc_run must
+# match it draw for draw.
+
+def _scalar_resample_vertex_line(engine, state, v, u01):
+    m = len(state)
+    bond = engine.bond_rows
+    diag = engine.diag_list
+    flip_rows = engine.flip_rows
+    basis = engine.basis
+    bit = 1 << v
+    opt0 = [0] * m
+    opt1 = [0] * m
+    for i, s in enumerate(state):
+        if basis[s] & bit:
+            opt1[i] = s
+            opt0[i] = flip_rows[s][v]
+        else:
+            opt0[i] = s
+            opt1[i] = flip_rows[s][v]
+    # per-bond 2x2 transfer entries, normalized by their max
+    t00 = [0.0] * m
+    t01 = [0.0] * m
+    t10 = [0.0] * m
+    t11 = [0.0] * m
+    for i in range(m):
+        j = (i + 1) % m
+        a0, a1 = opt0[i], opt1[i]
+        b0, b1 = opt0[j], opt1[j]
+        row0 = bond[a0]
+        w00 = row0[b0] * diag[b0]
+        w01 = row0[b1] * diag[b1] if b1 >= 0 else 0.0
+        if a1 >= 0:
+            row1 = bond[a1]
+            w10 = row1[b0] * diag[b0]
+            w11 = row1[b1] * diag[b1] if b1 >= 0 else 0.0
+        else:
+            w10 = w11 = 0.0
+        peak = max(w00, w01, w10, w11)
+        if peak <= 0.0:
+            raise ValueError("vertex line has no admissible timeline")
+        t00[i], t01[i] = w00 / peak, w01 / peak
+        t10[i], t11[i] = w10 / peak, w11 / peak
+    # suffix products S[k] = T_k ... T_{m-1}, normalized per step
+    s00 = [0.0] * (m + 1)
+    s01 = [0.0] * (m + 1)
+    s10 = [0.0] * (m + 1)
+    s11 = [0.0] * (m + 1)
+    s00[m] = s11[m] = 1.0
+    for k in range(m - 1, -1, -1):
+        a, b, c, d = t00[k], t01[k], t10[k], t11[k]
+        e, f, g, h = s00[k + 1], s01[k + 1], s10[k + 1], s11[k + 1]
+        p00 = a * e + b * g
+        p01 = a * f + b * h
+        p10 = c * e + d * g
+        p11 = c * f + d * h
+        peak = max(p00, p01, p10, p11)
+        inv = 1.0 / peak if peak > 0.0 else 1.0
+        s00[k], s01[k] = p00 * inv, p01 * inv
+        s10[k], s11[k] = p10 * inv, p11 * inv
+    total = s00[0] + s11[0]
+    if total <= 0.0:
+        raise ValueError("vertex line has no admissible timeline")
+    draws = u01.take(m)
+    x0 = 0 if draws[0] * total < s00[0] else 1
+    prev = x0
+    out = [0] * m
+    out[0] = opt0[0] if x0 == 0 else opt1[0]
+    for k in range(1, m):
+        if prev == 0:
+            w0 = t00[k - 1] * (s00[k] if x0 == 0 else s01[k])
+            w1 = t01[k - 1] * (s10[k] if x0 == 0 else s11[k])
+        else:
+            w0 = t10[k - 1] * (s00[k] if x0 == 0 else s01[k])
+            w1 = t11[k - 1] * (s10[k] if x0 == 0 else s11[k])
+        total = w0 + w1
+        if total <= 0.0:
+            raise ValueError("conditional timeline weight vanished")
+        prev = 0 if draws[k] * total < w0 else 1
+        out[k] = opt0[k] if prev == 0 else opt1[k]
+    return out
+
+
+def _scalar_segment_delta(state, flipped_slots, proposal, log_bond, log_diag,
+                          m):
+    d_log = 0.0
+    touched_bonds = set()
+    for s in flipped_slots:
+        touched_bonds.add((s - 1) % m)
+        touched_bonds.add(s)
+    for i in touched_bonds:
+        j = (i + 1) % m
+        old_i, old_j = state[i], state[j]
+        new_i = proposal.get(i, old_i)
+        new_j = proposal.get(j, old_j)
+        d_log += log_bond[new_i][new_j] - log_bond[old_i][old_j]
+    for s in flipped_slots:
+        d_log += log_diag[proposal[s]] - log_diag[state[s]]
+    return d_log
+
+
+def scalar_qmc_run(graph, config):
+    from flatscape.classical_mc import _stream, _Uniforms
+    from flatscape.qmc import WorldlineEngine
+
+    engine = WorldlineEngine(graph, config)
+    m = config.slices
+    n = max(graph.n, 1)
+    state = [engine.index[0]] * m
+    log_bond = engine.log_bond_rows
+    log_diag = engine.log_diag_list
+    flip_rows = engine.flip_rows
+    u01 = _Uniforms(_stream(config.seed, 0))
+    draw = iter(u01).__next__
+    marginal = {}
+    site_acc = site_att = seg_acc = seg_att = 0
+    segment_attempts = math.ceil(config.segment_factor * n)
+    for sweep in range(config.sweeps):
+        for _ in range(m * n):
+            site_att += 1
+            s = int(draw() * m)
+            v = int(draw() * n)
+            cur = state[s]
+            new = flip_rows[cur][v]
+            if new < 0:
+                continue
+            prev = state[s - 1 if s else m - 1]
+            nxt = state[s + 1 if s < m - 1 else 0]
+            d_log = (log_bond[prev][new] + log_bond[new][nxt]
+                     + log_diag[new]
+                     - log_bond[prev][cur] - log_bond[cur][nxt]
+                     - log_diag[cur])
+            if d_log >= 0 or draw() < math.exp(d_log):
+                state[s] = new
+                site_acc += 1
+        for _ in range(segment_attempts):
+            seg_att += 1
+            v = int(draw() * n)
+            start = int(draw() * m)
+            length = 1 + int(draw() * m)
+            slots = [(start + j) % m for j in range(length)]
+            proposal = {}
+            valid = True
+            for s in slots:
+                j = flip_rows[state[s]][v]
+                if j < 0:
+                    valid = False
+                    break
+                proposal[s] = j
+            if not valid:
+                continue
+            d_log = _scalar_segment_delta(state, set(slots), proposal,
+                                          log_bond, log_diag, m)
+            if d_log >= 0 or draw() < math.exp(d_log):
+                for s, j in proposal.items():
+                    state[s] = j
+                seg_acc += 1
+        if config.heat_bath_lines:
+            for v in range(n):
+                state = _scalar_resample_vertex_line(engine, state, v, u01)
+        if sweep >= config.burn_in:
+            for s in state:
+                z = engine.basis[s]
+                marginal[z] = marginal.get(z, 0) + 1
+    return dict(marginal=marginal,
+                acceptance={"site": site_acc / max(site_att, 1),
+                            "segment": seg_acc / max(seg_att, 1)})

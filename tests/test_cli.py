@@ -182,6 +182,25 @@ def test_qmc_bound_inputs_cli(tmp_path):
     assert float(doc["e_max"]["3"]) <= 1.1
 
 
+def test_resolvent_reports_a_boundary_scan_like_gap(tmp_path, capsys):
+    # the 4x3 disk's default scan has no interior dip: it ends at delta =
+    # 6, crossing 1/6, and resolvent says so in its document and on stderr
+    inst = tmp_path / "ud.json"
+    assert run_cli(["gen", "--width", "4", "--height", "3", "--filling",
+                    "0.8", "--seed", "3", "--out", str(inst)]) == 0
+    docs = {}
+    for command in ("gap", "resolvent"):
+        capsys.readouterr()
+        out = tmp_path / f"{command}.json"
+        assert run_cli([command, "--in", str(inst), "--out", str(out)]) == 0
+        assert "warning[boundary]" in capsys.readouterr().err, command
+        docs[command] = json.loads(out.read_text())
+    assert docs["gap"]["boundary_minimum"] is True
+    assert docs["resolvent"]["boundary_minimum"] is True
+    assert docs["resolvent"]["exact_crossing"] == docs["gap"]["crossing"]
+    assert docs["gap"]["crossing"] == pytest.approx(1 / 6, rel=1e-12)
+
+
 def test_compare_star_family_csv(tmp_path):
     out = tmp_path / "cmp.csv"
     assert run_cli(["compare", "--l", "2", "--nb", "2:3",

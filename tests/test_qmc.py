@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import (brute_emax, dense_hamiltonian, gibbs_diagonal,
-                     gibbs_distribution, total_variation, trotter_marginal)
+                     gibbs_distribution, scalar_qmc_run, total_variation,
+                     trotter_marginal)
 
 from flatscape.errors import CapacityError, ConfigError
 from flatscape.graphs import Graph, generate_star, generate_unit_disk
@@ -204,6 +205,47 @@ def test_heat_bath_line_matches_exact_conditional():
     tv = 0.5 * sum(abs(empirical.get(k, 0.0) - exact.get(k, 0.0))
                    for k in set(empirical) | set(exact))
     assert tv <= 0.01
+
+
+@pytest.mark.parametrize("graph", [generate_star(2, 2),
+                                   generate_unit_disk(4, 3, 0.8, seed=3),
+                                   generate_star(3, 4)],
+                         ids=["star22", "unit-disk-4x3-s3", "star34"])
+def test_qmc_matches_scalar_chain(graph):
+    # marginal and acceptances equal, draw for draw, to the reference chain
+    # that builds every transfer block afresh; M = 17 leaves the Philox
+    # chunks at odd offsets, M = 64 is the benchmark's setting
+    for seed, (lam, slices) in enumerate(
+            [(lam, slices) for lam in (0.0, 1.0) for slices in (8, 17, 64)]):
+        config = QMCConfig(beta=2.0, slices=slices, omega=0.3, lam=lam,
+                           sweeps=200, seed=seed, burn_in=seed * 5)
+        got = qmc_run(graph, config)
+        want = scalar_qmc_run(graph, config)
+        assert got.marginal == want["marginal"], (lam, slices)
+        assert got.acceptance == want["acceptance"], (lam, slices)
+
+
+def test_heat_bath_inadmissible_line_raises_every_call():
+    # with no drive the bond matrix is the identity, so a line whose other
+    # vertices change between two slices has no admissible timeline; the
+    # failing block is rebuilt (and fails) on every call, never memoized
+    from flatscape.classical_mc import _Uniforms, _stream
+    from flatscape.qmc import resample_vertex_line
+
+    g = generate_star(1, 2)  # path 0 - 1 - 2
+    engine = WorldlineEngine(g, QMCConfig(beta=1.0, slices=4, omega=0.0))
+    index = engine.index
+    # vertex 1's blocks are built from the last slice back: 000 -> 000 is
+    # admissible (its largest weight, diag[010] = e^-1/4, normalizes to 1),
+    # 100 -> 000 is not
+    state = [index[0b000], index[0b100], index[0b000], index[0b000]]
+    u01 = _Uniforms(_stream(3, 0))
+    for _ in range(3):
+        with pytest.raises(ConfigError, match="no admissible timeline"):
+            resample_vertex_line(engine, state, 1, u01)
+        memo = list(engine.blocks[1].values())
+        assert len(memo) == 1 and max(memo[0]) == 1.0
+    assert next(iter(u01)) == _Uniforms(_stream(3, 0)).take(1)[0]
 
 
 @pytest.mark.parametrize("graph", [generate_star(2, 2),
