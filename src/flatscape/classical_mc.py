@@ -61,8 +61,32 @@ class _Uniforms:
         return list(islice(self.draws, k))
 
 
+class _UpdateMix:
+    """The flip/exchange mix and dynamics mode that SAConfig and PTConfig
+    share."""
+
+    def _check_mix(self) -> None:
+        if self.flip_weight < 0 or self.exchange_weight < 0:
+            raise ConfigError("update weights must be non-negative")
+        if self.flip_weight + self.exchange_weight <= 0:
+            raise ConfigError("update mix has zero total weight")
+        if self.mode not in ("restricted", "penalty"):
+            raise ConfigError(f"unknown dynamics mode {self.mode!r}")
+
+    def weights(self) -> tuple[float, float]:
+        total = self.flip_weight + self.exchange_weight
+        return self.flip_weight / total, self.exchange_weight / total
+
+    def penalty_for(self, graph: Graph) -> float | None:
+        """The penalty per violated edge: ``penalty``, 2n by default, and
+        None in restricted mode."""
+        if self.mode != "penalty":
+            return None
+        return 2.0 * graph.n if self.penalty is None else self.penalty
+
+
 @dataclass
-class SAConfig:
+class SAConfig(_UpdateMix):
     """Single-chain annealing configuration.
 
     ``betas`` is the non-decreasing inverse-temperature ladder; the chain
@@ -85,24 +109,15 @@ class SAConfig:
         self.betas = tuple(float(b) for b in self.betas)
         if any(b2 < b1 for b1, b2 in zip(self.betas, self.betas[1:])):
             raise ConfigError("beta schedule must be non-decreasing")
-        if self.flip_weight < 0 or self.exchange_weight < 0:
-            raise ConfigError("update weights must be non-negative")
-        if self.flip_weight + self.exchange_weight <= 0:
-            raise ConfigError("update mix has zero total weight")
-        if self.mode not in ("restricted", "penalty"):
-            raise ConfigError(f"unknown dynamics mode {self.mode!r}")
+        self._check_mix()
 
     @property
     def k(self) -> int:
         return 2 if self.exchange_weight > 0 else 1
 
-    def weights(self) -> tuple[float, float]:
-        total = self.flip_weight + self.exchange_weight
-        return self.flip_weight / total, self.exchange_weight / total
-
 
 @dataclass
-class PTConfig:
+class PTConfig(_UpdateMix):
     """Replica ladder for parallel tempering."""
 
     betas: tuple[float, ...] = geometric_betas(0.2, 4.0, 6)
@@ -123,18 +138,11 @@ class PTConfig:
             raise ConfigError("replica betas must be sorted")
         if self.isoenergetic and len(self.betas) < 2:
             raise ConfigError("isoenergetic updates need at least 2 replicas")
-        if self.flip_weight + self.exchange_weight <= 0:
-            raise ConfigError("update mix has zero total weight")
-        if self.mode not in ("restricted", "penalty"):
-            raise ConfigError(f"unknown dynamics mode {self.mode!r}")
+        self._check_mix()
 
     @property
     def replicas(self) -> int:
         return len(self.betas)
-
-    def weights(self) -> tuple[float, float]:
-        total = self.flip_weight + self.exchange_weight
-        return self.flip_weight / total, self.exchange_weight / total
 
 
 @dataclass
@@ -156,13 +164,11 @@ def _moves(graph: Graph, config) -> tuple:
     (bit, neighbours) of v, exchanges[e] (tail bit, head bit, tail and head
     neighbours) of directed edge e; penalty is None in restricted mode."""
     adj = graph.adjacency()
-    penalty = (2.0 * graph.n if config.penalty is None else config.penalty) \
-        if config.mode == "penalty" else None
     return (config.weights()[0],
             [(1 << v, adj[v]) for v in range(graph.n)],
             [(1 << u, 1 << v, adj[u], adj[v])
              for u, v in graph.directed_edges()],
-            config.delta, penalty)
+            config.delta, config.penalty_for(graph))
 
 
 def _local_moves(moves: tuple, rep: tuple, triples, beta: float,
@@ -420,9 +426,8 @@ def transition_matrix(graph: Graph, beta: float, config: SAConfig,
     p_flip, p_ex = config.weights()
     energy = -config.delta * space.sizes
     if config.mode == "penalty":
-        penalty = config.penalty if config.penalty is not None \
-            else 2.0 * graph.n
-        energy = energy + penalty * violation_count(graph, space.masks)
+        energy = energy + (config.penalty_for(graph)
+                           * violation_count(graph, space.masks))
     dim = len(basis)
     P = np.zeros((dim, dim))
     for moves, p_move in ((space.flips, p_flip), (space.exchanges, p_ex)):

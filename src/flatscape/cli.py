@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -457,20 +458,12 @@ def _cmd_compare(args, run: _Run) -> int:
 
 
 def _write_csv(run: _Run, path: str, columns, rows) -> None:
-    path = _resolve_out(path)
-    if path == "-":
-        writer = csv.DictWriter(sys.stdout, fieldnames=columns,
-                                extrasaction="ignore", lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns,
-                                extrasaction="ignore", lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    run.outputs.append(path)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore",
+                            lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    run.write(path, buf.getvalue())
 
 
 def build_parser() -> argparse.ArgumentParser:

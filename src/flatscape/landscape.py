@@ -19,7 +19,7 @@ from .bits import (Space, components, enumerate_independent_sets_of_size,
                    popcount)
 from .errors import CapacityError, EmptyManifoldError
 from .graphs import Graph
-from .spectral import lowest_eigenvalues
+from .spectral import lowest_eigenpairs
 
 ENUMERATION_LIMIT = 30          # default exact-counting vertex limit
 
@@ -264,7 +264,7 @@ def laplacian_gap(cg: ConfigurationGraph) -> float:
         return math.inf
     lap = scipy.sparse.csgraph.laplacian(
         _move_adjacency(cg.neighbors)[comp][:, comp])
-    w = lowest_eigenvalues(lap, 2)
+    w, _ = lowest_eigenpairs(lap, 2)
     return float(w[1] - w[0])
 
 

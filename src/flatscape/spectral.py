@@ -12,6 +12,7 @@ convention can be expressed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +34,13 @@ DEFAULT_NNZ_LIMIT = 2_000_000
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEGENERACY_RTOL = 1e-8
 SERIES_MAX_TERMS = 64  # resolvent moment series; about 12 terms when h << pole
-# ARPACK's stopping tolerance at scan points: a tenth of lowest_eigenpairs'
-# residual gate (1e-9 * ||H||), so ARPACK stops near where the gate passes
+# every Lanczos pair must reach ||H v - E v|| <= RESIDUAL_RTOL * ||H||
+RESIDUAL_RTOL = 1e-9
+# ARPACK's stopping tolerance at scan points: a tenth of RESIDUAL_RTOL, so
+# ARPACK stops near where the residual gate passes
 SCAN_ARPACK_TOL = 1e-10
+# manifolds alpha-1 .. alpha-4 compete as the crossing partner
+CROSSING_CANDIDATES = 4
 
 
 def restricted_basis(graph: Graph) -> list[int]:
@@ -45,6 +50,8 @@ def restricted_basis(graph: Graph) -> list[int]:
 
 
 def manifold_basis(graph: Graph, b: int) -> list[int]:
+    """The independent sets of ``b`` vertices in mask order: the size-b run
+    of ``restricted_basis``, enumerated on its own."""
     return sorted(enumerate_independent_sets_of_size(graph.n,
                                                      graph.adjacency(), b))
 
@@ -96,10 +103,6 @@ class OperatorHandle:
 
     space: Space
     matrix: scipy.sparse.csr_matrix
-    coefficients: dict
-    mode: str
-    manifold: int | None
-    graph: Graph
 
     @property
     def basis(self) -> list[int]:
@@ -115,21 +118,20 @@ class OperatorHandle:
 
 def build_operator(graph: Graph, omega: float, delta: float, lam: float = 0.0,
                    U: float | None = None, mode: str = "restricted",
-                   manifold: int | None = None,
                    nnz_limit: int = DEFAULT_NNZ_LIMIT) -> OperatorHandle:
     """Assemble H = H_cost - Omega*H_drive + lam*H_laplacian.
 
-    mode "restricted" keeps only independent sets (infinite-penalty limit);
-    "penalty" uses all 2^n configurations and requires U.  With ``manifold``
-    set, only that fixed-size block is built.
+    mode "restricted" works on ``restricted_basis(graph)``, the independent
+    sets (infinite-penalty limit); "penalty" on all 2^n configurations in
+    mask order, with U per violated edge.  The Laplacian needs restricted
+    mode; an operator whose ~dim*(n+2) nonzeros exceed ``nnz_limit`` raises
+    CapacityError before it is built.
     """
     if mode not in ("restricted", "penalty"):
         raise ConfigError(f"unknown mode {mode!r}")
     if mode == "penalty":
         if U is None:
             raise ConfigError("penalty mode requires an explicit U")
-        if manifold is not None:
-            raise ConfigError("manifold blocks are defined in restricted mode")
         if lam:
             raise ConfigError("the configuration-graph Laplacian is defined "
                               "on independent sets; use restricted mode")
@@ -138,8 +140,7 @@ def build_operator(graph: Graph, omega: float, delta: float, lam: float = 0.0,
         basis = list(range(1 << graph.n))
     else:
         require_mask_width(graph.n)
-        basis = (restricted_basis(graph) if manifold is None
-                 else manifold_basis(graph, manifold))
+        basis = restricted_basis(graph)
     dim = len(basis)
     # generous upfront estimate: flips + exchanges per row
     est_nnz = dim * (graph.n + 2)
@@ -155,14 +156,7 @@ def build_operator(graph: Graph, omega: float, delta: float, lam: float = 0.0,
         H = H - omega * _move_matrix(space.flips)
     if lam:
         H = H + lam * _laplacian(space.exchanges)
-    return OperatorHandle(
-        space=space, matrix=H.tocsr(),
-        coefficients={"omega": omega, "delta": delta, "lam": lam, "U": U},
-        mode=mode, manifold=manifold, graph=graph)
-
-
-def _as_matrix(op):
-    return op.matrix if isinstance(op, OperatorHandle) else op
+    return OperatorHandle(space=space, matrix=H.tocsr())
 
 
 def operator_norm_bound(H) -> float:
@@ -170,23 +164,22 @@ def operator_norm_bound(H) -> float:
     return float(np.max(np.abs(H).sum(axis=1)))
 
 
-def lowest_eigenpairs(op, count: int = 2, residual_rtol: float = 1e-9,
-                      vectors: bool = True, tol: float = 0.0):
-    """The ``count`` algebraically smallest eigenpairs.
+def lowest_eigenpairs(op, count: int = 2, tol: float = 0.0):
+    """(values, vectors) of the ``count`` algebraically smallest eigenpairs
+    of an OperatorHandle or a matrix: the one eigensolver entry point.
 
-    Dense up to DENSE_EIG_LIMIT (vectors None unless ``vectors``), Lanczos
-    above from a fixed start; every Lanczos pair is residual-checked against
-    ||H v - E v|| <= residual_rtol * ||H||.  ``tol`` is ARPACK's stopping
+    Dense eigh up to DENSE_EIG_LIMIT rows, Lanczos above from a fixed start;
+    every Lanczos pair is residual-checked against
+    ||H v - E v|| <= RESIDUAL_RTOL * ||H||, and ConvergenceError carries the
+    residuals of a solve that misses it.  ``tol`` is ARPACK's stopping
     tolerance (0: machine precision); a Ritz pair stops at a residual of
-    about tol * |E|, so tol below residual_rtol lets ARPACK stop at the gate.
+    about tol * |E|, so tol below RESIDUAL_RTOL lets ARPACK stop at the gate.
     """
-    H = _as_matrix(op)
+    H = op.matrix if isinstance(op, OperatorHandle) else op
     dim = H.shape[0]
     count = min(count, dim)
     if dim <= DENSE_EIG_LIMIT:
-        pairs = scipy.linalg.eigh(H.toarray(), eigvals_only=not vectors,
-                                  subset_by_index=(0, count - 1))
-        return pairs if vectors else (pairs, None)
+        return scipy.linalg.eigh(H.toarray(), subset_by_index=(0, count - 1))
     # a positive uniform Philox (0, 0) draw: generic, so it overlaps the
     # states odd under a graph symmetry, which all ones can miss
     v0 = np.random.Generator(np.random.Philox(key=[0, 0])).random(dim)
@@ -203,10 +196,10 @@ def lowest_eigenpairs(op, count: int = 2, residual_rtol: float = 1e-9,
         order = np.argsort(w)
         w, v = w[order], v[:, order]
         last_residuals = _residuals(H, w, v)
-        if max(last_residuals) <= residual_rtol * scale:
+        if max(last_residuals) <= RESIDUAL_RTOL * scale:
             return w, v
     raise ConvergenceError(
-        f"Lanczos failed to reach residual {residual_rtol:.1e} * ||H||",
+        f"Lanczos failed to reach residual {RESIDUAL_RTOL:.1e} * ||H||",
         residuals=last_residuals)
 
 
@@ -215,11 +208,6 @@ def _residuals(H, w, v) -> list[float] | None:
     if v is None or np.size(w) == 0:
         return None
     return np.linalg.norm(H @ v - v * w, axis=0).tolist()
-
-
-def lowest_eigenvalues(op, count: int = 2) -> np.ndarray:
-    w, _ = lowest_eigenpairs(op, count, vectors=False)
-    return w
 
 
 @dataclass
@@ -328,8 +316,7 @@ def minimize_gap(gap_at, deltas, rel_tol: float) -> GapReport:
     """Minimum of ``gap_at(delta)`` over a coarse grid, refined around every
     interior local minimum.
 
-    ``gap_at`` returns the gap, or (gap, slope) with the slope d gap/d delta
-    or None.
+    ``gap_at`` returns the gap, or (gap, slope) with the slope d gap/d delta.
     The avoided-crossing dip can be narrower than the grid spacing, so every
     interior grid minimum k is refined.  With slopes, the sign of the slope
     at delta_k picks the half bracket [delta_k-1, delta_k] or
@@ -391,33 +378,32 @@ def minimize_gap(gap_at, deltas, rel_tol: float) -> GapReport:
     return report
 
 
-def gap_point(H, derivative=None, eig_count: int = 2):
-    """(ground energy, gap, slope) of one scan point: the slope is the
-    Hellmann-Feynman derivative of the gap,
+def gap_point(H, derivative):
+    """(ground energy, gap, slope) of one scan point from its two lowest
+    eigenpairs: the slope is the Hellmann-Feynman derivative of the gap,
     <psi1|dH/d delta|psi1> - <psi0|dH/d delta|psi0>, for ``derivative`` the
-    diagonal of dH/d delta, or None without it.  ARPACK stops at
-    SCAN_ARPACK_TOL; the residual gate itself is unchanged."""
-    w, v = lowest_eigenpairs(H, eig_count, tol=SCAN_ARPACK_TOL)
-    slope = (None if derivative is None
-             else float(derivative @ (v[:, 1] ** 2 - v[:, 0] ** 2)))
+    diagonal of dH/d delta.  ARPACK stops at SCAN_ARPACK_TOL; the residual
+    gate itself is unchanged."""
+    w, v = lowest_eigenpairs(H, 2, tol=SCAN_ARPACK_TOL)
+    slope = float(derivative @ (v[:, 1] ** 2 - v[:, 0] ** 2))
     return float(w[0]), float(w[1] - w[0]), slope
 
 
-def scan_minimum_gap(factory, deltas, rel_tol: float = 1e-6,
-                     eig_count: int = 2, derivative=None) -> GapReport:
+def scan_minimum_gap(factory, deltas, derivative,
+                     rel_tol: float = 1e-6) -> GapReport:
     """Minimum-gap scan of the operators ``factory(delta)`` over the grid
     ``deltas`` (see ``minimize_gap``), plus the ground energy ``e_star`` at
     the minimum.
 
-    Each point is one ``gap_point`` solve.  With ``derivative``, the
-    diagonal of dH/d delta, every point also gives the gap's slope from the
-    eigenvectors the solve returns anyway, and the dips are refined by a
-    root search on it; without it, by golden section.
+    Each point is one ``gap_point`` solve; ``derivative``, the diagonal of
+    dH/d delta, turns the eigenvectors that solve returns anyway into the
+    gap's slope, so a dip is refined by a root search on the slope (by
+    golden section where the slope keeps its sign).
     """
     ground = {}
 
     def gap_at(d):
-        ground[d], gap, slope = gap_point(factory(d), derivative, eig_count)
+        ground[d], gap, slope = gap_point(factory(d), derivative)
         return gap, slope
 
     report = minimize_gap(gap_at, deltas, rel_tol)
@@ -427,18 +413,16 @@ def scan_minimum_gap(factory, deltas, rel_tol: float = 1e-6,
 
 def min_gap_scan(graph: Graph, omega: float = 1.0, lam: float = 0.0,
                  delta_range: tuple[float, float] = (0.1, 6.0),
-                 points: int = 64, rel_tol: float = 1e-6,
-                 nnz_limit: int = DEFAULT_NNZ_LIMIT) -> GapReport:
+                 points: int = 64, rel_tol: float = 1e-6) -> GapReport:
     """Minimum-gap scan over the detuning at fixed drive for the (possibly
     Laplacian-modified) Hamiltonian on the restricted space."""
-    base = build_operator(graph, omega, 0.0, lam, nnz_limit=nnz_limit)
+    base = build_operator(graph, omega, 0.0, lam)
 
     def factory(d):
         return base.matrix + scipy.sparse.diags(-d * base.sizes())
 
     grid = np.linspace(delta_range[0], delta_range[1], points)
-    report = scan_minimum_gap(factory, grid, rel_tol,
-                              derivative=-base.sizes())
+    report = scan_minimum_gap(factory, grid, -base.sizes(), rel_tol)
     if report.delta_star is not None and report.delta_star != 0.0:
         report.crossing = omega / report.delta_star
     report.method.update({"omega": omega, "lam": lam, "points": points,
@@ -464,16 +448,14 @@ class PerturbativeStates:
     degenerate: bool
 
 
-def _manifold_ground(graph: Graph, b: int):
-    """Ground state of the second-order Hamiltonian within one manifold:
+def _manifold_ground(graph: Graph, basis: list[int]):
+    """(vec, <H_se>, <H_fv>, degenerate) of the ground state of the
+    second-order Hamiltonian on one non-empty fixed-size manifold ``basis``:
     the maximal eigenvector of (H_se - H_fv)."""
-    basis = manifold_basis(graph, b)
     dim = len(basis)
-    if dim == 0:
-        return basis, None, 0.0, 0.0, False
     free = free_vertex_diag(graph, basis)
     if dim == 1:
-        return basis, np.ones(1), 0.0, float(free[0]), False
+        return np.ones(1), 0.0, float(free[0]), False
     exchange = _move_matrix(Space.of(graph, basis).exchanges)
     M = (exchange - scipy.sparse.diags(free)).toarray()
     w, v = scipy.linalg.eigh(M, subset_by_index=(dim - 2, dim - 1))
@@ -485,49 +467,52 @@ def _manifold_ground(graph: Graph, b: int):
     degenerate = abs(w[-1] - w[-2]) < DEGENERACY_RTOL * max(spread, 1.0)
     se = float(vec @ (exchange @ vec))
     fv = float(vec @ (free * vec))
-    return basis, vec, se, fv, degenerate
+    return vec, se, fv, degenerate
 
 
-def perturbative_states(graph: Graph, alpha: int | None = None,
-                        candidates: int = 4) -> PerturbativeStates:
+def perturbative_states(graph: Graph) -> PerturbativeStates:
     """Identify the crossing pair: the alpha-manifold ground state and the
-    manifold whose second-order energy first intersects it.
+    manifold b, among the CROSSING_CANDIDATES below alpha, whose
+    second-order energy first intersects it.
 
+    Every manifold is a contiguous run of one ``restricted_basis`` (sorted
+    by size, then mask), so the graph is enumerated once; alpha is the size
+    of its last row, and no manifold up to alpha is empty.
     The crossing location solves
     (Omega/delta)^2 = (alpha - b) / (<E|Hse|E> - <G|Hse|G> - <E|Hfv|E> - alpha + b)
     and the perturbative-regime condition compares the exchange-expectation
     difference against 3 (alpha - b).
     """
-    if alpha is None:
-        alpha = popcount(restricted_basis(graph)[-1])
-    g_basis, g_vec, g_se, _, g_degen = _manifold_ground(graph, alpha)
-    best = None
-    for b in range(alpha - 1, max(alpha - 1 - candidates, 0), -1):
-        e_basis, e_vec, e_se, e_fv, e_degen = _manifold_ground(graph, b)
-        if e_vec is None:
-            continue
+    basis = restricted_basis(graph)
+    alpha = popcount(basis[-1])
+
+    def manifold(b):
+        lo = bisect_left(basis, b, key=popcount)
+        return basis[lo:bisect_left(basis, b + 1, lo, key=popcount)]
+
+    g_basis = manifold(alpha)
+    g_vec, g_se, _, g_degen = _manifold_ground(graph, g_basis)
+    found = []  # (crossing, b, basis, vec, <H_se>, <H_fv>, degenerate)
+    for b in range(alpha - 1, max(alpha - 1 - CROSSING_CANDIDATES, 0), -1):
+        e_basis = manifold(b)
+        e_vec, e_se, e_fv, e_degen = _manifold_ground(graph, e_basis)
         denom = e_se - g_se - e_fv - (alpha - b)
-        if denom <= 0:
-            continue
-        ratio2 = (alpha - b) / denom
-        crossing = math.sqrt(ratio2)
-        if best is None or crossing < best["crossing"]:
-            best = {"b": b, "basis": e_basis, "vec": e_vec, "se": e_se,
-                    "fv": e_fv, "crossing": crossing, "degenerate": e_degen}
-    if best is None:
+        if denom > 0:
+            found.append((math.sqrt((alpha - b) / denom), b, e_basis, e_vec,
+                          e_se, e_fv, e_degen))
+    if not found:
         raise ConvergenceError("no manifold produces a finite positive crossing")
-    b = best["b"]
-    cond = ((best["se"] - g_se) / (3.0 * (alpha - b))
-            if alpha > b else math.inf)
-    e_star = -alpha - best["crossing"] ** 2 * (alpha + g_se)  # units of delta
+    crossing, b, e_basis, e_vec, e_se, e_fv, e_degen = min(
+        found, key=lambda c: c[0])  # the first of equal crossings
     return PerturbativeStates(
         ground=g_vec, ground_basis=g_basis,
-        excited=best["vec"], excited_basis=best["basis"],
-        b_excited=b, alpha=alpha, crossing=best["crossing"], e_star=e_star,
-        exchange_expectations={"ground_se": g_se, "excited_se": best["se"],
-                               "excited_fv": best["fv"]},
-        condition_ratio=cond,
-        degenerate=g_degen or best["degenerate"],
+        excited=e_vec, excited_basis=e_basis,
+        b_excited=b, alpha=alpha, crossing=crossing,
+        e_star=-alpha - crossing ** 2 * (alpha + g_se),  # units of delta
+        exchange_expectations={"ground_se": g_se, "excited_se": e_se,
+                               "excited_fv": e_fv},
+        condition_ratio=(e_se - g_se) / (3.0 * (alpha - b)),
+        degenerate=g_degen or e_degen,
     )
 
 
@@ -679,7 +664,7 @@ def resolvent_gap(H, G: np.ndarray, E: np.ndarray, z0: float,
                   h_rel: float = 1e-4, dense_limit: int = 4096,
                   solve_tol: float = 1e-10,
                   exact_pairs=None) -> GapReport:
-    """Effective-two-level gap estimates at the crossing.
+    """Effective-two-level gap estimates of the matrix ``H`` at the crossing.
 
     Returns tilde (twice the off-diagonal coupling at z0), the corrected gap
     tilde / sqrt(f_gg * f_ee) with f = 1 - d<Heff>/dz, the finite-difference
@@ -691,7 +676,6 @@ def resolvent_gap(H, G: np.ndarray, E: np.ndarray, z0: float,
     ConvergenceError when it has a pole within about h of z0.  ``method``
     records the LDL^T factorizations and the most series terms summed.
     """
-    H = _as_matrix(H)
     norm_g, norm_e = np.linalg.norm(G), np.linalg.norm(E)
     G = G / norm_g
     E = E / norm_e

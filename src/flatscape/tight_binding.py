@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .errors import ConfigError
 from .landscape import LandscapeProfile
-from .spectral import minimize_gap
+from .spectral import _brent_root, minimize_gap
 
 SCHEDULE_RATE_FACTOR = 0.1  # adiabatic safety factor on |d delta / dt|
 
@@ -114,33 +114,27 @@ class ChainDiagnostics:
 
 def locate_resonance(chain: ChainModel, delta_hi: float | None = None,
                      tol: float = 1e-12) -> float | None:
-    """Detuning where the bulk ground level crosses the last site's energy,
-    by bisection on E0_bulk(delta) + delta*alpha."""
+    """Detuning where the bulk ground level crosses the last site's energy:
+    the root of E0_bulk(delta) + delta*alpha, bracketed on [0, hi] by
+    doubling hi from ``delta_hi`` (or 1), then found by Brent's search to
+    tol * max(1, hi).  None when no bracket exists."""
     alpha = chain.alpha
 
     def mismatch(d):
         return chain.bulk_ground(d)[0] + d * alpha
 
-    lo = 0.0
-    f_lo = mismatch(lo)
+    f_lo = mismatch(0.0)
     if f_lo > 0:
         return None
     hi = delta_hi or 1.0
     for _ in range(200):
-        if mismatch(hi) > 0:
+        f_hi = mismatch(hi)
+        if f_hi > 0:
             break
         hi *= 2.0
     else:
         return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mismatch(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < tol * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return _brent_root(mismatch, 0.0, hi, f_lo, f_hi, tol * max(1.0, hi))
 
 
 def chain_gap_profile(chain: ChainModel, delta_range: tuple[float, float],

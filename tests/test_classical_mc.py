@@ -39,6 +39,15 @@ def test_config_validation():
     assert SAConfig().k == 2
 
 
+@pytest.mark.parametrize("config", [SAConfig, PTConfig])
+@pytest.mark.parametrize("flip, exchange", [(-0.5, 1.0), (1.0, -0.5)])
+def test_negative_update_weight_rejected(config, flip, exchange):
+    # a negative weight would give weights() outside [0, 1]: at (-0.5, 1.0)
+    # PT proposed exchanges only and never left the empty set
+    with pytest.raises(ConfigError, match="non-negative"):
+        config(flip_weight=flip, exchange_weight=exchange)
+
+
 def test_single_vertex_hits_immediately():
     g = Graph(n=1, edges=())
     config = SAConfig(betas=(1.0,), sweeps_per_beta=400, exchange_weight=0.0,

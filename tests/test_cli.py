@@ -236,6 +236,20 @@ def test_chain_cli_emits_curve_csv(tmp_path):
     assert curve.read_text().startswith("delta,gap")
 
 
+def test_chain_csv_to_stdout_leaves_manifest_to_json(tmp_path, capsys):
+    inst = tmp_path / "i.json"
+    run_cli(["gen", "--nb", "3", "--l", "2", "--out", str(inst)])
+    capsys.readouterr()
+    out = tmp_path / "chain.json"
+    assert run_cli(["chain", "--in", str(inst), "--out", str(out),
+                    "--csv", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "delta,gap"
+    assert len(lines) == 1 + len(json.loads(out.read_text())["curve"])
+    manifest = json.loads((tmp_path / "chain.json.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out)]
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("FLATSCAPE_OUT", str(tmp_path))
     assert run_cli(["gen", "--nb", "1", "--l", "2", "--out", "rel.json"]) == 0

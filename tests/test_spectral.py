@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from oracles import brute_heff_entries, dense_hamiltonian
+from oracles import (brute_heff_entries, brute_independent_sets,
+                     dense_hamiltonian)
 
 from flatscape.errors import CapacityError, ConfigError, ConvergenceError
 from flatscape.graphs import Graph, generate_star, generate_unit_disk
@@ -80,9 +81,8 @@ def test_mask_width_limit_fails_before_enumeration(monkeypatch):
                         enumerate_nothing)
     k65 = Graph(n=65, edges=tuple((u, v) for u in range(65)
                                   for v in range(u + 1, 65)))
-    for manifold in (None, 1):
-        with pytest.raises(CapacityError, match="64"):
-            build_operator(k65, 1.0, 1.0, manifold=manifold)
+    with pytest.raises(CapacityError, match="64"):
+        build_operator(k65, 1.0, 1.0)
 
 
 def test_laplacian_rows_sum_to_zero_within_manifolds(star22):
@@ -439,7 +439,7 @@ def test_manifold_ground_degeneracy_flag():
     from flatscape.spectral import _manifold_ground
 
     g = Graph(n=4, edges=((0, 1), (2, 3)))
-    _, _, _, _, degenerate = _manifold_ground(g, 1)
+    *_, degenerate = _manifold_ground(g, manifold_basis(g, 1))
     assert degenerate
     # this toy has no finite crossing at all; the pipeline reports that
     with pytest.raises(ConvergenceError):
@@ -457,6 +457,47 @@ def test_resolvent_iterative_path_matches_dense(star22):
     assert iterative.tilde_gap == pytest.approx(dense.tilde_gap, rel=1e-8)
     assert iterative.corrected_gap == pytest.approx(dense.corrected_gap,
                                                     rel=1e-6)
+
+
+def test_basis_is_sorted_and_manifolds_are_its_runs(small_unit_disks,
+                                                    star22):
+    """restricted_basis is the brute-force list in (size, mask) order, and
+    each manifold_basis is its contiguous run of one size: the order that
+    perturbative_states slices by."""
+    for g in small_unit_disks + [star22]:
+        basis = restricted_basis(g)
+        assert basis == sorted(brute_independent_sets(g),
+                               key=lambda z: (bin(z).count("1"), z))
+        sizes = [bin(z).count("1") for z in basis]
+        for b in range(sizes[-1] + 2):
+            lo = sizes.index(b) if b in sizes else len(sizes)
+            run = basis[lo:lo + sizes.count(b)]
+            assert all(bin(z).count("1") == b for z in run)
+            assert manifold_basis(g, b) == run
+
+
+def test_perturbative_states_enumerates_once(monkeypatch, star22):
+    from flatscape import spectral
+
+    runs = {b: manifold_basis(star22, b) for b in range(4)}
+    calls = {"all": 0, "sized": 0}
+
+    def counted(name, enumerate_sets):
+        def wrapper(*args):
+            calls[name] += 1
+            return enumerate_sets(*args)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "enumerate_independent_sets",
+                        counted("all", spectral.enumerate_independent_sets))
+    monkeypatch.setattr(spectral, "enumerate_independent_sets_of_size",
+                        counted("sized",
+                                spectral.enumerate_independent_sets_of_size))
+    ps = perturbative_states(star22)
+    assert calls == {"all": 1, "sized": 0}
+    assert ps.alpha == 3
+    assert ps.ground_basis == runs[3]
+    assert ps.excited_basis == runs[ps.b_excited]
 
 
 def test_free_vertex_diag(star22):
