@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -125,6 +126,9 @@ class _Run:
             "input_digests": self.inputs,
             "outputs": self.outputs,
             "wall_clock_s": time.time() - self.started,
+            # the process's peak resident set so far; Linux counts KiB
+            "peak_rss_mb": resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "status": status,
         }
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)

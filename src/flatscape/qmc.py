@@ -20,12 +20,14 @@ from itertools import islice
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .classical_mc import _Uniforms, _stream
 from .errors import CapacityError, ConfigError, ConvergenceError
 from .graphs import Graph
 from .landscape import independence_polynomial
-from .spectral import DENSE_EIG_LIMIT, build_operator, lowest_eigenpairs
+from .spectral import (DENSE_EIG_LIMIT, _sector_ldl, build_operator,
+                       lowest_eigenpairs)
 
 DENSE_WORLDLINE_LIMIT = 4096
 
@@ -442,30 +444,22 @@ class QMCBoundReport:
         }
 
 
-def _lanczos_window(H, top: float):
+def _lanczos_window(H, top: float, inertia):
     """The eigenpairs of H up to ``top`` by Lanczos, or None.
 
-    The Sylvester inertia of H - top*I, from one dense Bunch-Kaufman LDL^T,
-    counts them first; Lanczos asks for one more, and its window must hold
-    that many (it can miss a copy of a repeated eigenvalue).  None also when
-    Gershgorin's bound puts the whole block below ``top``, when the window
-    holds over 1/32 of it (near dim 2700-3000, Lanczos for k pairs costs as
-    much as dense ``eigh`` at k = dim/32), or when Lanczos does not converge."""
+    ``inertia(top, dim)``, the Sylvester inertia of H - top*I, counts them
+    first; Lanczos asks for one more, and its window must hold that many
+    (it can miss a copy of a repeated eigenvalue).  None also when
+    Gershgorin's bound puts the whole block below ``top`` (then no count is
+    made), when the window holds over 1/32 of it (near dim 2700-3000,
+    Lanczos for k pairs costs as much as dense ``eigh`` at k = dim/32), or
+    when Lanczos does not converge."""
     diag = H.diagonal()
     radius = np.asarray(abs(H).sum(axis=1)).ravel() - abs(diag)
     if (diag + radius).max() <= top:
         return None
-    A = H.toarray(order="F")
-    A[np.diag_indices_from(A)] -= top
-    # lwork n * block size: the default, n, runs unblocked and 10x slower
-    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(A, lower=1, overwrite_a=1,
-                                              lwork=64 * len(A))
-    d, pair = ldu.diagonal(), ipiv < 0      # pair: rows of 2x2 blocks of D
-    j = np.flatnonzero(pair)[::2]
-    det = d[j] * d[j + 1] - ldu[j + 1, j] ** 2
-    below = (np.count_nonzero(d[~pair] < 0) + np.count_nonzero(det < 0)
-             + 2 * np.count_nonzero((det > 0) & (d[j] < 0)))
-    if not 0 < below <= len(A) // 32:
+    below = inertia(top, H.shape[0])
+    if not 0 < below <= H.shape[0] // 32:
         return None
     try:
         w, V = lowest_eigenpairs(H, below + 1)
@@ -475,26 +469,45 @@ def _lanczos_window(H, top: float):
     return (w[inside], V[:, inside]) if inside.sum() == below else None
 
 
-def _restricted_gibbs_populations(full, b: int, beta: float) -> np.ndarray:
-    """Diagonal Gibbs populations of the operator ``full`` restricted to
-    configurations of size < b, the leading rows of its size-sorted basis.
+def _restricted_gibbs_populations(full, sizes, beta: float) -> dict:
+    """Per set size b in ``sizes``, the diagonal Gibbs populations of the
+    operator ``full`` restricted to configurations of size < b, the leading
+    rows of its size-sorted basis.
 
     Each diagonal entry is a Rayleigh quotient, so min(diag H) >= E0; the
-    eigenpairs above min(diag H) + 40/beta weigh under e^-40 of the ground
-    state and are left out; dense ``eigh`` covers what _lanczos_window does not.
+    eigenpairs above top = min(diag H) + 40/beta weigh under e^-40 of the
+    ground state and are left out.  _lanczos_window finds them above
+    DENSE_EIG_LIMIT rows, counted by one block LDL^T (``_sector_ldl``) per
+    top, of the largest block sharing it: its sector boundaries are the
+    smaller blocks.  Dense ``eigh`` covers what _lanczos_window does not.
     """
-    dim = int(np.searchsorted(full.sizes(), b))
-    if dim > DENSE_WORLDLINE_LIMIT:
-        raise CapacityError(
-            f"restricted space of {dim} states exceeds the dense limit")
-    H = full.matrix[:dim, :dim]
-    top = H.diagonal().min() + 40.0 / beta if beta > 0 else np.inf
-    pairs = (_lanczos_window(H, top) if dim > DENSE_EIG_LIMIT and beta > 0
-             else None)
-    w, V = pairs or scipy.linalg.eigh(H.toarray(order="F"), overwrite_a=True,
-                                      subset_by_value=(-np.inf, top))
-    pops = (V ** 2) @ np.exp(-beta * (w - w[0]))
-    return pops / pops.sum()
+    dims = {b: int(np.searchsorted(full.sizes(), b)) for b in sizes}
+    if max(dims.values()) > DENSE_WORLDLINE_LIMIT:
+        raise CapacityError(f"restricted space of {max(dims.values())} "
+                            "states exceeds the dense limit")
+    diag = full.matrix.diagonal()
+    tops = {b: diag[:dim].min() + 40.0 / beta if beta > 0 else np.inf
+            for b, dim in dims.items()}
+    counts = {}  # window top -> negative-eigenvalue count per boundary
+
+    def inertia(top, dim):
+        if top not in counts:
+            m = max(dims[b] for b in sizes if tops[b] == top)
+            counts[top] = _sector_ldl((full.matrix[:m, :m] - top
+                                       * scipy.sparse.identity(m)).tocsr())[0]
+        return counts[top][dim]
+
+    pops = {}
+    for b, dim in dims.items():
+        H = full.matrix[:dim, :dim]
+        pairs = (_lanczos_window(H, tops[b], inertia)
+                 if dim > DENSE_EIG_LIMIT and beta > 0 else None)
+        w, V = pairs or scipy.linalg.eigh(H.toarray(order="F"),
+                                          overwrite_a=True,
+                                          subset_by_value=(-np.inf, tops[b]))
+        p = (V ** 2) @ np.exp(-beta * (w - w[0]))
+        pops[b] = p / p.sum()
+    return pops
 
 
 def qmc_bound_inputs(graph: Graph, b: int | None = None, omega: float = 0.3,
@@ -520,8 +533,8 @@ def qmc_bound_inputs(graph: Graph, b: int | None = None, omega: float = 0.3,
     full = build_operator(graph, omega, delta, lam)
     e_max: dict[int, float] = {}
     z_arg: dict[int, int] = {}
-    for size in sizes:
-        pops = _restricted_gibbs_populations(full, size, beta)
+    for size, pops in _restricted_gibbs_populations(full, sizes,
+                                                    beta).items():
         # independent sets within Hamming distance k of a size-b set are
         # within k flips through independent sets (drop the surplus
         # vertices first, then add the missing ones)

@@ -224,7 +224,6 @@ class GapReport:
     corrected_gap: float | None = None
     slopes: dict = field(default_factory=dict)
     validity: float | None = None
-    degenerate: bool = False
     method: dict = field(default_factory=dict)
 
     def to_document(self) -> dict:
@@ -246,7 +245,6 @@ class GapReport:
             "corrected_gap": enc(self.corrected_gap),
             "slopes": self.slopes,
             "validity": enc(self.validity),
-            "degenerate": self.degenerate,
             "method": self.method,
             "curve": [[float(d), float(g)] for d, g in self.curve],
         }
@@ -413,7 +411,7 @@ def scan_minimum_gap(factory, deltas, derivative,
 
 def min_gap_scan(graph: Graph, omega: float = 1.0, lam: float = 0.0,
                  delta_range: tuple[float, float] = (0.1, 6.0),
-                 points: int = 64, rel_tol: float = 1e-6) -> GapReport:
+                 points: int = 64) -> GapReport:
     """Minimum-gap scan over the detuning at fixed drive for the (possibly
     Laplacian-modified) Hamiltonian on the restricted space."""
     base = build_operator(graph, omega, 0.0, lam)
@@ -422,7 +420,7 @@ def min_gap_scan(graph: Graph, omega: float = 1.0, lam: float = 0.0,
         return base.matrix + scipy.sparse.diags(-d * base.sizes())
 
     grid = np.linspace(delta_range[0], delta_range[1], points)
-    report = scan_minimum_gap(factory, grid, -base.sizes(), rel_tol)
+    report = scan_minimum_gap(factory, grid, -base.sizes())
     if report.delta_star is not None and report.delta_star != 0.0:
         report.crossing = omega / report.delta_star
     report.method.update({"omega": omega, "lam": lam, "points": points,
@@ -457,13 +455,13 @@ def _manifold_ground(graph: Graph, basis: list[int]):
     if dim == 1:
         return np.ones(1), 0.0, float(free[0]), False
     exchange = _move_matrix(Space.of(graph, basis).exchanges)
-    M = (exchange - scipy.sparse.diags(free)).toarray()
-    w, v = scipy.linalg.eigh(M, subset_by_index=(dim - 2, dim - 1))
+    M = (exchange - scipy.sparse.diags(free)).tocsr()
+    w, v = scipy.linalg.eigh(M.toarray(), subset_by_index=(dim - 2, dim - 1))
     vec = v[:, -1]
     if vec.sum() < 0:
         vec = -vec
-    low = scipy.linalg.eigh(M, eigvals_only=True, subset_by_index=(0, 0))
-    spread = abs(w[-1]) + abs(low[0])
+    low = lowest_eigenpairs(M, 1)[0][0]  # scales the degeneracy tolerance
+    spread = abs(w[-1]) + abs(low)
     degenerate = abs(w[-1] - w[-2]) < DEGENERACY_RTOL * max(spread, 1.0)
     se = float(vec @ (exchange @ vec))
     fv = float(vec @ (free * vec))
@@ -526,44 +524,147 @@ def embed_state(basis: list[int], sub_basis: list[int],
     return vec
 
 
+# Schur-complement columns updated per sector solve: the one transient
+SECTOR_CHUNK = 64
+# a sector with a pivot under this times max|A| merges into the next one
+SECTOR_PIVOT_RTOL = 1e-8
+
+
+class _BunchKaufman:
+    """S = P L D L^T P^T of one dense symmetric sector S (lower triangle,
+    overwritten) by LAPACK dsytrf; dsyconv splits off the tridiagonal D, so
+    a solve is two BLAS-3 dtrsm and a banded solve."""
+
+    def __init__(self, S: np.ndarray):
+        # lwork n * block size: the default, n, runs unblocked and 10x slower
+        ldl, ipiv, self.info = scipy.linalg.lapack.dsytrf(
+            S, lower=1, overwrite_a=1, lwork=64 * len(S))
+        self.L, e, _ = scipy.linalg.lapack.dsyconv(ldl, ipiv, lower=1,
+                                                   overwrite_a=1)
+        d = self.L.diagonal().copy()
+        self.D = np.array([np.r_[0.0, e[:-1]], d, e])  # solve_banded's (1, 1)
+        w = scipy.linalg.eigvalsh_tridiagonal(d, e[:-1])
+        self.negatives, self.smallest = int(np.sum(w < 0)), np.abs(w).min()
+        # P as row swaps: a 2x2 block of D swaps only its second row
+        self.piv, pairs = np.abs(ipiv) - 1, np.flatnonzero(ipiv < 0)[::2]
+        self.piv[pairs] = pairs
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """S^-1 rhs for a 2-D ``rhs``."""
+        lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+        y = lapack.dlaswp(np.array(rhs, order="F"), self.piv, overwrite_a=1)
+        y = blas.dtrsm(1.0, self.L, y, lower=1, diag=1, overwrite_b=1)
+        y = scipy.linalg.solve_banded((1, 1), self.D, y, overwrite_b=True)
+        y = blas.dtrsm(1.0, self.L, y, lower=1, diag=1, trans_a=1,
+                       overwrite_b=1)
+        return lapack.dlaswp(y, self.piv, inc=-1, overwrite_a=1)
+
+
+def _sector_ldl(C, X: np.ndarray | None = None, Y: np.ndarray | None = None):
+    """(below, solve) of the symmetric A = C + X Y^T (C sparse, X Y^T
+    symmetric of rank r), from one block LDL^T, a sector at a time.
+
+    Row 0 is the first sector; each next one ends just past the last column
+    the rows before it reach, so A is block tridiagonal over them (the
+    set-size sectors of a size-sorted basis with a drive).  Each sector's
+    Schur complement is factored by _BunchKaufman and eliminated into the
+    next, SECTOR_CHUNK columns at a time; a sector with a pivot under
+    SECTOR_PIVOT_RTOL * max|A| merges into the next instead, so one block
+    is the dense factorization.  ``below`` maps each sector boundary m to
+    the number of negative eigenvalues of A[:m, :m], the sum of the counts
+    of the sectors before m (Haynsworth inertia additivity);
+    ``solve(rhs)`` is A^-1 rhs from the stored sector factors, or None when
+    A is singular.
+    """
+    n = C.shape[0]
+    if X is None:
+        X = Y = np.zeros((n, 0))
+    last = np.arange(n)  # the last column each row reaches
+    np.maximum.at(last, np.repeat(np.arange(n), np.diff(C.indptr)), C.indices)
+    for x, y in zip(X.T, Y.T):
+        if y.any():
+            last[x != 0] = np.maximum(last[x != 0], np.flatnonzero(y)[-1])
+    last, bounds = np.maximum.accumulate(last), [0, 1]
+    while bounds[-1] < n:
+        bounds.append(max(int(last[bounds[-1] - 1]), bounds[-1]) + 1)
+    # sectors: (rows, factor, C[rows, previous sector's rows])
+    scale, sectors, below = abs(C).max(), [], {}
+    lo, i = 0, 1
+    while lo < n:
+        rows, down = slice(lo, bounds[i]), None
+        S = scipy.linalg.blas.dsyr2k(0.5, X[rows], Y[rows], beta=1.0, lower=1,
+                                     c=C[rows, rows].toarray(order="F"),
+                                     overwrite_c=1)
+        if sectors:
+            prev, factor, _ = sectors[-1]
+            down = C[rows, prev]
+            for c0 in range(0, rows.stop - lo, SECTOR_CHUNK):
+                c = slice(c0, min(c0 + SECTOR_CHUNK, rows.stop - lo))
+                x = factor.solve(down[c].T.toarray()  # A[prev, rows][:, c]
+                                 + X[prev] @ Y[lo + c.start:lo + c.stop].T)
+                S[:, c] -= down @ x
+                S[:, c] -= X[rows] @ (Y[prev].T @ x)
+                del x  # one chunk live at a time
+        factor, i = _BunchKaufman(S), i + 1
+        below[rows.stop] = below.get(lo, 0) + factor.negatives
+        if factor.smallest > SECTOR_PIVOT_RTOL * scale or rows.stop == n:
+            sectors.append((rows, factor, down))
+            lo = rows.stop
+
+    def solve(rhs):  # forward over the sectors, then back from the last
+        z, t = np.array(rhs, dtype=float), None
+        for k, (rows, factor, down) in enumerate(sectors):
+            if k:
+                prev = sectors[k - 1][0]
+                z[rows] -= down @ t + X[rows] @ (Y[prev].T @ t)
+            t = factor.solve(z[rows])
+        z[rows] = t
+        for (rows, factor, _), (after, _, down) in zip(sectors[-2::-1],
+                                                       sectors[:0:-1]):
+            z[rows] = factor.solve(z[rows] - down.T @ z[after]
+                                   - X[rows] @ (Y[after].T @ z[after]))
+        return z
+    return below, (None if factor.info > 0 else solve)
+
+
+def _project_out(x: np.ndarray, G: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """x with its components along the orthonormal G and E removed."""
+    return x - G * (G @ x) - E * (E @ x)
+
+
 def _heff_solver(H, G: np.ndarray, E: np.ndarray, z0: float, dense: bool,
                  solve_tol: float):
     """(entries, counts): entries maps z to <a| H + H Q (z - QHQ)^{-1} Q H |b>
     for a, b in {G, E}; counts holds the LDL^T factorizations and the most
     series terms summed.
 
-    The dense path builds M = z0 - QHQ in place by a rank-4 update (with
-    U = [G E] and W = HU - U (U^T H U) / 2, QHQ = H - U W^T - W U^T) and
-    factors it once.  At z = z0 + s the resolvent term is the series
+    The dense path factors M = z0 - QHQ once by ``_sector_ldl``: sparse
+    z0 - H plus U W^T + W U^T (U = [G E], W = HU - U (U^T H U) / 2), a
+    rank-4 term on the sectors of G and E and their neighbours, so M stays
+    block tridiagonal.  At z = z0 + s the resolvent term is the series
     sum_{k>=1} (-s)^{k-1} rhs^T M^{-k} rhs, cut below double precision of
     the entries; it diverges (ConvergenceError) when z - QHQ has an
     eigenvalue within about |s| of z0.  The iterative path runs MINRES.
     """
-    def project_out(x):
-        return x - G * (G @ x) - E * (E @ x)
-
     U = np.column_stack([G, E])
     HU = H @ U
     base = U.T @ HU
     rhs = HU - U @ base  # Q H [G E]
     counts = {"factorizations": 0, "series_terms": None}
+    dim = H.shape[0]
     if dense:
-        # one Fortran-ordered buffer; LAPACK reads its upper triangle only
-        M = (H.toarray(order="F") if scipy.sparse.issparse(H)
-             else np.array(H, float, order="F"))
+        C = (z0 * scipy.sparse.identity(dim)
+             - scipy.sparse.csr_matrix(H)).tocsr()
         W = HU - 0.5 * U @ base
-        M = scipy.linalg.blas.dsyr2k(1.0, U, W, beta=-1.0, c=M, overwrite_c=1)
-        M[np.diag_indices_from(M)] += z0
-        ldl, piv, info = scipy.linalg.lapack.dsytrf(M, lwork=64 * len(M),
-                                                    overwrite_a=1)
-        if info > 0:
+        _, solve = _sector_ldl(C, np.hstack([U, W]), np.hstack([W, U]))
+        if solve is None:
             raise ConvergenceError(f"z0 = {z0!r} is an eigenvalue of QHQ")
         counts["factorizations"] = 1
-        ys = [HU, scipy.linalg.lapack.dsytrs(ldl, piv, rhs)[0]]
+        ys = [HU, solve(rhs)]
 
         def moment(k):  # Y_a^T Y_{k-a}, Y_j = M^-j rhs; Y_0 = HU, Y_1 is in Q
             while len(ys) <= (k + 1) // 2:
-                ys.append(scipy.linalg.lapack.dsytrs(ldl, piv, ys[-1])[0])
+                ys.append(solve(ys[-1]))
             return ys[k // 2].T @ ys[k - k // 2]
 
         def resolvent(z):
@@ -580,14 +681,12 @@ def _heff_solver(H, G: np.ndarray, E: np.ndarray, z0: float, dense: bool,
             counts["series_terms"] = max(counts["series_terms"] or 0, k)
             return total
     else:
-        dim = H.shape[0]
-
         def resolvent(z):
             # acts as (z - QHQ) on the Q subspace and as the identity on the
             # P block, so MINRES stays well-posed; rhs lives in Q already
             def av(x):
-                qx = project_out(x)
-                return z * qx - project_out(H @ qx) + (x - qx)
+                qx = _project_out(x, G, E)
+                return z * qx - _project_out(H @ qx, G, E) + (x - qx)
 
             linop = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=av)
             ys = []
@@ -602,7 +701,7 @@ def _heff_solver(H, G: np.ndarray, E: np.ndarray, z0: float, dense: bool,
                         "resolvent solve did not converge; smallest Ritz "
                         f"value of (z - QHQ) is {float(ritz[0]):.3e} "
                         "(pole proximity)", residuals=[float(ritz[0])])
-                ys.append(project_out(y))
+                ys.append(_project_out(y, G, E))
             return HU.T @ np.column_stack(ys)
 
     def entries(z):
@@ -627,14 +726,11 @@ def _heff_series(H_cost_diag: np.ndarray, drive, G: np.ndarray, E: np.ndarray,
     cost term alone (constant within manifolds), so the diagonal resolvent
     commutes with projecting out the crossing states.
     """
-    def project_out(x):
-        return x - G * (G @ x) - E * (E @ x)
-
     denom = z - H_cost_diag
     pole = np.abs(denom) < 1e-12 * max(1.0, abs(z))
 
     def apply_resolvent(x):
-        qx = project_out(x)
+        qx = _project_out(x, G, E)
         # components exactly removed by the projector may sit on a pole;
         # anything else there is a genuine divergence
         if np.any(pole & (np.abs(qx) > 1e-10 * max(np.abs(x).max(), 1e-30))):

@@ -37,6 +37,7 @@ def test_gen_batch_writes_manifest(tmp_path):
     assert manifest["seeds"] == [5, 6, 7]
     assert manifest["code_version"]
     assert len(manifest["outputs"]) == 3
+    assert manifest["peak_rss_mb"] > 0
 
 
 def test_replay_reproduces_identical_bytes(tmp_path):
@@ -286,6 +287,7 @@ def test_manifest_written_when_failure_precedes_output(tmp_path, capsys):
     manifest = json.loads((tmp_path / "p.json.manifest.json").read_text())
     assert manifest["status"] == 3
     assert manifest["outputs"] == []
+    assert manifest["peak_rss_mb"] > 0  # failure exits carry it too
     assert str(big) in manifest["input_digests"]
 
 

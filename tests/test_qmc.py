@@ -337,3 +337,24 @@ def test_gibbs_window_skips_the_count_when_it_holds_every_state(monkeypatch):
         counts.append(0)
         qmc_bound_inputs(g, omega=0.3, delta=1.0, lam=lam, beta=2.0)
     assert counts[0] == 0 < counts[1]
+
+
+def test_bound_sizes_sharing_a_window_top_share_one_elimination(monkeypatch):
+    # all four bound sizes of this dim-1732 instance have the window top
+    # min(diag H) + 40/beta = 20, so one block LDL^T of the largest leading
+    # block counts for every size
+    from flatscape import qmc
+    from flatscape.landscape import independence_polynomial
+
+    g = generate_unit_disk(5, 5, 0.7, seed=0)
+    assert independence_polynomial(g).bound_sizes() == [5, 6, 7, 8]
+    kernel, calls = qmc._sector_ldl, []
+
+    def counted(C, *args):
+        calls.append(C.shape[0])
+        return kernel(C, *args)
+
+    monkeypatch.setattr(qmc, "_sector_ldl", counted)
+    report = qmc_bound_inputs(g, omega=0.3, delta=1.0, lam=50.0, beta=2.0)
+    assert list(report.e_max) == [5, 6, 7, 8]
+    assert calls == [1731]  # the sets smaller than 8

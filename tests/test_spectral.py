@@ -642,3 +642,87 @@ def test_resolvent_method_records_solver_counts(star22):
     iterative = resolvent_gap(op.matrix, G, E, z0, dense_limit=1)
     assert iterative.method["factorizations"] == 0
     assert iterative.method["series_terms"] is None
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 50.0])
+@pytest.mark.parametrize("graph", [generate_star(2, 2), generate_star(3, 4),
+                                   generate_unit_disk(4, 3, 0.8, seed=3),
+                                   generate_unit_disk(4, 3, 0.8, seed=5)],
+                         ids=["star22", "star34", "unit-disk-4x3-s3",
+                              "unit-disk-4x3-s5"])
+def test_sector_ldl_counts_and_solves_match_dense(graph, lam):
+    from flatscape.spectral import _sector_ldl
+
+    op = build_operator(graph, omega=0.3, delta=1.0, lam=lam)
+    H, dim, sizes = op.matrix, op.dim, op.sizes()
+    dense = H.toarray()
+    w = np.linalg.eigvalsh(dense)
+    apart = np.flatnonzero(np.diff(w) > 1e-6)
+    # Gibbs-window tops at beta 2 and 20, midpoints between eigenvalues, and
+    # -delta k, where a sector's Schur complement is exactly singular at
+    # lam = 0 and the elimination has to merge it into the next sector
+    tops = [H.diagonal().min() + 40.0 / beta for beta in (2.0, 20.0)]
+    tops += [0.5 * (w[i] + w[i + 1]) for i in apart[::max(1, len(apart) // 6)]]
+    tops += [-float(k) for k in range(int(sizes.max()) + 1)]
+    ends = np.searchsorted(sizes, np.arange(1, sizes.max() + 2)).tolist()
+    prefix = {m: np.linalg.eigvalsh(dense[:m, :m]) for m in ends}
+    tol = 1e-9 * np.abs(dense).max()
+    for t in tops:
+        below, _ = _sector_ldl((H - t * scipy.sparse.identity(dim)).tocsr())
+        assert sorted(below) == ends
+        for m, count in below.items():
+            ev = prefix[m]
+            # eigenvalues at t to rounding may count either way, here and
+            # in any dense factorization
+            assert np.sum(ev < t - tol) <= count <= np.sum(ev < t + tol), \
+                (t, m, count, np.sum(ev < t))
+    # the resolvent's shape: a rank-4 term on the top two sectors
+    rng = np.random.default_rng(5)
+    U = np.zeros((dim, 2))
+    for col, size in enumerate((sizes.max(), sizes.max() - 1)):
+        U[sizes == size, col] = rng.standard_normal(np.sum(sizes == size))
+    W = H @ U
+    K = dense - U @ W.T - W @ U.T
+    k = np.linalg.eigvalsh(K)
+    gap = np.argmax(np.diff(k[:dim // 4 + 2]))
+    rhs = rng.standard_normal((dim, 2))
+    for z in (k[0] - 1.0, 0.5 * (k[gap] + k[gap + 1]), k[-1] + 1.0):
+        _, solve = _sector_ldl((z * scipy.sparse.identity(dim) - H).tocsr(),
+                               np.hstack([U, W]), np.hstack([W, U]))
+        want = scipy.linalg.solve(z * np.eye(dim) - K, rhs)
+        assert np.abs(solve(rhs) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_dense_solves_allocate_no_dim_squared_array():
+    # neither the resolvent's factorization nor the Gibbs-window counts hold
+    # a dense dim x dim copy: each traced peak stays under half of one
+    import tracemalloc
+
+    from flatscape.qmc import qmc_bound_inputs
+    from flatscape.spectral import _heff_solver
+
+    g = generate_unit_disk(5, 5, 0.7, seed=0)
+    ps = perturbative_states(g)
+    op = build_operator(g, omega=1.0, delta=1.0 / ps.crossing)
+    assert op.dim >= 1000
+    G = embed_state(op.basis, ps.ground_basis, ps.ground)
+    E = embed_state(op.basis, ps.excited_basis, ps.excited)
+    G, E = G / np.linalg.norm(G), E / np.linalg.norm(E)
+    z0 = float(lowest_eigenpairs(op, 1)[0][0])
+
+    def resolvent():
+        entries, _ = _heff_solver(op.matrix, G, E, z0, dense=True,
+                                  solve_tol=1e-12)
+        entries(z0)
+
+    def bound():
+        qmc_bound_inputs(g, omega=0.3, delta=1.0, lam=50.0, beta=2.0)
+
+    for run in (resolvent, bound):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < op.dim ** 2 * 8 / 2, run.__name__
