@@ -347,11 +347,11 @@ def _cmd_resolvent(args, run: _Run) -> int:
     E = embed_state(op.basis, states.excited_basis, states.excited)
     w, v = lowest_eigenpairs(op, 2)
     report = resolvent_gap(op.matrix, G, E, z0=scan.e_star,
-                           exact_pairs=(v[:, 0], v[:, 1], scan.gap))
+                           exact_pairs=(v[:, 0], v[:, 1]))
     estimate, histogram = hamming_gap_estimate(
         states.ground_basis, states.ground, states.excited_basis,
         states.excited, states.crossing)
-    report.boundary_minimum = scan.boundary_minimum
+    report.gap, report.boundary_minimum = scan.gap, scan.boundary_minimum
     doc = report.to_document()
     doc.update({
         "instance": to_document(graph),

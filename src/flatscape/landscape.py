@@ -282,6 +282,16 @@ def _isoenergetic_term(profile: LandscapeProfile, b: int, k_prime: int) -> Fract
     return total
 
 
+def check_bound_parameters(eps: float, k: int) -> None:
+    """Reject an error target outside 0 < eps < 1/2 (NaN included), where
+    log(1 / (2 eps)) is not a positive number, and an update size k < 1."""
+    if not 0.0 < eps < 0.5:
+        raise ValueError(f"error target eps must satisfy 0 < eps < 1/2, "
+                         f"got {eps!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k!r}")
+
+
 def classical_bound(profile: LandscapeProfile, kind: str, *, k: int = 1,
                     k_prime: int = 1, eps: float = 0.25,
                     e_max: float = 1.0) -> float:
@@ -294,10 +304,9 @@ def classical_bound(profile: LandscapeProfile, kind: str, *, k: int = 1,
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
-    if not eps < 0.5:
-        raise ValueError("error target eps must be < 1/2")
-    if k < 1 or k_prime < 1:
-        raise ValueError("k and k_prime must be >= 1")
+    check_bound_parameters(eps, k)
+    if k_prime < 1:
+        raise ValueError("k_prime must be >= 1")
     n = profile.n
     log_factor = math.log(1.0 / (2.0 * eps))
     if kind == "sa":

@@ -25,7 +25,7 @@ import scipy.sparse
 from .classical_mc import _Uniforms, _stream
 from .errors import CapacityError, ConfigError, ConvergenceError
 from .graphs import Graph
-from .landscape import independence_polynomial
+from .landscape import check_bound_parameters, independence_polynomial
 from .spectral import (DENSE_EIG_LIMIT, _sector_ldl, build_operator,
                        lowest_eigenpairs)
 
@@ -522,10 +522,7 @@ def qmc_bound_inputs(graph: Graph, b: int | None = None, omega: float = 0.3,
     every size past the profile's turning point contributes and the bound
     maximizes over them.
     """
-    if eps >= 0.5:
-        raise ValueError("eps must be < 1/2")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_bound_parameters(eps, k)
     profile = independence_polynomial(graph)
     sizes = [b] if b is not None else profile.bound_sizes()
     if any(size < 1 or size > profile.alpha for size in sizes):

@@ -1,18 +1,19 @@
 """Hamiltonians on the independent-set-restricted space, low-lying spectra,
 minimum-gap scans, and the effective-two-level (resolvent) gap machinery.
 
-Conventions: the assembled operator is H = H_cost - H_drive + lam * H_lap
-with H_cost diagonal (-delta per occupied vertex, plus U per violated edge
-in penalty mode), drive entries Omega between configurations one spin flip
-apart, and H_lap the configuration-graph Laplacian acting within each
-fixed-size manifold.  Fixing delta = 1 and scanning the drive-to-detuning
-ratio is the usual workflow; all coefficients stay explicit so any scale
-convention can be expressed.
+Conventions: every operator acts on the independent sets (the
+infinite-penalty limit), ordered by (size, mask), so each fixed-size
+manifold is a contiguous run of rows.  The assembled operator is
+H = H_cost - H_drive + lam * H_lap with H_cost diagonal (-delta per occupied
+vertex), drive entries Omega between configurations one spin flip apart,
+and H_lap the configuration-graph Laplacian acting within each manifold.
+Fixing delta = 1 and scanning the drive-to-detuning ratio is the usual
+workflow; all coefficients stay explicit so any scale convention can be
+expressed.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +21,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .bits import (Space, enumerate_independent_sets,
-                   enumerate_independent_sets_of_size, popcount,
+from .bits import (Space, enumerate_independent_sets, popcount,
                    require_mask_width)
 from .errors import CapacityError, ConfigError, ConvergenceError
 from .graphs import Graph
@@ -30,7 +30,8 @@ from .graphs import Graph
 # for two eigenpairs with vectors at SCAN_ARPACK_TOL, on star-sector and
 # unit-disk operators alike (BENCH_13.json)
 DENSE_EIG_LIMIT = 256
-DEFAULT_NNZ_LIMIT = 2_000_000
+# build_operator raises CapacityError past this many estimated nonzeros
+NNZ_LIMIT = 2_000_000
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEGENERACY_RTOL = 1e-8
 SERIES_MAX_TERMS = 64  # resolvent moment series; about 12 terms when h << pole
@@ -41,19 +42,16 @@ RESIDUAL_RTOL = 1e-9
 SCAN_ARPACK_TOL = 1e-10
 # manifolds alpha-1 .. alpha-4 compete as the crossing partner
 CROSSING_CANDIDATES = 4
+# the resolvent factors z0 - QHQ up to this many rows and runs MINRES, to
+# this relative residual, above
+RESOLVENT_DENSE_LIMIT = 4096
+RESOLVENT_SOLVE_TOL = 1e-10
 
 
 def restricted_basis(graph: Graph) -> list[int]:
     """All independent sets ordered by (size, mask)."""
     sets = enumerate_independent_sets(graph.n, graph.adjacency())
     return sorted(sets, key=lambda z: (popcount(z), z))
-
-
-def manifold_basis(graph: Graph, b: int) -> list[int]:
-    """The independent sets of ``b`` vertices in mask order: the size-b run
-    of ``restricted_basis``, enumerated on its own."""
-    return sorted(enumerate_independent_sets_of_size(graph.n,
-                                                     graph.adjacency(), b))
 
 
 def _move_matrix(moves: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -116,42 +114,21 @@ class OperatorHandle:
         return self.space.sizes
 
 
-def build_operator(graph: Graph, omega: float, delta: float, lam: float = 0.0,
-                   U: float | None = None, mode: str = "restricted",
-                   nnz_limit: int = DEFAULT_NNZ_LIMIT) -> OperatorHandle:
-    """Assemble H = H_cost - Omega*H_drive + lam*H_laplacian.
-
-    mode "restricted" works on ``restricted_basis(graph)``, the independent
-    sets (infinite-penalty limit); "penalty" on all 2^n configurations in
-    mask order, with U per violated edge.  The Laplacian needs restricted
-    mode; an operator whose ~dim*(n+2) nonzeros exceed ``nnz_limit`` raises
-    CapacityError before it is built.
+def build_operator(graph: Graph, omega: float, delta: float,
+                   lam: float = 0.0) -> OperatorHandle:
+    """Assemble H = H_cost - Omega*H_drive + lam*H_laplacian on
+    ``restricted_basis(graph)``.  An operator whose ~dim*(n+2) nonzeros
+    exceed NNZ_LIMIT raises CapacityError before it is built.
     """
-    if mode not in ("restricted", "penalty"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "penalty":
-        if U is None:
-            raise ConfigError("penalty mode requires an explicit U")
-        if lam:
-            raise ConfigError("the configuration-graph Laplacian is defined "
-                              "on independent sets; use restricted mode")
-        if graph.n > 24:
-            raise CapacityError(f"penalty mode enumerates 2^n; n={graph.n} > 24")
-        basis = list(range(1 << graph.n))
-    else:
-        require_mask_width(graph.n)
-        basis = restricted_basis(graph)
-    dim = len(basis)
+    require_mask_width(graph.n)
+    basis = restricted_basis(graph)
     # generous upfront estimate: flips + exchanges per row
-    est_nnz = dim * (graph.n + 2)
-    if est_nnz > nnz_limit:
+    est_nnz = len(basis) * (graph.n + 2)
+    if est_nnz > NNZ_LIMIT:
         raise CapacityError(
-            f"operator would need ~{est_nnz} nonzeros, over the {nnz_limit} limit")
+            f"operator would need ~{est_nnz} nonzeros, over the {NNZ_LIMIT} limit")
     space = Space.of(graph, basis)
-    diag = -delta * space.sizes
-    if mode == "penalty":
-        diag = diag + U * violation_count(graph, space.masks)
-    H = scipy.sparse.diags(diag).tocsr()
+    H = scipy.sparse.diags(-delta * space.sizes).tocsr()
     if omega:
         H = H - omega * _move_matrix(space.flips)
     if lam:
@@ -446,23 +423,21 @@ class PerturbativeStates:
     degenerate: bool
 
 
-def _manifold_ground(graph: Graph, basis: list[int]):
+def _manifold_ground(exchange, free: np.ndarray):
     """(vec, <H_se>, <H_fv>, degenerate) of the ground state of the
-    second-order Hamiltonian on one non-empty fixed-size manifold ``basis``:
-    the maximal eigenvector of (H_se - H_fv)."""
-    dim = len(basis)
-    free = free_vertex_diag(graph, basis)
+    second-order Hamiltonian on one non-empty fixed-size manifold, from its
+    exchange adjacency and free-vertex counts: the maximal eigenvector of
+    (H_se - H_fv)."""
+    dim = len(free)
     if dim == 1:
         return np.ones(1), 0.0, float(free[0]), False
-    exchange = _move_matrix(Space.of(graph, basis).exchanges)
     M = (exchange - scipy.sparse.diags(free)).tocsr()
     w, v = scipy.linalg.eigh(M.toarray(), subset_by_index=(dim - 2, dim - 1))
     vec = v[:, -1]
     if vec.sum() < 0:
         vec = -vec
-    low = lowest_eigenpairs(M, 1)[0][0]  # scales the degeneracy tolerance
-    spread = abs(w[-1]) + abs(low)
-    degenerate = abs(w[-1] - w[-2]) < DEGENERACY_RTOL * max(spread, 1.0)
+    scale = max(operator_norm_bound(M), 1.0)  # bounds |every eigenvalue|
+    degenerate = abs(w[-1] - w[-2]) < DEGENERACY_RTOL * scale
     se = float(vec @ (exchange @ vec))
     fv = float(vec @ (free * vec))
     return vec, se, fv, degenerate
@@ -473,27 +448,30 @@ def perturbative_states(graph: Graph) -> PerturbativeStates:
     manifold b, among the CROSSING_CANDIDATES below alpha, whose
     second-order energy first intersects it.
 
-    Every manifold is a contiguous run of one ``restricted_basis`` (sorted
-    by size, then mask), so the graph is enumerated once; alpha is the size
-    of its last row, and no manifold up to alpha is empty.
+    One ``Space`` of the restricted basis (sorted by size, then mask) serves
+    every manifold: a manifold is a contiguous run of its rows, and an
+    exchange keeps the set size, so each manifold's H_se - H_fv is a
+    diagonal block of the space's exchange matrix and free-vertex counts.
+    alpha is the size of the last row, and no manifold up to alpha is empty.
     The crossing location solves
     (Omega/delta)^2 = (alpha - b) / (<E|Hse|E> - <G|Hse|G> - <E|Hfv|E> - alpha + b)
     and the perturbative-regime condition compares the exchange-expectation
     difference against 3 (alpha - b).
     """
-    basis = restricted_basis(graph)
-    alpha = popcount(basis[-1])
+    space = Space.of(graph, restricted_basis(graph))
+    exchange = _move_matrix(space.exchanges)
+    free = free_vertex_diag(graph, space.basis)
+    alpha = int(space.sizes[-1])
 
-    def manifold(b):
-        lo = bisect_left(basis, b, key=popcount)
-        return basis[lo:bisect_left(basis, b + 1, lo, key=popcount)]
+    def manifold(b):  # (basis, vec, <H_se>, <H_fv>, degenerate)
+        rows = slice(*np.searchsorted(space.sizes, [b, b + 1]))
+        return (space.basis[rows],
+                *_manifold_ground(exchange[rows, rows], free[rows]))
 
-    g_basis = manifold(alpha)
-    g_vec, g_se, _, g_degen = _manifold_ground(graph, g_basis)
+    g_basis, g_vec, g_se, _, g_degen = manifold(alpha)
     found = []  # (crossing, b, basis, vec, <H_se>, <H_fv>, degenerate)
     for b in range(alpha - 1, max(alpha - 1 - CROSSING_CANDIDATES, 0), -1):
-        e_basis = manifold(b)
-        e_vec, e_se, e_fv, e_degen = _manifold_ground(graph, e_basis)
+        e_basis, e_vec, e_se, e_fv, e_degen = manifold(b)
         denom = e_se - g_se - e_fv - (alpha - b)
         if denom > 0:
             found.append((math.sqrt((alpha - b) / denom), b, e_basis, e_vec,
@@ -632,19 +610,19 @@ def _project_out(x: np.ndarray, G: np.ndarray, E: np.ndarray) -> np.ndarray:
     return x - G * (G @ x) - E * (E @ x)
 
 
-def _heff_solver(H, G: np.ndarray, E: np.ndarray, z0: float, dense: bool,
-                 solve_tol: float):
+def _heff_solver(H, G: np.ndarray, E: np.ndarray, z0: float):
     """(entries, counts): entries maps z to <a| H + H Q (z - QHQ)^{-1} Q H |b>
     for a, b in {G, E}; counts holds the LDL^T factorizations and the most
     series terms summed.
 
-    The dense path factors M = z0 - QHQ once by ``_sector_ldl``: sparse
-    z0 - H plus U W^T + W U^T (U = [G E], W = HU - U (U^T H U) / 2), a
-    rank-4 term on the sectors of G and E and their neighbours, so M stays
-    block tridiagonal.  At z = z0 + s the resolvent term is the series
+    Up to RESOLVENT_DENSE_LIMIT rows, the dense path factors M = z0 - QHQ
+    once by ``_sector_ldl``: sparse z0 - H plus U W^T + W U^T (U = [G E],
+    W = HU - U (U^T H U) / 2), a rank-4 term on the sectors of G and E and
+    their neighbours, so M stays block tridiagonal.  At z = z0 + s the resolvent term is the series
     sum_{k>=1} (-s)^{k-1} rhs^T M^{-k} rhs, cut below double precision of
     the entries; it diverges (ConvergenceError) when z - QHQ has an
-    eigenvalue within about |s| of z0.  The iterative path runs MINRES.
+    eigenvalue within about |s| of z0.  Above, each z is a MINRES solve to
+    RESOLVENT_SOLVE_TOL.
     """
     U = np.column_stack([G, E])
     HU = H @ U
@@ -652,7 +630,7 @@ def _heff_solver(H, G: np.ndarray, E: np.ndarray, z0: float, dense: bool,
     rhs = HU - U @ base  # Q H [G E]
     counts = {"factorizations": 0, "series_terms": None}
     dim = H.shape[0]
-    if dense:
+    if dim <= RESOLVENT_DENSE_LIMIT:
         C = (z0 * scipy.sparse.identity(dim)
              - scipy.sparse.csr_matrix(H)).tocsr()
         W = HU - 0.5 * U @ base
@@ -692,7 +670,7 @@ def _heff_solver(H, G: np.ndarray, E: np.ndarray, z0: float, dense: bool,
             ys = []
             for b in rhs.T:
                 y, info = scipy.sparse.linalg.minres(
-                    linop, b, rtol=solve_tol, maxiter=40 * dim)
+                    linop, b, rtol=RESOLVENT_SOLVE_TOL, maxiter=40 * dim)
                 if info != 0:
                     ritz = scipy.sparse.linalg.eigsh(
                         linop, k=1, which="SA", return_eigenvectors=False,
@@ -709,12 +687,6 @@ def _heff_solver(H, G: np.ndarray, E: np.ndarray, z0: float, dense: bool,
         return {"GG": float(m[0, 0]), "GE": float(m[0, 1]),
                 "EG": float(m[1, 0]), "EE": float(m[1, 1])}
     return entries, counts
-
-
-def _heff_entries(H, G: np.ndarray, E: np.ndarray, z: float,
-                  dense: bool, solve_tol: float):
-    """2x2 effective-Hamiltonian entries at the single energy z."""
-    return _heff_solver(H, G, E, z, dense, solve_tol)[0](z)
 
 
 def _heff_series(H_cost_diag: np.ndarray, drive, G: np.ndarray, E: np.ndarray,
@@ -757,27 +729,26 @@ def _heff_series(H_cost_diag: np.ndarray, drive, G: np.ndarray, E: np.ndarray,
 
 def resolvent_gap(H, G: np.ndarray, E: np.ndarray, z0: float,
                   order: int | None = None, omega: float | None = None,
-                  h_rel: float = 1e-4, dense_limit: int = 4096,
-                  solve_tol: float = 1e-10,
-                  exact_pairs=None) -> GapReport:
+                  h_rel: float = 1e-4, exact_pairs=None) -> GapReport:
     """Effective-two-level gap estimates of the matrix ``H`` at the crossing.
 
     Returns tilde (twice the off-diagonal coupling at z0), the corrected gap
     tilde / sqrt(f_gg * f_ee) with f = 1 - d<Heff>/dz, the finite-difference
-    slopes, and, when ``exact_pairs`` (eigenvectors psi0, psi1 and the exact
-    gap) are supplied, the overlap-area validity diagnostic.
+    slopes, and, when ``exact_pairs`` (the eigenvectors psi0, psi1) are
+    supplied, the overlap-area validity diagnostic.
 
     ``order`` switches to the truncated series in powers of the drive; the
     default solves (z - QHQ) exactly, by _heff_solver, and raises
-    ConvergenceError when it has a pole within about h of z0.  ``method``
-    records the LDL^T factorizations and the most series terms summed.
+    ConvergenceError when it has a pole within about h of z0.  A slope is
+    the central difference at step h/2, or its Richardson extrapolation
+    with the one at h where the two differ by over 1%.  ``method`` records
+    the LDL^T factorizations and the most series terms summed.
     """
     norm_g, norm_e = np.linalg.norm(G), np.linalg.norm(E)
     G = G / norm_g
     E = E / norm_e
     if abs(float(G @ E)) > 1e-10:
         raise ValueError("crossing states must be orthogonal")
-    dense = H.shape[0] <= dense_limit
 
     if order is not None:
         if omega is None:
@@ -789,7 +760,7 @@ def resolvent_gap(H, G: np.ndarray, E: np.ndarray, z0: float,
             return _heff_series(diag, drive, G, E, z, omega, order)
         counts = {"factorizations": 0, "series_terms": None}
     else:
-        entries, counts = _heff_solver(H, G, E, z0, dense, solve_tol)
+        entries, counts = _heff_solver(H, G, E, z0)
 
     ent0 = entries(z0)
     tilde = 2.0 * abs(ent0["GE"])
@@ -817,15 +788,14 @@ def resolvent_gap(H, G: np.ndarray, E: np.ndarray, z0: float,
         tilde_gap=tilde, corrected_gap=corrected,
         slopes={"m_gg": m_gg, "m_ee": m_ee, "m_ge": m_ge,
                 "f_gg": f_gg, "f_ee": f_ee},
-        method={"z0": z0, "order": order, "dense": dense, "h": h, **counts},
+        method={"z0": z0, "order": order,
+                "dense": H.shape[0] <= RESOLVENT_DENSE_LIMIT, "h": h, **counts},
     )
     if exact_pairs is not None:
-        psi0, psi1, exact_gap = exact_pairs
+        psi0, psi1 = exact_pairs
         area = (float(psi0 @ G) * float(psi1 @ E)
                 - float(psi0 @ E) * float(psi1 @ G))
         report.validity = abs(area) ** 2
-        report.gap = exact_gap
-        report.method["validity_vs_gap"] = (report.validity, exact_gap)
     return report
 
 

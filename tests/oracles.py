@@ -157,6 +157,20 @@ def brute_heff_entries(H, G, E, z):
             for a in states for b in states}
 
 
+def brute_heff_slopes(H, G, E, z):
+    """d/dz of the 2x2 effective-Hamiltonian entries, -rhs^T (z - QHQ)^-2 rhs
+    with rhs = Q H [G E], from a dense eigendecomposition of H on an
+    orthonormal basis of the complement of span{G, E}."""
+    H = H.toarray() if hasattr(H, "toarray") else np.asarray(H, dtype=float)
+    U = np.column_stack([G, E])
+    B = scipy.linalg.null_space(U.T)
+    k, V = np.linalg.eigh(B.T @ H @ B)
+    y = V.T @ (B.T @ H @ U)
+    m = -(y.T / (z - k) ** 2) @ y
+    return {"m_gg": float(m[0, 0]), "m_ee": float(m[1, 1]),
+            "m_ge": float(m[0, 1])}
+
+
 def brute_emax(graph, b, omega, delta, lam, beta, k=1):
     """QMC enhancement factor from a full eigh: the top Gibbs population of
     the size-<b block among configurations within k flips of a size-b set,

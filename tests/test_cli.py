@@ -183,6 +183,23 @@ def test_qmc_bound_inputs_cli(tmp_path):
     assert float(doc["e_max"]["3"]) <= 1.1
 
 
+@pytest.mark.parametrize("eps", ["0", "-0.1", "nan", "0.5"])
+@pytest.mark.parametrize("command", [["profile"], ["qmc", "--bound-inputs"]])
+def test_bound_error_target_outside_its_range_exit_code(tmp_path, capsys,
+                                                        command, eps):
+    # log(1 / (2 eps)) needs 0 < eps < 1/2: anything else, NaN included, is
+    # a usage error with a manifest, not a traceback or a NaN bound
+    inst = tmp_path / "i.json"
+    inst.write_text(serialize(generate_star(2, 2)))
+    out = tmp_path / "b.json"
+    assert run_cli(command + ["--in", str(inst), f"--eps={eps}",
+                              "--out", str(out)]) == 2
+    assert "error[usage]" in capsys.readouterr().err
+    assert not out.exists()
+    manifest = json.loads((tmp_path / "b.json.manifest.json").read_text())
+    assert manifest["status"] == 2
+
+
 def test_resolvent_reports_a_boundary_scan_like_gap(tmp_path, capsys):
     # the 4x3 disk's default scan has no interior dip: it ends at delta =
     # 6, crossing 1/6, and resolvent says so in its document and on stderr

@@ -5,16 +5,17 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from oracles import (brute_heff_entries, brute_independent_sets,
-                     dense_hamiltonian)
+from oracles import (brute_heff_entries, brute_heff_slopes,
+                     brute_independent_sets, dense_hamiltonian)
 
-from flatscape.errors import CapacityError, ConfigError, ConvergenceError
+from flatscape.bits import enumerate_independent_sets_of_size
+from flatscape.errors import CapacityError, ConvergenceError
 from flatscape.graphs import Graph, generate_star, generate_unit_disk
 from flatscape.landscape import independence_polynomial
 from flatscape.spectral import (build_operator, embed_state,
                                 free_vertex_diag, hamming_gap_estimate,
                                 laplacian_matrix, lowest_eigenpairs,
-                                gap_point, manifold_basis, min_gap_scan,
+                                gap_point, min_gap_scan,
                                 minimize_gap, perturbative_states,
                                 resolvent_gap, restricted_basis)
 from flatscape.star_models import SymmetricStarSpace
@@ -56,17 +57,13 @@ def test_diagonal_operator_multiplicities(star22):
     assert np.allclose(w, expected)
 
 
-def test_penalty_mode_requires_u(star22):
-    with pytest.raises(ConfigError):
-        build_operator(star22, 1.0, 1.0, mode="penalty")
-    op = build_operator(star22, 1.0, 1.0, U=10.0, mode="penalty")
-    assert op.dim == 2 ** 5
+def test_capacity_error(monkeypatch):
+    from flatscape import spectral
 
-
-def test_capacity_error():
+    monkeypatch.setattr(spectral, "NNZ_LIMIT", 1000)
     g = generate_star(4, 6)  # n = 25, eight-ish thousand sets exceed tiny cap
     with pytest.raises(CapacityError):
-        build_operator(g, 1.0, 1.0, nnz_limit=1000)
+        build_operator(g, 1.0, 1.0)
 
 
 def test_mask_width_limit_fails_before_enumeration(monkeypatch):
@@ -77,8 +74,6 @@ def test_mask_width_limit_fails_before_enumeration(monkeypatch):
 
     monkeypatch.setattr(spectral, "enumerate_independent_sets",
                         enumerate_nothing)
-    monkeypatch.setattr(spectral, "enumerate_independent_sets_of_size",
-                        enumerate_nothing)
     k65 = Graph(n=65, edges=tuple((u, v) for u in range(65)
                                   for v in range(u + 1, 65)))
     with pytest.raises(CapacityError, match="64"):
@@ -87,13 +82,13 @@ def test_mask_width_limit_fails_before_enumeration(monkeypatch):
 
 def test_laplacian_rows_sum_to_zero_within_manifolds(star22):
     for b in (1, 2, 3):
-        basis = manifold_basis(star22, b)
+        basis = brute_independent_sets(star22, b)
         lap = laplacian_matrix(star22, basis)
         assert np.abs(np.asarray(lap.sum(axis=1))).max() <= 1e-14
 
 
 def test_laplacian_annihilates_uniform_state_connected_manifold(star22):
-    basis = manifold_basis(star22, 2)
+    basis = brute_independent_sets(star22, 2)
     lap = laplacian_matrix(star22, basis)
     uniform = np.ones(len(basis)) / math.sqrt(len(basis))
     assert np.linalg.norm(lap @ uniform) <= 1e-12
@@ -360,7 +355,7 @@ def test_resolvent_corrected_matches_exact_gap(star22):
     E = embed_state(op.basis, ps.excited_basis, ps.excited)
     w, v = lowest_eigenpairs(op, 3)
     report = resolvent_gap(op.matrix, G, E, z0=scan.e_star,
-                           exact_pairs=(v[:, 0], v[:, 1], scan.gap))
+                           exact_pairs=(v[:, 0], v[:, 1]))
     assert report.slopes["f_gg"] >= 1.0
     assert report.slopes["f_ee"] >= 1.0
     assert report.corrected_gap <= report.tilde_gap
@@ -368,11 +363,10 @@ def test_resolvent_corrected_matches_exact_gap(star22):
     # the effective-two-level hypothesis is only marginal at this size (the
     # crossing ratio is ~1), so just check the diagnostic is reported sanely
     assert report.validity is not None and 0.0 < report.validity <= 1.0
-    assert report.method["validity_vs_gap"][1] == pytest.approx(scan.gap)
 
 
 def test_heff_determinant_vanishes_at_exact_eigenvalues(star22):
-    from flatscape.spectral import _heff_entries
+    from flatscape.spectral import _heff_solver
 
     ps = perturbative_states(star22)
     scan = min_gap_scan(star22, omega=1.0, delta_range=(0.3, 2.0), points=48)
@@ -381,8 +375,7 @@ def test_heff_determinant_vanishes_at_exact_eigenvalues(star22):
     E = embed_state(op.basis, ps.excited_basis, ps.excited)
     w, _ = lowest_eigenpairs(op, 2)
     for z in w:
-        ent = _heff_entries(op.matrix, G, E, float(z), dense=True,
-                            solve_tol=1e-12)
+        ent = _heff_solver(op.matrix, G, E, float(z))[0](float(z))
         det = (z - ent["GG"]) * (z - ent["EE"]) - ent["GE"] * ent["EG"]
         assert abs(det) <= 1e-8 * max(1.0, z * z)
 
@@ -435,25 +428,31 @@ def test_hamming_estimate_tracks_exact_gap_on_stars():
 def test_manifold_ground_degeneracy_flag():
     # two disjoint edges: the size-1 manifold splits into two identical
     # exchange components, so the manifold ground state is exactly degenerate
+    from flatscape.bits import Space
     from flatscape.errors import ConvergenceError
-    from flatscape.spectral import _manifold_ground
+    from flatscape.spectral import _manifold_ground, _move_matrix
 
     g = Graph(n=4, edges=((0, 1), (2, 3)))
-    *_, degenerate = _manifold_ground(g, manifold_basis(g, 1))
+    basis = brute_independent_sets(g, 1)
+    exchange = _move_matrix(Space.of(g, basis).exchanges)
+    *_, degenerate = _manifold_ground(exchange, free_vertex_diag(g, basis))
     assert degenerate
     # this toy has no finite crossing at all; the pipeline reports that
     with pytest.raises(ConvergenceError):
         perturbative_states(g)
 
 
-def test_resolvent_iterative_path_matches_dense(star22):
+def test_resolvent_iterative_path_matches_dense(star22, monkeypatch):
+    from flatscape import spectral
+
     ps = perturbative_states(star22)
     scan = min_gap_scan(star22, omega=1.0, delta_range=(0.3, 2.0), points=48)
     op = build_operator(star22, omega=1.0, delta=scan.delta_star)
     G = embed_state(op.basis, ps.ground_basis, ps.ground)
     E = embed_state(op.basis, ps.excited_basis, ps.excited)
     dense = resolvent_gap(op.matrix, G, E, z0=scan.e_star)
-    iterative = resolvent_gap(op.matrix, G, E, z0=scan.e_star, dense_limit=1)
+    monkeypatch.setattr(spectral, "RESOLVENT_DENSE_LIMIT", 1)
+    iterative = resolvent_gap(op.matrix, G, E, z0=scan.e_star)
     assert iterative.tilde_gap == pytest.approx(dense.tilde_gap, rel=1e-8)
     assert iterative.corrected_gap == pytest.approx(dense.corrected_gap,
                                                     rel=1e-6)
@@ -462,8 +461,8 @@ def test_resolvent_iterative_path_matches_dense(star22):
 def test_basis_is_sorted_and_manifolds_are_its_runs(small_unit_disks,
                                                     star22):
     """restricted_basis is the brute-force list in (size, mask) order, and
-    each manifold_basis is its contiguous run of one size: the order that
-    perturbative_states slices by."""
+    the sets of each size, enumerated on their own, are its contiguous run
+    of that size: the order that perturbative_states slices by."""
     for g in small_unit_disks + [star22]:
         basis = restricted_basis(g)
         assert basis == sorted(brute_independent_sets(g),
@@ -473,28 +472,33 @@ def test_basis_is_sorted_and_manifolds_are_its_runs(small_unit_disks,
             lo = sizes.index(b) if b in sizes else len(sizes)
             run = basis[lo:lo + sizes.count(b)]
             assert all(bin(z).count("1") == b for z in run)
-            assert manifold_basis(g, b) == run
+            assert sorted(enumerate_independent_sets_of_size(
+                g.n, g.adjacency(), b)) == run
 
 
 def test_perturbative_states_enumerates_once(monkeypatch, star22):
+    # one enumeration and one Space serve every manifold, and no manifold
+    # needs an eigensolve past its one dense eigh
     from flatscape import spectral
 
-    runs = {b: manifold_basis(star22, b) for b in range(4)}
-    calls = {"all": 0, "sized": 0}
+    runs = {b: brute_independent_sets(star22, b) for b in range(4)}
+    calls = {"enumerate": 0, "space": 0, "eig": 0}
 
-    def counted(name, enumerate_sets):
-        def wrapper(*args):
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return enumerate_sets(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(spectral, "enumerate_independent_sets",
-                        counted("all", spectral.enumerate_independent_sets))
-    monkeypatch.setattr(spectral, "enumerate_independent_sets_of_size",
-                        counted("sized",
-                                spectral.enumerate_independent_sets_of_size))
+                        counted("enumerate",
+                                spectral.enumerate_independent_sets))
+    monkeypatch.setattr(spectral.Space, "of",
+                        counted("space", spectral.Space.of))
+    monkeypatch.setattr(spectral, "lowest_eigenpairs",
+                        counted("eig", spectral.lowest_eigenpairs))
     ps = perturbative_states(star22)
-    assert calls == {"all": 1, "sized": 0}
+    assert calls == {"enumerate": 1, "space": 1, "eig": 0}
     assert ps.alpha == 3
     assert ps.ground_basis == runs[3]
     assert ps.excited_basis == runs[ps.b_excited]
@@ -502,11 +506,11 @@ def test_perturbative_states_enumerates_once(monkeypatch, star22):
 
 def test_free_vertex_diag(star22):
     # edges: (0,1), (1,2), (0,3), (3,4)
-    basis = manifold_basis(star22, 1)
+    basis = brute_independent_sets(star22, 1)
     by_mask = dict(zip(basis, free_vertex_diag(star22, basis)))
     assert by_mask[0b00001] == 2.0   # {0}: addable 2 and 4
     assert by_mask[0b00100] == 3.0   # {2}: addable 0, 3, 4
-    full = manifold_basis(star22, 3)
+    full = brute_independent_sets(star22, 3)
     assert free_vertex_diag(star22, full)[0] == 0.0  # maximum set: none free
 
 
@@ -522,7 +526,7 @@ def test_unit_disk_scan_smoke():
                                    generate_unit_disk(4, 3, 0.8, seed=3)],
                          ids=["star22", "unit-disk-4x3-s3"])
 def test_heff_entries_dense_match_projector_oracle(graph):
-    from flatscape.spectral import _heff_entries
+    from flatscape.spectral import _heff_solver
 
     ps = perturbative_states(graph)
     op = build_operator(graph, omega=1.0, delta=1.0 / ps.crossing)
@@ -531,8 +535,7 @@ def test_heff_entries_dense_match_projector_oracle(graph):
     G, E = G / np.linalg.norm(G), E / np.linalg.norm(E)
     w, _ = lowest_eigenpairs(op, 2)
     for z in (w[0] - 0.5, w[0], 0.5 * (w[0] + w[1]), w[1] + 0.25):
-        got = _heff_entries(op.matrix, G, E, float(z), dense=True,
-                            solve_tol=1e-12)
+        got = _heff_solver(op.matrix, G, E, float(z))[0](float(z))
         want = brute_heff_entries(op.matrix, G, E, float(z))
         for key in ("GG", "GE", "EG", "EE"):
             assert got[key] == pytest.approx(want[key], rel=1e-10), (z, key)
@@ -601,8 +604,7 @@ def test_heff_series_matches_projector_oracle_at_shifts(graph, h_rel):
     from flatscape.spectral import _heff_solver
 
     op, G, E, z0 = _crossing_pair(graph)
-    entries, counts = _heff_solver(op.matrix, G, E, z0, dense=True,
-                                   solve_tol=1e-12)
+    entries, counts = _heff_solver(op.matrix, G, E, z0)
     h = h_rel * max(abs(z0), 1.0)
     for z in (z0 + h, z0 - h, z0 + h / 2, z0 - h / 2):
         got = entries(z)
@@ -634,12 +636,32 @@ def test_resolvent_step_past_a_pole_raises(graph):
     assert err.value.residuals[0] == pytest.approx(pole, rel=0.05)
 
 
-def test_resolvent_method_records_solver_counts(star22):
+@pytest.mark.xfail(strict=True, reason=(
+    "resolvent_gap's slopes are central differences in z; they miss the "
+    "exact slope by 2.4e-8 to 9.0e-8 relative here (star22: m_gg 2.8e-8, "
+    "m_ee 2.6e-8, m_ge 4.3e-8; 4x3 disk: m_gg 9.0e-8, m_ee 8.9e-8, m_ge "
+    "2.4e-8)"))
+@pytest.mark.parametrize("graph", [generate_star(2, 2),
+                                   generate_unit_disk(4, 3, 0.8, seed=3)],
+                         ids=["star22", "unit-disk-4x3-s3"])
+def test_resolvent_slopes_match_exact_derivative(graph):
+    """m = d<a|H_eff|b>/dz at z0 is -rhs^T (z0 - QHQ)^-2 rhs exactly."""
+    op, G, E, z0 = _crossing_pair(graph)
+    slopes = resolvent_gap(op.matrix, G, E, z0).slopes
+    want = brute_heff_slopes(op.matrix, G, E, z0)
+    for key in ("m_gg", "m_ee", "m_ge"):
+        assert slopes[key] == pytest.approx(want[key], rel=1e-10), key
+
+
+def test_resolvent_method_records_solver_counts(star22, monkeypatch):
+    from flatscape import spectral
+
     op, G, E, z0 = _crossing_pair(star22)
     dense = resolvent_gap(op.matrix, G, E, z0)
     assert dense.method["factorizations"] == 1
     assert dense.method["series_terms"] >= 2
-    iterative = resolvent_gap(op.matrix, G, E, z0, dense_limit=1)
+    monkeypatch.setattr(spectral, "RESOLVENT_DENSE_LIMIT", 1)
+    iterative = resolvent_gap(op.matrix, G, E, z0)
     assert iterative.method["factorizations"] == 0
     assert iterative.method["series_terms"] is None
 
@@ -711,8 +733,7 @@ def test_dense_solves_allocate_no_dim_squared_array():
     z0 = float(lowest_eigenpairs(op, 1)[0][0])
 
     def resolvent():
-        entries, _ = _heff_solver(op.matrix, G, E, z0, dense=True,
-                                  solve_tol=1e-12)
+        entries, _ = _heff_solver(op.matrix, G, E, z0)
         entries(z0)
 
     def bound():
