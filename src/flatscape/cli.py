@@ -342,10 +342,9 @@ def _cmd_resolvent(args, run: _Run) -> int:
                         delta_range=_parse_range(args.delta_range),
                         points=args.points)
     _warn_boundary(scan)
-    op = build_operator(graph, args.omega, scan.delta_star, 0.0)
+    op, (_, v) = scan.operator, scan.pair
     G = embed_state(op.basis, states.ground_basis, states.ground)
     E = embed_state(op.basis, states.excited_basis, states.excited)
-    w, v = lowest_eigenpairs(op, 2)
     report = resolvent_gap(op.matrix, G, E, z0=scan.e_star,
                            exact_pairs=(v[:, 0], v[:, 1]))
     estimate, histogram = hamming_gap_estimate(

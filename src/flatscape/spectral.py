@@ -40,6 +40,9 @@ RESIDUAL_RTOL = 1e-9
 # ARPACK's stopping tolerance at scan points: a tenth of RESIDUAL_RTOL, so
 # ARPACK stops near where the residual gate passes
 SCAN_ARPACK_TOL = 1e-10
+# scan anchors above DENSE_EIG_LIMIT, and their basis's pivoted-QR drop level
+ANCHOR_STRIDE = 3
+BASIS_DROP_TOL = 1e-12
 # manifolds alpha-1 .. alpha-4 compete as the crossing partner
 CROSSING_CANDIDATES = 4
 # the resolvent factors z0 - QHQ up to this many rows and runs MINRES, to
@@ -202,6 +205,8 @@ class GapReport:
     slopes: dict = field(default_factory=dict)
     validity: float | None = None
     method: dict = field(default_factory=dict)
+    pair: tuple | None = field(default=None, repr=False)  # (w, v) at delta*
+    operator: OperatorHandle | None = field(default=None, repr=False)
 
     def to_document(self) -> dict:
         def enc(x):
@@ -287,11 +292,12 @@ def _brent_root(fn, a, b, fa, fb, xtol):
         fb = fn(b)
 
 
-def minimize_gap(gap_at, deltas, rel_tol: float) -> GapReport:
+def minimize_gap(gap_at, deltas, rel_tol: float, grid=None) -> GapReport:
     """Minimum of ``gap_at(delta)`` over a coarse grid, refined around every
     interior local minimum.
 
     ``gap_at`` returns the gap, or (gap, slope) with the slope d gap/d delta.
+    ``grid``, the gaps at ``deltas`` if known, stands in for the grid pass.
     The avoided-crossing dip can be narrower than the grid spacing, so every
     interior grid minimum k is refined.  With slopes, the sign of the slope
     at delta_k picks the half bracket [delta_k-1, delta_k] or
@@ -315,8 +321,8 @@ def minimize_gap(gap_at, deltas, rel_tol: float) -> GapReport:
             seen[d] = value if isinstance(value, tuple) else (value, None)
         return seen[d]
 
-    gaps = np.array([evaluate(d)[0] for d in deltas.tolist()])
-    grid_evaluations = len(seen)
+    gaps = np.asarray([evaluate(d)[0] for d in deltas.tolist()]
+                      if grid is None else grid, dtype=float)
     curve = list(zip(deltas.tolist(), gaps.tolist()))
     interior = [k for k in range(1, len(deltas) - 1)
                 if gaps[k] <= gaps[k - 1] and gaps[k] <= gaps[k + 1]]
@@ -347,10 +353,16 @@ def minimize_gap(gap_at, deltas, rel_tol: float) -> GapReport:
         report.gap, report.delta_star = edge_gap, edge_delta
     else:
         report.gap, report.delta_star = best_gap, best_delta
-    report.method = {"evaluations": {"grid": grid_evaluations,
-                                     "refine": len(seen) - grid_evaluations},
+    on_grid = set(deltas.tolist())
+    report.method = {"evaluations": {"grid": len(on_grid),
+                                     "refine": len(seen.keys() - on_grid)},
                      "refinement": refinements}
     return report
+
+
+def _gap_of(w, v, derivative):  # (ground energy, gap, slope) of two pairs
+    slope = float(derivative @ (v[:, 1] ** 2 - v[:, 0] ** 2))
+    return float(w[0]), float(w[1] - w[0]), slope
 
 
 def gap_point(H, derivative):
@@ -359,30 +371,78 @@ def gap_point(H, derivative):
     <psi1|dH/d delta|psi1> - <psi0|dH/d delta|psi0>, for ``derivative`` the
     diagonal of dH/d delta.  ARPACK stops at SCAN_ARPACK_TOL; the residual
     gate itself is unchanged."""
-    w, v = lowest_eigenpairs(H, 2, tol=SCAN_ARPACK_TOL)
-    slope = float(derivative @ (v[:, 1] ** 2 - v[:, 0] ** 2))
-    return float(w[0]), float(w[1] - w[0]), slope
+    return _gap_of(*lowest_eigenpairs(H, 2, tol=SCAN_ARPACK_TOL), derivative)
+
+
+def _reduced_grid(factory, deltas: np.ndarray, derivative, solve):
+    """(gaps, method entries) of a reduced-basis grid; see scan_minimum_gap."""
+    anchors = sorted({*range(0, len(deltas), ANCHOR_STRIDE), len(deltas) - 1})
+    gaps, fallbacks, worst = np.empty(len(deltas)), [], 0.0
+    V = np.empty((len(derivative), 2 * len(anchors)), order="F")
+    for j, k in enumerate(anchors):  # H(delta) = H + s * diag(derivative)
+        H = factory(deltas[k]) if k == len(deltas) - 1 else None
+        gaps[k], V[:, 2 * j:2 * j + 2] = solve(deltas[k], H)
+    V, R, _ = scipy.linalg.qr(V, overwrite_a=True, mode="economic",
+                              pivoting=True)
+    V = V[:, :np.count_nonzero(abs(R.diagonal()) >= BASIS_DROP_TOL)]
+    blocks = [slice(c, c + 8) for c in range(0, V.shape[1], 8)]
+    A = np.hstack([V.T @ (H @ V[:, b]) for b in blocks])  # bounds peak memory
+    N = np.hstack([V.T @ (derivative[:, None] * V[:, b]) for b in blocks])
+    diag = H.diagonal()
+    off = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(diag)
+    for k in sorted(set(range(len(deltas))) - set(anchors)):
+        s = deltas[k] - deltas[-1]
+        theta, y = scipy.linalg.eigh(A + s * N, subset_by_index=(0, 1))
+        x = V @ y
+        gate = RESIDUAL_RTOL * np.max(np.abs(diag + s * derivative) + off)
+        ratio = float(np.linalg.norm(H @ x + s * derivative[:, None] * x
+                                     - x * theta, axis=0).max() / gate)
+        if ratio <= 1.0:
+            gaps[k], worst = theta[1] - theta[0], max(worst, ratio)
+        else:
+            fallbacks.append(k)
+    del H  # fallback solves then hold no more memory than anchor solves
+    for k in fallbacks:
+        gaps[k] = solve(deltas[k])[0]
+    return gaps, {"anchors": len(anchors), "fallbacks": len(fallbacks),
+                  "ritz_residual": worst}
 
 
 def scan_minimum_gap(factory, deltas, derivative,
                      rel_tol: float = 1e-6) -> GapReport:
-    """Minimum-gap scan of the operators ``factory(delta)`` over the grid
-    ``deltas`` (see ``minimize_gap``), plus the ground energy ``e_star`` at
-    the minimum.
+    """Minimum-gap scan of ``factory(delta)``, affine in delta with
+    ``derivative`` the diagonal of dH/d delta, over the grid ``deltas`` (see
+    ``minimize_gap``), plus ``e_star`` and the two lowest ``pair`` there.
+    Refinement points, and up to DENSE_EIG_LIMIT rows every grid point, are
+    full solves.  Above it, anchors (every ANCHOR_STRIDE-th point and both
+    ends) are solved and span V; any other grid point takes the Ritz pairs
+    of V^T H V if their residuals pass the Lanczos gate, else a full solve.
+    A level among the lowest two at ANCHOR_STRIDE or more consecutive grid
+    points is solved at an anchor; one there at fewer can be missed."""
+    points, best = {}, [math.inf, None, None]  # lowest gap: its delta, pair
 
-    Each point is one ``gap_point`` solve; ``derivative``, the diagonal of
-    dH/d delta, turns the eigenvectors that solve returns anyway into the
-    gap's slope, so a dip is refined by a root search on the slope (by
-    golden section where the slope keeps its sign).
-    """
-    ground = {}
+    def solve(d, H=None):  # H is factory(d) when it is built already
+        w, v = lowest_eigenpairs(factory(d) if H is None else H, 2,
+                                 tol=SCAN_ARPACK_TOL)
+        points[d] = _gap_of(w, v, derivative)  # (ground, gap, slope)
+        if points[d][1] < best[0]:
+            best[:] = points[d][1], d, (w, v)
+        return points[d][1], v
 
     def gap_at(d):
-        ground[d], gap, slope = gap_point(factory(d), derivative)
-        return gap, slope
+        if d not in points:
+            solve(d)
+        return points[d][1:]
 
-    report = minimize_gap(gap_at, deltas, rel_tol)
-    report.e_star = ground[report.delta_star]
+    grid, stats = (None, {}) if len(derivative) <= DENSE_EIG_LIMIT else \
+        _reduced_grid(factory, deltas, derivative, solve)
+    report = minimize_gap(gap_at, deltas, rel_tol, grid=grid)
+    report.method.update(stats)
+    report.e_star = points[report.delta_star][0]
+    if best[1] != report.delta_star:  # the lowest gap solved is elsewhere
+        best[0] = math.inf
+        solve(report.delta_star)
+    report.pair = best[2]
     return report
 
 
@@ -398,6 +458,7 @@ def min_gap_scan(graph: Graph, omega: float = 1.0, lam: float = 0.0,
 
     grid = np.linspace(delta_range[0], delta_range[1], points)
     report = scan_minimum_gap(factory, grid, -base.sizes())
+    report.operator = OperatorHandle(base.space, factory(report.delta_star))
     if report.delta_star is not None and report.delta_star != 0.0:
         report.crossing = omega / report.delta_star
     report.method.update({"omega": omega, "lam": lam, "points": points,

@@ -219,6 +219,39 @@ def test_resolvent_reports_a_boundary_scan_like_gap(tmp_path, capsys):
     assert docs["gap"]["crossing"] == pytest.approx(1 / 6, rel=1e-12)
 
 
+def test_resolvent_reuses_the_scan_operator_and_pair(tmp_path, monkeypatch):
+    # one enumeration and one Space each for the manifolds and the scan;
+    # the resolvent takes the scan's operator and full solve at delta*
+    from flatscape import bits, spectral
+
+    calls = {"enum": 0, "space": 0, "tols": set()}
+    enum, space_of = spectral.enumerate_independent_sets, bits.Space.of
+    eig = spectral.lowest_eigenpairs
+
+    def counted_enum(*args, **kwargs):
+        calls["enum"] += 1
+        return enum(*args, **kwargs)
+
+    def counted_space(cls, *args, **kwargs):
+        calls["space"] += 1
+        return space_of(*args, **kwargs)
+
+    def counted_eig(*args, **kwargs):
+        calls["tols"].add(kwargs.get("tol", 0.0))
+        return eig(*args, **kwargs)
+
+    inst, out = tmp_path / "ud.json", tmp_path / "res.json"
+    assert run_cli(["gen", "--width", "5", "--height", "4", "--filling",
+                    "0.8", "--seed", "7", "--out", str(inst)]) == 0
+    monkeypatch.setattr(spectral, "enumerate_independent_sets", counted_enum)
+    monkeypatch.setattr(bits.Space, "of", classmethod(counted_space))
+    monkeypatch.setattr(spectral, "lowest_eigenpairs", counted_eig)
+    assert run_cli(["resolvent", "--in", str(inst), "--out", str(out)]) == 0
+    assert (calls["enum"], calls["space"]) == (2, 2)
+    assert calls["tols"] == {spectral.SCAN_ARPACK_TOL}
+    assert json.loads(out.read_text())["validity"] > 0
+
+
 def test_compare_star_family_csv(tmp_path):
     out = tmp_path / "cmp.csv"
     assert run_cli(["compare", "--l", "2", "--nb", "2:3",

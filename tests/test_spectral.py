@@ -17,8 +17,9 @@ from flatscape.spectral import (build_operator, embed_state,
                                 laplacian_matrix, lowest_eigenpairs,
                                 gap_point, min_gap_scan,
                                 minimize_gap, perturbative_states,
-                                resolvent_gap, restricted_basis)
-from flatscape.star_models import SymmetricStarSpace
+                                resolvent_gap, restricted_basis,
+                                scan_minimum_gap)
+from flatscape.star_models import SymmetricStarSpace, star_gap_scan
 
 
 def test_single_vertex_operator_matrix():
@@ -582,6 +583,126 @@ def test_lanczos_scan_matches_dense_on_paths(n, monkeypatch):
         w = scipy.linalg.eigh(op.matrix.toarray(), eigvals_only=True,
                               subset_by_index=(0, 1))
         assert gap == pytest.approx(w[1] - w[0], abs=1e-10), d
+
+
+def _per_point_scan(factory, deltas, derivative):
+    """The scan with a full gap_point solve at every grid point."""
+    ground = {}
+
+    def gap_at(d):
+        ground[d], gap, slope = gap_point(factory(d), derivative)
+        return gap, slope
+
+    report = minimize_gap(gap_at, deltas, rel_tol=1e-6)
+    report.e_star = ground[report.delta_star]
+    return report
+
+
+def _assert_same_scan(got, want):
+    for key in ("gap", "delta_star", "e_star", "boundary_minimum"):
+        assert getattr(got, key) == getattr(want, key), key
+    for (d, gap), (d_want, gap_want) in zip(got.curve, want.curve):
+        assert d == d_want
+        assert gap == pytest.approx(gap_want, abs=1e-10), d
+
+
+def _hidden_level_scan(centre):
+    """(factory, grid, derivative) of a block-diagonal operator, affine in
+    delta, on 22 grid points 0.1 apart.  With x = delta - delta_c and
+    delta_c 0.03 above grid point ``centre``, the first block holds
+    +-sqrt(x^2 + g^2) (a 2x2 avoided crossing, the ground state), the lines
+    P +- kappa x and a 300-row tridiagonal background far above; the second
+    block is one level at -0.03.  That level is among the lowest two exactly
+    at grid points centre - 1 .. centre + 1, and its gap to the ground
+    state there makes the scan's only interior dip."""
+    grid = np.linspace(0.0, 2.1, 22)
+    dc, g, kappa, hidden = grid[centre] + 0.03, 0.05, 1.05, -0.03
+    peak = hidden + 1.5 * kappa * 0.1
+    n_bg = 300
+    background = scipy.sparse.diags(
+        [np.full(n_bg - 1, 0.5), np.linspace(10.0, 13.0, n_bg),
+         np.full(n_bg - 1, 0.5)], [-1, 0, 1])
+    first = scipy.sparse.block_diag([
+        np.array([[-dc, g], [g, dc]]),
+        np.diag([peak - kappa * dc, peak + kappa * dc]), background])
+    A = scipy.sparse.block_diag([first, np.array([[hidden]])]).tocsr()
+    derivative = np.concatenate(
+        [[1.0, -1.0, kappa, -kappa], np.linspace(-1.0, 0.0, n_bg), [0.0]])
+
+    def factory(d):
+        return (A + scipy.sparse.diags(d * derivative)).tocsr()
+
+    among = [k for k, d in enumerate(grid) if np.abs(scipy.linalg.eigh(
+        factory(d).toarray(), subset_by_index=(0, 1))[1][-1]).max() > 0.5]
+    assert among == [centre - 1, centre, centre + 1]
+    return factory, grid, derivative
+
+
+@pytest.mark.parametrize("centre", [10, 11, 12])
+def test_reduced_scan_finds_a_level_low_at_three_grid_points(centre):
+    # the hidden level's window starts at each offset from the anchors
+    from flatscape import spectral
+
+    factory, grid, derivative = _hidden_level_scan(centre)
+    assert len(derivative) > spectral.DENSE_EIG_LIMIT
+    report = scan_minimum_gap(factory, grid, derivative)
+    assert report.method["anchors"] == 8
+    _assert_same_scan(report, _per_point_scan(factory, grid, derivative))
+    assert not report.boundary_minimum
+    assert report.gap == pytest.approx(0.02, abs=1e-9)
+
+
+def test_reduced_scan_misses_a_level_no_anchor_solves(monkeypatch):
+    # the guarantee's limit: at a stride of 4 no anchor lands in the window
+    # 9 .. 11, and the curve there shows the first block's levels alone
+    from flatscape import spectral
+
+    monkeypatch.setattr(spectral, "ANCHOR_STRIDE", 4)
+    factory, grid, derivative = _hidden_level_scan(10)
+    report = scan_minimum_gap(factory, grid, derivative)
+    want = _per_point_scan(factory, grid, derivative)
+    assert report.method["fallbacks"] == 0
+    assert [k for k, ((_, gap), (_, gap_want))
+            in enumerate(zip(report.curve, want.curve))
+            if abs(gap - gap_want) > 1e-10] == [9, 10, 11]
+
+
+@pytest.mark.parametrize("case", ["star-3-6", "unit-disk-5x4-s7"])
+def test_reduced_scan_locates_the_per_point_minimum(case):
+    if case == "star-3-6":
+        space = SymmetricStarSpace(3, 6)
+        report = star_gap_scan(3, 6)
+
+        def factory(d):
+            return space.hamiltonian(1.0, d)
+        derivative, dim = -space.total_size, 2226
+    else:
+        graph = generate_unit_disk(5, 4, 0.8, seed=7)
+        report = min_gap_scan(graph)
+        base = build_operator(graph, 1.0, 0.0)
+
+        def factory(d):
+            return base.matrix + scipy.sparse.diags(-d * base.sizes())
+        derivative, dim = -base.sizes(), 661
+    assert report.method["dim"] == dim
+    assert report.method["anchors"] == 22
+    grid = [d for d, _ in report.curve]
+    _assert_same_scan(report, _per_point_scan(factory, grid, derivative))
+
+
+def test_min_gap_scan_solution_is_the_full_solve_at_delta_star():
+    from flatscape import spectral
+
+    graph = generate_unit_disk(5, 4, 0.8, seed=7)
+    report = min_gap_scan(graph, delta_range=(0.3, 2.0), points=24)
+    op, (w, v) = report.operator, report.pair
+    want = build_operator(graph, 1.0, report.delta_star)
+    assert op.basis == want.basis
+    assert (op.matrix != want.matrix).nnz == 0
+    e0, gap, _ = gap_point(want, -op.sizes())
+    assert (w[0], w[1] - w[0]) == (report.e_star, report.gap) == (e0, gap)
+    assert np.linalg.norm(want.matrix @ v - v * w, axis=0).max() <= \
+        spectral.RESIDUAL_RTOL * spectral.operator_norm_bound(want.matrix)
 
 
 
