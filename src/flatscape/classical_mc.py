@@ -5,7 +5,10 @@ Proposal measures are symmetric by construction: spin flips pick a uniform
 vertex, spin exchanges pick a uniform directed edge of the problem graph
 (the move fires only when its tail is occupied and its head is free), so
 p(z -> z') = p(z' -> z) and the Metropolis rule alone enforces detailed
-balance.  "Restricted" dynamics auto-reject any proposal that breaks
+balance.  The energy of a configuration z is -|z| (detuning Delta = 1:
+the cost enters the Metropolis rule only as beta * Delta, so beta alone
+sets it), plus ``penalty`` per violated edge in penalty mode.
+"Restricted" dynamics auto-reject any proposal that breaks
 independence (the infinite-penalty limit); "penalty" dynamics run on all
 2^n configurations with a finite constraint penalty.
 
@@ -16,7 +19,7 @@ its own Philox stream keyed by (seed, trial index).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import chain, islice
 
 import numpy as np
@@ -100,7 +103,6 @@ class SAConfig(_UpdateMix):
     exchange_weight: float = 0.5
     mode: str = "restricted"
     penalty: float | None = None
-    delta: float = 1.0
     seed: int = 0
     record_histogram: bool = False
     trace_stride: int = 0
@@ -128,7 +130,6 @@ class PTConfig(_UpdateMix):
     isoenergetic: bool = False
     mode: str = "restricted"
     penalty: float | None = None
-    delta: float = 1.0
     seed: int = 0
     record_histogram: bool = False
 
@@ -156,11 +157,10 @@ class MCResult:
     replica_histograms: list | None
     trace: list | None
     rng: dict
-    config: dict
 
 
 def _moves(graph: Graph, config) -> tuple:
-    """(p_flip, flips, exchanges, delta, penalty) of one chain: flips[v] is
+    """(p_flip, flips, exchanges, penalty) of one chain: flips[v] is
     (bit, neighbours) of v, exchanges[e] (tail bit, head bit, tail and head
     neighbours) of directed edge e; penalty is None in restricted mode."""
     adj = graph.adjacency()
@@ -168,7 +168,7 @@ def _moves(graph: Graph, config) -> tuple:
             [(1 << v, adj[v]) for v in range(graph.n)],
             [(1 << u, 1 << v, adj[u], adj[v])
              for u, v in graph.directed_edges()],
-            config.delta, config.penalty_for(graph))
+            config.penalty_for(graph))
 
 
 def _local_moves(moves: tuple, rep: tuple, triples, beta: float,
@@ -178,12 +178,10 @@ def _local_moves(moves: tuple, rep: tuple, triples, beta: float,
     move that leaves a valid set (no violations) of ``target`` or more
     vertices; ``triples`` then resumes with the next proposal.  Returns the
     new replica, the accepted count and the proposals made."""
-    p_flip, flips, exchanges, delta, penalty = moves
+    p_flip, flips, exchanges, penalty = moves
     n, n_ex = len(flips), len(exchanges)
     mask, size, viol = rep
-    # a restricted removal passes when r_acc < exp(-beta * delta): always
-    # at delta <= 0, as r_acc < 1
-    w_remove = 1.0 if delta <= 0 else math.exp(-beta * delta)
+    w_remove = math.exp(-beta)  # acceptance of a restricted removal
     trunc = math.trunc  # int(x) for x >= 0, at half the cost of the int call
     accepted = done = 0
     for r_move, r_pick, r_acc in triples:
@@ -193,9 +191,9 @@ def _local_moves(moves: tuple, rep: tuple, triples, beta: float,
             if penalty is not None:
                 d_viol = (near & mask).bit_count()
                 if mask & bit:
-                    d_h, d_size, d_viol = delta - penalty * d_viol, -1, -d_viol
+                    d_h, d_size, d_viol = 1.0 - penalty * d_viol, -1, -d_viol
                 else:
-                    d_h, d_size = -delta + penalty * d_viol, 1
+                    d_h, d_size = -1.0 + penalty * d_viol, 1
                 if not (d_h <= 0 or r_acc < math.exp(-beta * d_h)):
                     continue
                 viol += d_viol
@@ -232,8 +230,8 @@ def _local_moves(moves: tuple, rep: tuple, triples, beta: float,
     return (mask, size, viol), accepted, done
 
 
-def _energy(rep: tuple, delta: float, penalty: float | None) -> float:
-    e = -delta * rep[1]
+def _energy(rep: tuple, penalty: float | None) -> float:
+    e = -float(rep[1])
     if penalty is not None:
         e += penalty * rep[2]
     return e
@@ -292,7 +290,7 @@ def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
                 histogram[rep[0]] = histogram.get(rep[0], 0) + 1
             if trace is not None and not offset and \
                     sweep % config.trace_stride == 0:
-                trace.append((sweep, _energy(rep, *moves[3:])))
+                trace.append((sweep, _energy(rep, moves[3])))
         acceptance[beta] = accepted / max(proposals - rung_start, 1)
         if stopped:
             break
@@ -302,17 +300,11 @@ def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
                     sweeps=(proposals - stopped) // n,
                     acceptance=acceptance, histogram=histogram,
                     replica_histograms=None, trace=trace,
-                    rng={"generator": "philox", "key": [config.seed, trial]},
-                    config=asdict(config))
-
-
-def _clusters(mask_i: int, mask_j: int, adj: list[int]) -> list[int]:
-    """Connected components of the symmetric-difference subgraph."""
-    return components(mask_i ^ mask_j, adj)
+                    rng={"generator": "philox", "key": [config.seed, trial]})
 
 
 def _cluster_swap(graph: Graph, rep_i: tuple, rep_j: tuple, cluster: int,
-                  delta: float, penalty: float | None) -> tuple:
+                  penalty: float | None) -> tuple:
     """Both replicas after swapping ``cluster`` between them, and the energy
     change of the first.  The pair's total energy is conserved, penalties
     included: every edge leaving a cluster ends where the two masks agree."""
@@ -320,11 +312,10 @@ def _cluster_swap(graph: Graph, rep_i: tuple, rep_j: tuple, cluster: int,
     di, dj = popcount(mi & cluster), popcount(mj & cluster)
     mi, mj = (mi & ~cluster) | (mj & cluster), (mj & ~cluster) | (mi & cluster)
     if penalty is None:  # independent sets stay independent
-        return (mi, si + dj - di, 0), (mj, sj + di - dj, 0), -delta * (dj - di)
+        return (mi, si + dj - di, 0), (mj, sj + di - dj, 0), float(di - dj)
     new_i = (mi, si + dj - di, violation_count(graph, mi))
     new_j = (mj, sj + di - dj, violation_count(graph, mj))
-    return new_i, new_j, (_energy(new_i, delta, penalty)
-                          - _energy(rep_i, delta, penalty))
+    return new_i, new_j, _energy(new_i, penalty) - _energy(rep_i, penalty)
 
 
 def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None,
@@ -335,7 +326,7 @@ def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None,
     each replica's sweep."""
     alpha = _resolve_alpha(graph, alpha)
     moves = _moves(graph, config)
-    delta, penalty = moves[3:]
+    penalty = moves[3]
     betas = config.betas
     m_rep = config.replicas
     reps = [(0, 0, 0)] * m_rep
@@ -370,8 +361,8 @@ def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None,
             for i in range(m_rep - 1):
                 swap_attempts += 1
                 bi, bj = betas[i], betas[i + 1]
-                ei = _energy(reps[i], delta, penalty)
-                ej = _energy(reps[i + 1], delta, penalty)
+                ei = _energy(reps[i], penalty)
+                ej = _energy(reps[i + 1], penalty)
                 log_acc = (bi - bj) * (ei - ej)
                 if log_acc >= 0 or draw() < math.exp(log_acc):
                     swap_accepts += 1
@@ -379,12 +370,11 @@ def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None,
             if config.isoenergetic and m_rep >= 2:
                 iso_attempts += 1
                 pair = int(draw() * (m_rep - 1))
-                comps = _clusters(reps[pair][0], reps[pair + 1][0], adj)
+                comps = components(reps[pair][0] ^ reps[pair + 1][0], adj)
                 if comps:
                     cluster = comps[int(draw() * len(comps))]
                     new_i, new_j, d_h_i = _cluster_swap(
-                        graph, reps[pair], reps[pair + 1], cluster, delta,
-                        penalty)
+                        graph, reps[pair], reps[pair + 1], cluster, penalty)
                     log_acc = -(betas[pair] - betas[pair + 1]) * d_h_i
                     if log_acc >= 0 or draw() < math.exp(log_acc):
                         iso_accepts += 1
@@ -398,8 +388,7 @@ def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None,
                     first_hit_sweep=first_hit, sweeps=config.sweeps,
                     acceptance=acceptance, histogram=None,
                     replica_histograms=histograms, trace=None,
-                    rng={"generator": "philox", "key": [config.seed, trial]},
-                    config=asdict(config))
+                    rng={"generator": "philox", "key": [config.seed, trial]})
 
 
 def _metropolis(beta: float, d_e: np.ndarray) -> np.ndarray:
@@ -424,7 +413,7 @@ def transition_matrix(graph: Graph, beta: float, config: SAConfig,
             else list(range(1 << graph.n))
     space = Space.of(graph, basis)
     p_flip, p_ex = config.weights()
-    energy = -config.delta * space.sizes
+    energy = -space.sizes.astype(float)
     if config.mode == "penalty":
         energy = energy + (config.penalty_for(graph)
                            * violation_count(graph, space.masks))
@@ -464,10 +453,15 @@ def estimate_tts(graph: Graph, config: SAConfig, p_target: float = 0.75,
     Philox stream (config.seed, t); the bootstrap resamples on
     (config.seed, BOOTSTRAP_STREAM).
     """
-    alpha = _resolve_alpha(graph, alpha)
     if sweep_grid is None:
         sweep_grid = [2 ** k for k in range(3, 12)]
     sweep_grid = sorted(sweep_grid)
+    if not sweep_grid:
+        raise ValueError("TTS needs at least one sweep budget; the grid is "
+                         "empty")
+    if trials < 1:
+        raise ValueError(f"TTS needs at least 1 trial, got {trials}")
+    alpha = _resolve_alpha(graph, alpha)
     horizon = sweep_grid[-1]
     n_rungs = max(len(config.betas), 1)
     per_rung = max(horizon // n_rungs + 1, 1)

@@ -254,6 +254,8 @@ def _cmd_pt(args, run: _Run) -> int:
 def _run_trials(args, run: _Run, kind: str, run_trial) -> int:
     """Run trials 0 .. args.trials - 1 (trial t samples the Philox stream
     (seed, t)) and write the summary document and the per-trial CSV."""
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     results = [run_trial(t) for t in range(args.trials)]
     doc = {
         "version": 1, "kind": kind, "trials": args.trials,
@@ -519,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=16)
     p.add_argument("--tts", action="store_true")
     p.add_argument("--p-target", type=float, default=0.75)
-    p.add_argument("--tts-max-exp", type=int, default=11)
+    p.add_argument("--tts-max-exp", type=int, default=11,
+                   help="TTS budgets are 4, 8, ..., 2^k sweeps for k >= 2")
     p.add_argument("--csv", default=None, help="per-trial CSV path")
     p.set_defaults(func=_cmd_sa)
 

@@ -15,7 +15,7 @@ throughout because products of 2M factors underflow quickly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -42,10 +42,8 @@ class QMCConfig:
     matrices (heat bath, acceptance one).  The heat-bath pass is what turns
     kink pairs over at large M; Metropolis site/segment flips alone leave
     the kink number frozen for thousands of sweeps.  A sweep is
-    slices * n site attempts, ceil(segment_factor * n) segment attempts,
-    then one heat-bath pass over the vertices when enabled.
-    ``site_weight``/``segment_weight`` set the one-update mixture used by
-    the exact transition-matrix construction.
+    slices * n site attempts, n segment attempts, then one heat-bath pass
+    over the vertices.
     """
 
     beta: float = 1.0
@@ -55,24 +53,11 @@ class QMCConfig:
     lam: float = 0.0
     sweeps: int = 10_000
     seed: int = 0
-    segment_factor: float = 1.0
-    heat_bath_lines: bool = True
-    site_weight: float = 0.5
-    segment_weight: float = 0.5
     burn_in: int = 0
 
     def __post_init__(self):
         if self.slices < 2:
             raise ConfigError("need at least 2 Trotter slices")
-        if self.segment_factor < 0:
-            raise ConfigError("segment_factor must be non-negative")
-        if self.site_weight < 0 or self.segment_weight < 0 or \
-                self.site_weight + self.segment_weight <= 0:
-            raise ConfigError("update mix has zero total weight")
-
-    def weights(self) -> tuple[float, float]:
-        total = self.site_weight + self.segment_weight
-        return self.site_weight / total, self.segment_weight / total
 
 
 @dataclass
@@ -81,10 +66,7 @@ class QMCResult:
     # each slice's marginal estimates the same Gibbs diagonal as slice 1
     marginal: dict
     acceptance: dict
-    sweeps: int
-    slices: int
     rng: dict
-    config: dict
 
     def marginal_probs(self) -> dict:
         total = sum(self.marginal.values())
@@ -105,8 +87,6 @@ class WorldlineEngine:
     """
 
     def __init__(self, graph: Graph, config: QMCConfig):
-        self.graph = graph
-        self.config = config
         op = build_operator(graph, config.omega, config.delta, config.lam)
         if op.dim > DENSE_WORLDLINE_LIMIT:
             raise CapacityError(
@@ -274,8 +254,8 @@ def _segment_delta(state, flipped_slots, proposal, log_bond, log_diag, m):
 def qmc_run(graph: Graph, config: QMCConfig) -> QMCResult:
     """Sample worldlines with one-vertex segment flips.
 
-    A sweep makes slices * n single-slice attempts followed by
-    ceil(segment_factor * n) random-length segment attempts.  Every slice is
+    A sweep makes slices * n single-slice attempts, n random-length segment
+    attempts, then one heat-bath pass over the vertices.  Every slice is
     tallied once per sweep after burn-in: by the cyclic invariance of the
     worldline weight each slice's marginal estimates the same Gibbs diagonal
     as slice 1.
@@ -294,9 +274,7 @@ def qmc_run(graph: Graph, config: QMCConfig) -> QMCResult:
     pairs = zip(it, it)  # (slice, vertex) draws; accept draws read between
     draw = it.__next__
     visits = [0] * len(engine.basis)
-    site_acc = seg_acc = seg_att = 0
-    site_att = config.sweeps * m * n
-    segment_attempts = math.ceil(config.segment_factor * n)
+    site_acc = seg_acc = 0
     for sweep in range(config.sweeps):
         for r_s, r_v in islice(pairs, m * n):
             s = trunc(r_s * m)
@@ -314,8 +292,7 @@ def qmc_run(graph: Graph, config: QMCConfig) -> QMCResult:
             if d_log >= 0 or draw() < exp(d_log):
                 state[s] = new
                 site_acc += 1
-        for _ in range(segment_attempts):
-            seg_att += 1
+        for _ in range(n):
             v = trunc(draw() * n)
             start = trunc(draw() * m)
             length = 1 + trunc(draw() * m)
@@ -336,20 +313,17 @@ def qmc_run(graph: Graph, config: QMCConfig) -> QMCResult:
                 for s, j in proposal.items():
                     state[s] = j
                 seg_acc += 1
-        if config.heat_bath_lines:
-            for v in range(n):
-                state = resample_vertex_line(engine, state, v, u01)
+        for v in range(n):
+            state = resample_vertex_line(engine, state, v, u01)
         if sweep >= config.burn_in:
             for s in state:
                 visits[s] += 1
     marginal = {z: c for z, c in zip(engine.basis, visits) if c}
     return QMCResult(
         marginal=marginal,
-        acceptance={"site": site_acc / max(site_att, 1),
-                    "segment": seg_acc / max(seg_att, 1)},
-        sweeps=config.sweeps, slices=m,
-        rng={"generator": "philox", "key": [config.seed, 0]},
-        config=asdict(config))
+        acceptance={"site": site_acc / max(config.sweeps * m * n, 1),
+                    "segment": seg_acc / max(config.sweeps * n, 1)},
+        rng={"generator": "philox", "key": [config.seed, 0]})
 
 
 def trotter_error_proxy(graph: Graph, config: QMCConfig) -> float:
@@ -370,9 +344,11 @@ def trotter_error_proxy(graph: Graph, config: QMCConfig) -> float:
     return float(0.5 * np.abs(a - b).sum())
 
 
-def worldline_transition_matrix(graph: Graph, config: QMCConfig):
-    """Exact transition matrix of the mixture update kernel over all
-    worldlines; exhaustive, so only for tiny (n, M)."""
+def worldline_transition_matrix(graph: Graph, config: QMCConfig,
+                                p_site: float = 0.5):
+    """Exact transition matrix over all worldlines of the one-update kernel
+    that makes a site flip with probability ``p_site`` and a segment flip
+    otherwise; exhaustive, so only for tiny (n, M)."""
     engine = WorldlineEngine(graph, config)
     dim = len(engine.basis)
     m = config.slices
@@ -384,7 +360,7 @@ def worldline_transition_matrix(graph: Graph, config: QMCConfig):
     states = [tuple(s) for s in product(range(dim), repeat=m)]
     index = {s: k for k, s in enumerate(states)}
     logw = np.array([engine.log_weight(list(s)) for s in states])
-    p_site, p_seg = config.weights()
+    p_seg = 1.0 - p_site
     P = np.zeros((len(states), len(states)))
     for k, s in enumerate(states):
         for slot in range(m):

@@ -43,6 +43,8 @@ SCAN_ARPACK_TOL = 1e-10
 # scan anchors above DENSE_EIG_LIMIT, and their basis's pivoted-QR drop level
 ANCHOR_STRIDE = 3
 BASIS_DROP_TOL = 1e-12
+# scan_minimum_gap refines delta* to this relative resolution
+SCAN_REL_TOL = 1e-6
 # manifolds alpha-1 .. alpha-4 compete as the crossing partner
 CROSSING_CANDIDATES = 4
 # the resolvent factors z0 - QHQ up to this many rows and runs MINRES, to
@@ -292,6 +294,18 @@ def _brent_root(fn, a, b, fa, fb, xtol):
         fb = fn(b)
 
 
+def _scan_grid(deltas) -> np.ndarray:
+    """``deltas`` as a float array of at least 3 strictly increasing
+    points, checked before any point is solved."""
+    deltas = np.asarray(list(deltas), dtype=float)
+    if len(deltas) < 3:
+        raise ValueError("scan grid needs at least 3 points")
+    if not (np.diff(deltas) > 0).all():
+        raise ValueError("scan grid must be strictly increasing, got "
+                         f"{deltas[0]:g} .. {deltas[-1]:g}")
+    return deltas
+
+
 def minimize_gap(gap_at, deltas, rel_tol: float, grid=None) -> GapReport:
     """Minimum of ``gap_at(delta)`` over a coarse grid, refined around every
     interior local minimum.
@@ -310,9 +324,7 @@ def minimize_gap(gap_at, deltas, rel_tol: float, grid=None) -> GapReport:
     ``boundary_minimum`` and, in ``method``, the evaluations (grid, refine)
     and the refinement of each dip.
     """
-    deltas = np.asarray(list(deltas), dtype=float)
-    if len(deltas) < 3:
-        raise ValueError("scan grid needs at least 3 points")
+    deltas = _scan_grid(deltas)
     seen = {}
 
     def evaluate(d):
@@ -408,8 +420,7 @@ def _reduced_grid(factory, deltas: np.ndarray, derivative, solve):
                   "ritz_residual": worst}
 
 
-def scan_minimum_gap(factory, deltas, derivative,
-                     rel_tol: float = 1e-6) -> GapReport:
+def scan_minimum_gap(factory, deltas, derivative) -> GapReport:
     """Minimum-gap scan of ``factory(delta)``, affine in delta with
     ``derivative`` the diagonal of dH/d delta, over the grid ``deltas`` (see
     ``minimize_gap``), plus ``e_star`` and the two lowest ``pair`` there.
@@ -419,6 +430,7 @@ def scan_minimum_gap(factory, deltas, derivative,
     of V^T H V if their residuals pass the Lanczos gate, else a full solve.
     A level among the lowest two at ANCHOR_STRIDE or more consecutive grid
     points is solved at an anchor; one there at fewer can be missed."""
+    deltas = _scan_grid(deltas)
     points, best = {}, [math.inf, None, None]  # lowest gap: its delta, pair
 
     def solve(d, H=None):  # H is factory(d) when it is built already
@@ -436,7 +448,7 @@ def scan_minimum_gap(factory, deltas, derivative,
 
     grid, stats = (None, {}) if len(derivative) <= DENSE_EIG_LIMIT else \
         _reduced_grid(factory, deltas, derivative, solve)
-    report = minimize_gap(gap_at, deltas, rel_tol, grid=grid)
+    report = minimize_gap(gap_at, deltas, SCAN_REL_TOL, grid=grid)
     report.method.update(stats)
     report.e_star = points[report.delta_star][0]
     if best[1] != report.delta_star:  # the lowest gap solved is elsewhere

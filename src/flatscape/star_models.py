@@ -394,8 +394,11 @@ def star_gap_scan(n_b: int, ell: int, omega: float = 1.0, lam: float = 0.0,
     span[1] * c + 0.8, where c = 1 / crossing is the predicted crossing
     detuning (sqrt(n_b) when no finite crossing is predicted).  Since
     H(omega, delta) = omega * H(1, delta / omega), other drives scan that
-    grid scaled by omega.
+    grid scaled by omega, so omega must be positive.
     """
+    if not omega > 0:
+        raise ValueError(f"star scans need a positive drive, got omega "
+                         f"{omega:g}")
     space = SymmetricStarSpace(n_b, ell)
     try:
         centre = 1.0 / star_level_crossing(n_b, ell).crossing

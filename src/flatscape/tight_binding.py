@@ -112,12 +112,12 @@ class ChainDiagnostics:
         }
 
 
-def locate_resonance(chain: ChainModel, delta_hi: float | None = None,
-                     tol: float = 1e-12) -> float | None:
+def locate_resonance(chain: ChainModel,
+                     delta_hi: float | None = None) -> float | None:
     """Detuning where the bulk ground level crosses the last site's energy:
     the root of E0_bulk(delta) + delta*alpha, bracketed on [0, hi] by
     doubling hi from ``delta_hi`` (or 1), then found by Brent's search to
-    tol * max(1, hi).  None when no bracket exists."""
+    1e-12 * max(1, hi).  None when no bracket exists."""
     alpha = chain.alpha
 
     def mismatch(d):
@@ -134,12 +134,13 @@ def locate_resonance(chain: ChainModel, delta_hi: float | None = None,
         hi *= 2.0
     else:
         return None
-    return _brent_root(mismatch, 0.0, hi, f_lo, f_hi, tol * max(1.0, hi))
+    return _brent_root(mismatch, 0.0, hi, f_lo, f_hi, 1e-12 * max(1.0, hi))
 
 
 def chain_gap_profile(chain: ChainModel, delta_range: tuple[float, float],
-                      points: int = 128, rel_tol: float = 1e-9) -> ChainDiagnostics:
-    """Gap-vs-detuning curve, refined minimum, resonance and its coupling."""
+                      points: int = 128) -> ChainDiagnostics:
+    """Gap-vs-detuning curve, minimum refined to 1e-9 relative, resonance
+    and its coupling."""
     if chain.alpha < 2:
         raise ConfigError("chain too short for a resonance analysis")
 
@@ -147,7 +148,7 @@ def chain_gap_profile(chain: ChainModel, delta_range: tuple[float, float],
         w = chain.eigenvalues(d, count=2)
         return float(w[1] - w[0])
 
-    scan = minimize_gap(gap_at, np.linspace(*delta_range, points), rel_tol)
+    scan = minimize_gap(gap_at, np.linspace(*delta_range, points), 1e-9)
     out = ChainDiagnostics(curve=scan.curve, min_gap=scan.gap,
                            min_gap_delta=scan.delta_star,
                            boundary=scan.boundary_minimum)
@@ -161,14 +162,13 @@ def chain_gap_profile(chain: ChainModel, delta_range: tuple[float, float],
     return out
 
 
-def bulk_diagnostics(chain: ChainModel, deltas=None,
-                     fit_downweight: float = 0.1) -> ChainDiagnostics:
+def bulk_diagnostics(chain: ChainModel, deltas=None) -> ChainDiagnostics:
     """Continuum-limit diagnostics of the bulk chain.
 
     u1 integrates t(x)^(-1/2) over x = b/alpha by the trapezoid rule on the
     normalized couplings t_b/alpha; the fundamental lower bound on the bulk
     gap is 3*pi^2/(alpha*u1)^2.  The couplings are fit to A*sqrt(x)(1-x)^c
-    with the last two bulk points downweighted.
+    with the last two bulk points weighted 0.1.
     """
     alpha = chain.alpha
     if alpha < 4:
@@ -187,7 +187,7 @@ def bulk_diagnostics(chain: ChainModel, deltas=None,
     y = np.log(tb / np.sqrt(xb))
     X = np.log(1.0 - xb)
     w = np.ones_like(xb)
-    w[-2:] = fit_downweight
+    w[-2:] = 0.1
     A = np.vstack([np.ones_like(X), X]).T * w[:, None]
     coef, *_ = np.linalg.lstsq(A, y * w, rcond=None)
     out.fit_amplitude = float(math.exp(coef[0]))
@@ -229,12 +229,11 @@ class Schedule:
         }
 
 
-def synthesize_schedule(diag: ChainDiagnostics, delta_range: tuple[float, float],
-                        window_factor: float = 1.0,
-                        rate_factor: float = SCHEDULE_RATE_FACTOR) -> Schedule:
+def synthesize_schedule(diag: ChainDiagnostics,
+                        delta_range: tuple[float, float]) -> Schedule:
     """Piecewise-linear detuning sweep that slows to |d delta/dt| =
-    rate_factor * gap^2 inside a window of width window_factor * gap around
-    the resonance; total duration scales as 1/gap up to the bookkeeping of
+    SCHEDULE_RATE_FACTOR * gap^2 inside a window of width gap around the
+    resonance; total duration scales as 1/gap up to the bookkeeping of
     the fast segments."""
     if diag.delta_star is None or diag.min_gap is None or diag.boundary:
         raise ConfigError("cannot synthesize a schedule without a resolved "
@@ -242,16 +241,15 @@ def synthesize_schedule(diag: ChainDiagnostics, delta_range: tuple[float, float]
     lo, hi = delta_range
     gap = diag.min_gap
     centre = diag.delta_star
-    window = window_factor * gap
-    w_lo = max(lo, centre - window / 2.0)
-    w_hi = min(hi, centre + window / 2.0)
+    w_lo = max(lo, centre - gap / 2.0)
+    w_hi = min(hi, centre + gap / 2.0)
     if not lo < centre < hi:
         raise ConfigError("resonance lies outside the requested sweep range")
     # fast-rate reference: the typical (off-resonant) gap along the curve
     gaps = [g for _, g in diag.curve] or [gap]
     reference = float(np.median(gaps))
-    fast_rate = rate_factor * reference ** 2
-    slow_rate = rate_factor * gap ** 2
+    fast_rate = SCHEDULE_RATE_FACTOR * reference ** 2
+    slow_rate = SCHEDULE_RATE_FACTOR * gap ** 2
     segments = []
     if w_lo > lo:
         segments.append(ScheduleSegment((w_lo - lo) / fast_rate, lo, w_lo))
@@ -259,5 +257,5 @@ def synthesize_schedule(diag: ChainDiagnostics, delta_range: tuple[float, float]
     if hi > w_hi:
         segments.append(ScheduleSegment((hi - w_hi) / fast_rate, w_hi, hi))
     total = sum(s.duration for s in segments)
-    return Schedule(segments=tuple(segments), delta_star=centre, window=window,
-                    rate_factor=rate_factor, total_duration=total)
+    return Schedule(segments=tuple(segments), delta_star=centre, window=gap,
+                    rate_factor=SCHEDULE_RATE_FACTOR, total_duration=total)

@@ -324,7 +324,7 @@ def _p_flip(config):
 
 def scalar_sa_run(graph, config, alpha, stop_at_hit=False, trial=0):
     p_flip = _p_flip(config)
-    chain = ScalarChain(graph, config.mode, config.penalty, config.delta)
+    chain = ScalarChain(graph, config.mode, config.penalty, 1.0)
     u01 = ScalarUniforms(config.seed, trial)
     n = max(graph.n, 1)
     histogram = {} if config.record_histogram else None
@@ -370,7 +370,7 @@ def scalar_sa_run(graph, config, alpha, stop_at_hit=False, trial=0):
 def scalar_pt_run(graph, config, alpha, trial=0):
     p_flip = _p_flip(config)
     m_rep = len(config.betas)
-    chains = [ScalarChain(graph, config.mode, config.penalty, config.delta)
+    chains = [ScalarChain(graph, config.mode, config.penalty, 1.0)
               for _ in range(m_rep)]
     u01 = ScalarUniforms(config.seed, trial)
     n = max(graph.n, 1)
@@ -565,7 +565,6 @@ def scalar_qmc_run(graph, config):
     draw = iter(u01).__next__
     marginal = {}
     site_acc = site_att = seg_acc = seg_att = 0
-    segment_attempts = math.ceil(config.segment_factor * n)
     for sweep in range(config.sweeps):
         for _ in range(m * n):
             site_att += 1
@@ -584,7 +583,7 @@ def scalar_qmc_run(graph, config):
             if d_log >= 0 or draw() < math.exp(d_log):
                 state[s] = new
                 site_acc += 1
-        for _ in range(segment_attempts):
+        for _ in range(n):
             seg_att += 1
             v = int(draw() * n)
             start = int(draw() * m)
@@ -606,9 +605,8 @@ def scalar_qmc_run(graph, config):
                 for s, j in proposal.items():
                     state[s] = j
                 seg_acc += 1
-        if config.heat_bath_lines:
-            for v in range(n):
-                state = _scalar_resample_vertex_line(engine, state, v, u01)
+        for v in range(n):
+            state = _scalar_resample_vertex_line(engine, state, v, u01)
         if sweep >= config.burn_in:
             for s in state:
                 z = engine.basis[s]

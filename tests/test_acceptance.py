@@ -160,9 +160,8 @@ def test_c04_detailed_balance():
     qmc_cases = [(generate_star(1, 2), 3, 0.7), (Graph(n=2, edges=((0, 1),)), 4, 0.0),
                  (Graph(n=4, edges=((0, 1), (1, 2), (2, 3))), 3, 0.5)]
     for g, slices, lam in qmc_cases:
-        config = QMCConfig(beta=1.3, slices=slices, omega=0.6, lam=lam,
-                           site_weight=0.6, segment_weight=0.4)
-        P, pi, _ = worldline_transition_matrix(g, config)
+        config = QMCConfig(beta=1.3, slices=slices, omega=0.6, lam=lam)
+        P, pi, _ = worldline_transition_matrix(g, config, p_site=0.6)
         flow = pi[:, None] * P
         worst = max(worst, float(np.abs(flow - flow.T).max()))
     check("C4", "detailed balance of constructed SA and QMC kernels",

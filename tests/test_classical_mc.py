@@ -9,6 +9,7 @@ from flatscape import classical_mc
 from oracles import (brute_counts, gibbs_distribution, scalar_pt_run,
                      scalar_sa_run, total_variation)
 
+from flatscape.bits import components
 from flatscape.classical_mc import (RNG_CHUNK, MCResult, PTConfig, SAConfig,
                                     _stream, _Uniforms, estimate_tts,
                                     geometric_betas, pt_run, sa_run,
@@ -193,13 +194,12 @@ def test_equal_beta_replica_exchange_always_accepts(star22):
 
 
 def test_isoenergetic_noop_for_identical_replicas():
-    from flatscape.classical_mc import _clusters
     g = generate_star(2, 2)
     adj = g.adjacency()
-    assert _clusters(0b10101, 0b10101, adj) == []
+    assert components(0b10101 ^ 0b10101, adj) == []
     # symmetric-difference clusters swap occupancy between replicas and
     # conserve the pair's total occupation
-    comps = _clusters(0b00110, 0b01001, adj)
+    comps = components(0b00110 ^ 0b01001, adj)
     total = sum(bin(c).count("1") for c in comps)
     assert total == bin(0b00110 ^ 0b01001).count("1")
 
@@ -207,7 +207,6 @@ def test_isoenergetic_noop_for_identical_replicas():
 def test_isoenergetic_cluster_swap_conserves_energy_exhaustive(star22):
     # every cluster swap between independent sets keeps both replicas
     # independent and conserves the total occupation
-    from flatscape.classical_mc import _clusters
     from oracles import brute_independent_sets
 
     adj = star22.adjacency()
@@ -216,7 +215,7 @@ def test_isoenergetic_cluster_swap_conserves_energy_exhaustive(star22):
     pairs = rng.integers(0, len(sets), size=(200, 2))
     for a_idx, b_idx in pairs:
         zi, zj = sets[a_idx], sets[b_idx]
-        for cluster in _clusters(zi, zj, adj):
+        for cluster in components(zi ^ zj, adj):
             ni = (zi & ~cluster) | (zj & cluster)
             nj = (zj & ~cluster) | (zi & cluster)
             assert bin(ni).count("1") + bin(nj).count("1") == \
@@ -231,18 +230,18 @@ def test_isoenergetic_kernel_exact_penalty(star22):
     """The penalty-mode cluster move, as a kernel on all 2^5 x 2^5 replica
     pairs of star(2,2), leaves pi_bi x pi_bj stationary in detailed
     balance, and each replica's violation count is its new mask's."""
-    from flatscape.classical_mc import _cluster_swap, _clusters, _moves
+    from flatscape.classical_mc import _cluster_swap, _moves
     from flatscape.spectral import violation_count
 
     bi, bj = 0.5, 2.0
     config = PTConfig(betas=(bi, bj), isoenergetic=True, mode="penalty",
                       penalty=1.0)
-    delta, penalty = _moves(star22, config)[3:]
+    penalty = _moves(star22, config)[3]
     adj = star22.adjacency()
     states = 1 << star22.n
     reps = [(m, bin(m).count("1"), violation_count(star22, m))
             for m in range(states)]
-    energy = np.array([-delta * s + penalty * v for _, s, v in reps])
+    energy = np.array([-s + penalty * v for _, s, v in reps])
 
     def gibbs(beta):
         w = np.exp(-beta * (energy - energy.min()))
@@ -254,10 +253,10 @@ def test_isoenergetic_kernel_exact_penalty(star22):
     for x in range(states):
         for y in range(states):
             row = x * states + y
-            comps = _clusters(x, y, adj)
+            comps = components(x ^ y, adj)
             for cluster in comps:
                 new_i, new_j, d_h = _cluster_swap(star22, reps[x], reps[y],
-                                                  cluster, delta, penalty)
+                                                  cluster, penalty)
                 stale += [r for r in (new_i, new_j) if r != reps[r[0]]]
                 accept = min(1.0, math.exp(-(bi - bj) * d_h))
                 K[row, new_i[0] * states + new_j[0]] += accept / len(comps)

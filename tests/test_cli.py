@@ -200,6 +200,32 @@ def test_bound_error_target_outside_its_range_exit_code(tmp_path, capsys,
     assert manifest["status"] == 2
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (["gap", "--delta-range", "6.0:0.2"], "strictly increasing"),
+    (["gap", "--delta-range", "3:3"], "strictly increasing"),
+    (["chain", "--delta-range", "8:0.05"], "strictly increasing"),
+    (["gap", "--nb", "3", "--omega", "-1"], "positive drive"),
+    (["gap", "--nb", "3", "--omega", "0"], "positive drive"),
+    (["sa", "--tts", "--tts-max-exp", "1"], "at least one sweep budget"),
+    (["sa", "--tts", "--trials", "0"], "at least 1 trial"),
+    (["sa", "--trials", "0"], "at least 1"),
+    (["pt", "--trials", "0"], "at least 1"),
+])
+def test_inputs_outside_their_range_exit_code(tmp_path, capsys, argv, limit):
+    # a reversed or empty scan range, a non-positive star drive, an empty
+    # TTS budget grid and zero trials are usage errors that name the limit
+    # and leave a manifest, not an unrefined answer or a traceback
+    inst = tmp_path / "i.json"
+    inst.write_text(serialize(generate_star(3, 2)))
+    out = tmp_path / "r.json"
+    assert run_cli(argv + ["--in", str(inst), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[usage]" in err and limit in err
+    assert not out.exists()
+    manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    assert manifest["status"] == 2
+
+
 def test_resolvent_reports_a_boundary_scan_like_gap(tmp_path, capsys):
     # the 4x3 disk's default scan has no interior dip: it ends at delta =
     # 6, crossing 1/6, and resolvent says so in its document and on stderr

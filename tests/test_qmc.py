@@ -18,10 +18,6 @@ from flatscape.spectral import lowest_eigenpairs, restricted_basis
 def test_config_validation():
     with pytest.raises(ConfigError):
         QMCConfig(slices=1)
-    with pytest.raises(ConfigError):
-        QMCConfig(site_weight=0.0, segment_weight=0.0)
-    with pytest.raises(ConfigError):
-        QMCConfig(segment_factor=-1.0)
 
 
 def test_no_sign_problem_bond_matrix(star22):
@@ -48,9 +44,8 @@ def test_detailed_balance_exhaustive_small_worldlines():
     # path on 3 vertices, M = 3 slices: every worldline pair checked
     g = generate_star(1, 2)
     for lam in (0.0, 0.7):
-        config = QMCConfig(beta=1.2, slices=3, omega=0.6, lam=lam,
-                           site_weight=0.7, segment_weight=0.3)
-        P, pi, states = worldline_transition_matrix(g, config)
+        config = QMCConfig(beta=1.2, slices=3, omega=0.6, lam=lam)
+        P, pi, states = worldline_transition_matrix(g, config, p_site=0.7)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
         flow = pi[:, None] * P
         assert np.abs(flow - flow.T).max() <= 1e-12
@@ -58,9 +53,8 @@ def test_detailed_balance_exhaustive_small_worldlines():
 
 def test_detailed_balance_two_vertices_m4():
     g = Graph(n=2, edges=((0, 1),))
-    config = QMCConfig(beta=2.0, slices=4, omega=0.8, site_weight=0.5,
-                       segment_weight=0.5)
-    P, pi, states = worldline_transition_matrix(g, config)
+    config = QMCConfig(beta=2.0, slices=4, omega=0.8)
+    P, pi, states = worldline_transition_matrix(g, config, p_site=0.5)
     flow = pi[:, None] * P
     assert np.abs(flow - flow.T).max() <= 1e-12
 

@@ -176,8 +176,7 @@ def test_min_gap_within_factor_three_of_smallest_hop():
 def test_schedule_slowdown_scaling():
     chain = ChainModel(alpha=2, hops=(1.0, 1e-3), omega=1.0)
     diag = chain_gap_profile(chain, (0.05, 3.0), points=256)
-    sched = synthesize_schedule(diag, (0.05, 3.0), window_factor=1.0,
-                                rate_factor=0.1)
+    sched = synthesize_schedule(diag, (0.05, 3.0))
     slow = [s for s in sched.segments
             if abs((s.delta_start + s.delta_end) / 2 - diag.delta_star)
             < diag.min_gap]
