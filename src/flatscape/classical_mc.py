@@ -461,6 +461,9 @@ def estimate_tts(graph: Graph, config: SAConfig, p_target: float = 0.75,
                          "empty")
     if trials < 1:
         raise ValueError(f"TTS needs at least 1 trial, got {trials}")
+    if not 0 < p_target < 1:
+        raise ValueError(f"TTS needs a target probability in (0, 1), got "
+                         f"{p_target:g}")
     alpha = _resolve_alpha(graph, alpha)
     horizon = sweep_grid[-1]
     n_rungs = max(len(config.betas), 1)

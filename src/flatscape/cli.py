@@ -277,15 +277,15 @@ def _run_trials(args, run: _Run, kind: str, run_trial) -> int:
 
 def _cmd_qmc(args, run: _Run) -> int:
     graph = _load_graph(run, args.inp)
-    config = QMCConfig(beta=args.beta, slices=args.slices, omega=args.omega,
-                       delta=args.delta, lam=args.lam, sweeps=args.sweeps,
-                       seed=args.seed, burn_in=args.burn_in)
     if args.bound_inputs:
         report = qmc_bound_inputs(graph, omega=args.omega, delta=args.delta,
                                   lam=args.lam, beta=args.beta, k=args.k,
                                   eps=args.eps)
         run.write(args.out, _canonical_json(report.to_document()))
         return 0
+    config = QMCConfig(beta=args.beta, slices=args.slices, omega=args.omega,
+                       delta=args.delta, lam=args.lam, sweeps=args.sweeps,
+                       seed=args.seed, burn_in=args.burn_in)
     result = qmc_run(graph, config)
     doc = {
         "version": 1, "kind": "qmc_run",

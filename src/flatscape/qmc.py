@@ -58,6 +58,9 @@ class QMCConfig:
     def __post_init__(self):
         if self.slices < 2:
             raise ConfigError("need at least 2 Trotter slices")
+        if not 0 <= self.burn_in < self.sweeps:
+            raise ConfigError(f"burn-in must satisfy 0 <= burn-in < sweeps, "
+                              f"got {self.burn_in} of {self.sweeps} sweeps")
 
 
 @dataclass

@@ -140,13 +140,19 @@ def _built_once(method):
 class SymmetricStarSpace:
     """Star-graph operators in the branch-permutation-symmetric sector.
 
-    Basis states are (sector, multiset-of-branch-states): sector A has the
-    centre absent, sector B present (every branch then avoids its first
-    vertex).  One-branch operators T act bosonically,
-    <m - e_b + e_a| sum_i T_i |m> = T_ab * sqrt(m_b (m_a + 1)).
-    The ground and first-excited states of the full star Hamiltonian lie in
-    this sector (non-positive off-diagonals plus permutation symmetry), so
-    minimum-gap scans and resolvent work are exact here.
+    Basis row i holds occupation numbers: ``occ[i, 0]`` is the centre and
+    ``occ[i, 1 + s]`` counts the branches in branch state s.  Sector A (the
+    rows of ``basis_a``) has the centre absent, sector B (``basis_b``)
+    present, and every branch of sector B avoids its first vertex.  Every
+    operator is a sum of moves (dec, inc): take one from each occupation
+    column in dec and add one to each column in inc.  A move leaves one
+    configuration of orbit occ in prod occ[dec] ways, and its matrix element
+    is sqrt(prod occ[dec] * prod occ'[inc]), occ' the target's occupations,
+    which is the bosonic <m - e_b + e_a| sum_i T_i |m> = sqrt(m_b (m_a + 1))
+    of a one-branch move a <- b.  The ground and first-excited states of the
+    full star Hamiltonian lie in this sector (non-positive off-diagonals
+    plus permutation symmetry), so minimum-gap scans and resolvent work are
+    exact here.
 
     The drive, exchange, Laplacian, degree and free-vertex operators are
     built once, on first use; callers share them and must not modify them.
@@ -168,136 +174,100 @@ class SymmetricStarSpace:
         self.branch_states = states
         K = len(states)
         self.size = branch.sizes.tolist()
-        self.constrained = ((branch.masks & np.uint64(1)) == 0).tolist()
+        constrained = ((branch.masks & np.uint64(1)) == 0).tolist()
 
-        def moves(table, keep):
-            """Per source branch state b, the states a its moves reach
-            (a <- b), both ends kept."""
-            return [[a for a in row if a >= 0 and keep[a]] if keep[b] else []
-                    for b, row in enumerate(table.tolist())]
+        def moves(table):
+            # one branch goes from state b to state a
+            return [([1 + b], [1 + a]) for b, row in enumerate(table.tolist())
+                    for a in row if a >= 0]
 
-        # sector B (centre present) keeps vertex 0 empty at both ends
-        every = [True] * K
-        self.flips_a = moves(branch.flips, every)
-        self.flips_b = moves(branch.flips, self.constrained)
-        self.exchanges_a = moves(branch.exchanges, every)
-        self.exchanges_b = moves(branch.exchanges, self.constrained)
-        # centre -> first-vertex hop target, defined where the hop lands on
-        # an independent set
-        self.centre_hop = {b: a for b, a in enumerate(branch.flips[:, 0].tolist())
-                           if self.constrained[b] and a >= 0}
+        # the centre hops onto the first vertex of a branch, and back
+        hops = [([0, 1 + b], [1 + a])
+                for b, a in enumerate(branch.flips[:, 0].tolist())
+                if constrained[b] and a >= 0]
+        self.drive_moves = moves(branch.flips) + [([], [0]), ([0], [])]
+        self.exchange_moves = (moves(branch.exchanges) + hops
+                               + [(inc, dec) for dec, inc in hops])
 
         self.basis_a = list(combinations_with_replacement(range(K), n_b))
-        con_states = [i for i in range(K) if self.constrained[i]]
-        self.basis_b = list(combinations_with_replacement(con_states, n_b))
-        self.index_a = {m: i for i, m in enumerate(self.basis_a)}
-        off = len(self.basis_a)
-        self.index_b = {m: off + i for i, m in enumerate(self.basis_b)}
-        self.dim = off + len(self.basis_b)
-        self.total_size = np.zeros(self.dim, dtype=np.int64)
-        self.sector_b = np.zeros(self.dim, dtype=bool)
-        for m, i in self.index_a.items():
-            self.total_size[i] = sum(self.size[s] for s in m)
-        for m, i in self.index_b.items():
-            self.total_size[i] = 1 + sum(self.size[s] for s in m)
-            self.sector_b[i] = True
+        self.basis_b = list(combinations_with_replacement(
+            [s for s in range(K) if constrained[s]], n_b))
+        self.dim = len(self.basis_a) + len(self.basis_b)
+        multisets = np.array(self.basis_a + self.basis_b, dtype=np.int32)
+        # int32 counts: the class serves hundreds of branches at ell = 2
+        self.occ = np.zeros((self.dim, 1 + K), dtype=np.int32)
+        self.occ[len(self.basis_a):, 0] = 1
+        for s in range(K):
+            self.occ[:, 1 + s] = (multisets == s).sum(axis=1)
+        self.sector_b = self.occ[:, 0] == 1
+        self.total_size = self.occ @ np.array([1] + self.size, dtype=np.int64)
+        # rank[v, S]: the multisets that agree with a row on its branches up
+        # to state v, then hold one more in state v and S - 1 from v on, where
+        # the row holds S branches above v; they precede the row, and their
+        # sum over v is its lexicographic rank
+        self._rank = np.array([[math.comb(K - v - 2 + S, S - 1) if S else 0
+                                for S in range(n_b + 1)]
+                               for v in range(K - 1)], dtype=np.int64)
+        self._keys = self._key(self.occ)
 
-    @staticmethod
-    def _counts(m) -> dict:
-        c: dict[int, int] = {}
-        for s in m:
-            c[s] = c.get(s, 0) + 1
-        return c
+    def _key(self, occ: np.ndarray) -> np.ndarray:
+        """Lexicographic rank of each row's branch multiset, plus the centre
+        times the number of multisets: the basis rows ascend in key."""
+        above = self.n_b - np.cumsum(occ[:, 1:-1], axis=1)
+        rank = self._rank[np.arange(len(self._rank)), above].sum(axis=1)
+        return rank + occ[:, 0] * np.int64(len(self.basis_a))
 
-    def _accumulate_one_branch(self, targets, basis, index, sink, coef):
-        """sum_i T_i for off-diagonal one-branch transitions, ``targets[b]``
-        listing the states a with a <- b."""
-        for m in basis:
-            i = index[m]
-            counts = self._counts(m)
-            for b, cnt in counts.items():
-                for a in targets[b]:
-                    m2 = list(m)
-                    m2.remove(b)
-                    m2.append(a)
-                    j = index[tuple(sorted(m2))]
-                    amp = math.sqrt(cnt * (counts.get(a, 0) + 1))
-                    sink(j, i, coef * amp)
-
-    def _centre_exchange(self, sink, coef):
-        """Centre occupation hops onto a branch's first vertex (B -> A) and
-        back; valid only when every other branch stays constrained, which
-        the sector-B support already guarantees."""
-        for m in self.basis_b:
-            i = self.index_b[m]
-            counts = self._counts(m)
-            for b, cnt in counts.items():
-                a = self.centre_hop.get(b)
-                if a is None:
-                    continue
-                m2 = list(m)
-                m2.remove(b)
-                m2.append(a)
-                m2 = tuple(sorted(m2))
-                j = self.index_a[m2]
-                amp = math.sqrt(cnt * self._counts(m2)[a])
-                sink(j, i, coef * amp)
-                sink(i, j, coef * amp)
-
-    def _centre_flip(self, sink, coef):
-        for m in self.basis_b:
-            i, j = self.index_a[m], self.index_b[m]
-            sink(i, j, coef)
-            sink(j, i, coef)
+    def _assemble(self, moves, raising_only: bool = False):
+        """The operator summed over ``moves``, and per basis row the moves
+        out of one configuration of its orbit (only the size-raising ones if
+        ``raising_only``).  Targets outside the basis are dropped."""
+        col_size = [1] + self.size
+        rows, cols, vals = [], [], []
+        out = np.zeros(self.dim)
+        for dec, inc in moves:
+            src = np.flatnonzero(self.occ[:, dec].all(axis=1))
+            occ = self.occ[src]
+            ways = occ[:, dec].prod(axis=1, dtype=np.int64)
+            occ[:, dec] -= 1
+            occ[:, inc] += 1
+            key = self._key(occ)
+            pos = np.minimum(np.searchsorted(self._keys, key), self.dim - 1)
+            hit = self._keys[pos] == key
+            vals.append(np.sqrt(ways * occ[:, inc].prod(axis=1))[hit])
+            src, ways = src[hit], ways[hit]
+            rows.append(pos[hit])
+            cols.append(src)
+            if not raising_only or (sum(col_size[c] for c in inc)
+                                    > sum(col_size[c] for c in dec)):
+                out += np.bincount(src, weights=ways, minlength=self.dim)
+        matrix = scipy.sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.dim, self.dim))
+        return matrix, out
 
     @_built_once
+    def _drive(self):
+        return self._assemble(self.drive_moves, raising_only=True)
+
+    @_built_once
+    def _exchange(self):
+        return self._assemble(self.exchange_moves)
+
     def drive_matrix(self) -> scipy.sparse.csr_matrix:
         """Single-spin-flip generator (matrix elements 1 per allowed flip)."""
-        rows, cols, vals = [], [], []
-        sink = lambda r, c, v: (rows.append(r), cols.append(c), vals.append(v))
-        self._accumulate_one_branch(self.flips_a, self.basis_a, self.index_a,
-                                    sink, 1.0)
-        self._accumulate_one_branch(self.flips_b, self.basis_b, self.index_b,
-                                    sink, 1.0)
-        self._centre_flip(sink, 1.0)
-        return scipy.sparse.csr_matrix((vals, (rows, cols)),
-                                       shape=(self.dim, self.dim))
+        return self._drive()[0]
 
-    @_built_once
     def spin_exchange_matrix(self) -> scipy.sparse.csr_matrix:
-        rows, cols, vals = [], [], []
-        sink = lambda r, c, v: (rows.append(r), cols.append(c), vals.append(v))
-        self._accumulate_one_branch(self.exchanges_a, self.basis_a, self.index_a,
-                                    sink, 1.0)
-        self._accumulate_one_branch(self.exchanges_b, self.basis_b, self.index_b,
-                                    sink, 1.0)
-        self._centre_exchange(sink, 1.0)
-        return scipy.sparse.csr_matrix((vals, (rows, cols)),
-                                       shape=(self.dim, self.dim))
+        return self._exchange()[0]
 
-    def _moves_out(self, op, raising: bool = False) -> np.ndarray:
-        """Moves of ``op`` out of one configuration of each orbit, counting
-        only the size-raising ones if ``raising``.  With s = sqrt(permutation
-        multiplicity), the entry <m'|op|m> stands for op[m', m] * s[m'] / s[m]
-        moves out of orbit m; the counts are integers."""
-        t = op.tocoo()
-        log_s = np.array([0.5 * math.log(self.permutation_multiplicity(i))
-                          for i in range(self.dim)])
-        w = t.data * np.exp(log_s[t.row] - log_s[t.col])
-        if raising:
-            w = w * (self.total_size[t.row] > self.total_size[t.col])
-        return np.rint(np.bincount(t.col, weights=w, minlength=self.dim))
-
-    @_built_once
     def exchange_degree_diag(self) -> np.ndarray:
         """Configuration-graph degree of each basis state (possible spin
         exchanges, including hops on or off the centre)."""
-        return self._moves_out(self.spin_exchange_matrix())
+        return self._exchange()[1]
 
-    @_built_once
     def free_vertex_diag(self) -> np.ndarray:
         """Vertices each basis state can add, centre included."""
-        return self._moves_out(self.drive_matrix(), raising=True)
+        return self._drive()[1]
 
     @_built_once
     def laplacian_matrix(self) -> scipy.sparse.csr_matrix:
@@ -331,10 +301,8 @@ class SymmetricStarSpace:
     def permutation_multiplicity(self, i: int) -> int:
         """Number of distinct branch arrangements collapsed into basis
         state i (the multinomial coefficient of its multiset)."""
-        m = self.basis_b[i - len(self.basis_a)] if self.sector_b[i] \
-            else self.basis_a[i]
         total = math.factorial(self.n_b)
-        for cnt in self._counts(m).values():
+        for cnt in self.occ[i, 1:].tolist():
             total //= math.factorial(cnt)
         return total
 
@@ -375,7 +343,7 @@ class SymmetricStarSpace:
             x = 1 + sum((s >> v) & 1 for v in range(0, self.ell, 2))
             wall_amp[i] = math.sin(math.pi * x / (m + 1)) / math.sqrt(
                 self.ell / 4.0 + 1.0)
-        for mset, idx in self.index_a.items():
+        for idx, mset in enumerate(self.basis_a):
             if any(s not in wall_amp for s in mset):
                 continue
             amp = 1.0

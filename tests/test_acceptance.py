@@ -33,7 +33,8 @@ from flatscape.spectral import (build_operator, drive_matrix,
                                 resolvent_gap, restricted_basis,
                                 scan_minimum_gap)
 from flatscape.star_models import (SymmetricStarSpace, central_absent_count,
-                                   central_present_count, star_level_crossing)
+                                   central_present_count, star_gap_scan,
+                                   star_level_crossing)
 from flatscape.tight_binding import ChainModel, build_chain, bulk_diagnostics
 
 
@@ -57,15 +58,9 @@ def unit_disk_pool(count, width, height, filling, n_max, n_min=2, seed0=0):
 
 
 def star_symmetric_scan(n_b, ell, lam=0.0, points=64):
-    space = SymmetricStarSpace(n_b, ell)
-    pred = star_level_crossing(max(n_b, 2), ell)
-    centre = 1.0 / pred.crossing if n_b >= 2 else 1.0
-    grid = np.linspace(max(0.2, 0.35 * centre), 1.6 * centre + 0.8, points)
-    report = scan_minimum_gap(lambda d: space.hamiltonian(1.0, d, lam), grid,
-                              derivative=-space.total_size)
+    report = star_gap_scan(n_b, ell, lam=lam, points=points, span=(0.35, 1.6))
     assert not report.boundary_minimum
-    report.crossing = 1.0 / report.delta_star
-    return space, report
+    return SymmetricStarSpace(n_b, ell), report
 
 
 def test_c01_landscape_exactness():

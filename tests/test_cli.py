@@ -210,11 +210,16 @@ def test_bound_error_target_outside_its_range_exit_code(tmp_path, capsys,
     (["sa", "--tts", "--trials", "0"], "at least 1 trial"),
     (["sa", "--trials", "0"], "at least 1"),
     (["pt", "--trials", "0"], "at least 1"),
+    (["qmc", "--sweeps", "100"], "burn-in < sweeps"),
+    (["sa", "--tts", "--p-target", "0"], "probability in (0, 1)"),
+    (["sa", "--tts", "--p-target", "1"], "probability in (0, 1)"),
+    (["sa", "--tts", "--p-target", "1.5"], "probability in (0, 1)"),
 ])
 def test_inputs_outside_their_range_exit_code(tmp_path, capsys, argv, limit):
     # a reversed or empty scan range, a non-positive star drive, an empty
-    # TTS budget grid and zero trials are usage errors that name the limit
-    # and leave a manifest, not an unrefined answer or a traceback
+    # TTS budget grid, a TTS target outside (0, 1), zero trials and a QMC
+    # run that is all burn-in are usage errors that name the limit and
+    # leave a manifest, not an unrefined answer or a traceback
     inst = tmp_path / "i.json"
     inst.write_text(serialize(generate_star(3, 2)))
     out = tmp_path / "r.json"

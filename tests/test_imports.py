@@ -1,8 +1,10 @@
-"""No flatscape module imports a name it does not use.
+"""No flatscape module imports a name it does not use, and the package
+reads every private function, method and class it defines.
 
-An import left behind by a refactor keeps a dead dependency alive and
-misleads a reader about what a module needs.  The package ``__init__`` is
-excepted: its imports are the public re-exports.
+An import or a private helper left behind by a refactor keeps dead code
+alive and misleads a reader about what a module needs.  The package
+``__init__`` is excepted from the import check: its imports are the public
+re-exports.
 """
 import ast
 from pathlib import Path
@@ -11,8 +13,8 @@ import pytest
 
 import flatscape
 
-MODULES = sorted(p for p in Path(flatscape.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(flatscape.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -64,3 +66,53 @@ def test_check_flags_an_unused_import():
                      "def f(x) -> 'Space':\n"
                      "    return np.sum(x)\n")
     assert set(_imported(tree)) - _used(tree) == {"popcount"}
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private (underscored, not dunder) function, method and class
+    the module defines, with the line of its definition."""
+    return {node.name: node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_")
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Every name and attribute the module reads."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.ctx, ast.Load)})
+
+
+def _unread(trees: dict[str, ast.Module]) -> dict[str, int]:
+    read = set().union(*(_read(tree) for tree in trees.values()))
+    return {f"{module}:{name}": line for module, tree in trees.items()
+            for name, line in _private_definitions(tree).items()
+            if name not in read}
+
+
+def test_package_reads_every_private_definition():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in PACKAGE}
+    unread = _unread(trees)
+    assert not unread, f"defined but never read: {unread}"
+
+
+def test_check_flags_an_unread_private_definition():
+    trees = {"a.py": ast.parse("def _kept(x):\n"
+                               "    return x\n"
+                               "def _dead(x):\n"
+                               "    return x\n"
+                               "class Space:\n"
+                               "    def __init__(self):\n"
+                               "        self._dead = 1\n"
+                               "    def _method(self):\n"
+                               "        return self._unused\n"
+                               "    def _orphan(self):\n"
+                               "        pass\n"),
+             "b.py": ast.parse("from .a import _kept\n"
+                               "print(_kept(1), Space()._method())\n")}
+    assert set(_unread(trees)) == {"a.py:_dead", "a.py:_orphan"}

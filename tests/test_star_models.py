@@ -136,20 +136,20 @@ def test_hamiltonian_from_stored_operators_is_exact(n_b, ell):
         got.data[:] = 0.0
 
 
-@pytest.mark.parametrize("lam,passes", [(0.0, 2), (1.0, 4)])
+@pytest.mark.parametrize("lam,passes", [(0.0, 1), (1.0, 2)])
 def test_star_scan_builds_operators_once(monkeypatch, lam, passes):
-    # one accumulation pass per sector for the drive (and for the spin
-    # exchange when lam != 0), yet one assembly per gap evaluation
+    # one move pass for the drive (and one for the spin exchange when
+    # lam != 0), yet one assembly per gap evaluation
     from flatscape import spectral
 
-    calls = {"accumulate": 0, "hamiltonian": 0, "gap": 0}
-    accumulate = SymmetricStarSpace._accumulate_one_branch
+    calls = {"assemble": 0, "hamiltonian": 0, "gap": 0}
+    assemble = SymmetricStarSpace._assemble
     hamiltonian = SymmetricStarSpace.hamiltonian
     search = spectral.minimize_gap
 
-    def counted_accumulate(*args, **kwargs):
-        calls["accumulate"] += 1
-        return accumulate(*args, **kwargs)
+    def counted_assemble(*args, **kwargs):
+        calls["assemble"] += 1
+        return assemble(*args, **kwargs)
 
     def counted_hamiltonian(*args, **kwargs):
         calls["hamiltonian"] += 1
@@ -161,20 +161,19 @@ def test_star_scan_builds_operators_once(monkeypatch, lam, passes):
             return gap_at(d)
         return search(counted_gap, *args, **kwargs)
 
-    monkeypatch.setattr(SymmetricStarSpace, "_accumulate_one_branch",
-                        counted_accumulate)
+    monkeypatch.setattr(SymmetricStarSpace, "_assemble", counted_assemble)
     monkeypatch.setattr(SymmetricStarSpace, "hamiltonian", counted_hamiltonian)
     monkeypatch.setattr(spectral, "minimize_gap", counted_search)
     report = star_gap_scan(3, 2, lam=lam)
     assert report.gap is not None
     assert calls["gap"] > 64
-    assert calls["accumulate"] == passes
+    assert calls["assemble"] == passes
     assert calls["hamiltonian"] == calls["gap"]
 
 
-@pytest.mark.parametrize("n_b,ell", [(3, 2), (2, 4), (1, 6)])
+@pytest.mark.parametrize("n_b,ell", [(3, 2), (4, 2), (2, 4), (1, 6), (2, 6)])
 def test_sector_diagonals_count_generic_moves(n_b, ell):
-    # the orbit-weighted move counts equal the generic basis's exchange
+    # the moves out of one configuration of every orbit equal the generic basis's exchange
     # degree and free-vertex count at one configuration of every orbit
     g = generate_star(n_b, ell)
     space = Space.of(g, restricted_basis(g))
@@ -209,15 +208,24 @@ def test_symmetric_uniform_state_is_laplacian_kernel():
         assert np.linalg.norm(lap @ u) <= 1e-12
 
 
-def test_symmetric_drive_coupling_identity():
-    sym = SymmetricStarSpace(5, 2)
-    profile = independence_polynomial(generate_star(5, 2))
+def _check_drive_coupling(n_b, sizes):
+    sym = SymmetricStarSpace(n_b, 2)
+    profile = independence_polynomial(generate_star(n_b, 2))
     drive = sym.drive_matrix()
-    for b in range(1, sym.alpha + 1):
+    for b in sizes:
         u, v = sym.uniform_state(b), sym.uniform_state(b - 1)
         elem = float(v @ (drive @ u))
         closed = b * math.sqrt(profile.counts[b] / profile.counts[b - 1])
         assert elem == pytest.approx(closed, rel=1e-12)
+
+
+def test_symmetric_drive_coupling_identity():
+    _check_drive_coupling(5, range(1, 7))
+
+
+def test_symmetric_drive_coupling_identity_past_255_branches():
+    # occupation counts above 255: 8-bit counts would wrap without an error
+    _check_drive_coupling(260, (1, 2, 130, 260, 261))
 
 
 def test_product_wall_state_matches_perturbation_ground():
