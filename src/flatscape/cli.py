@@ -325,9 +325,11 @@ def _cmd_gap(args, run: _Run) -> int:
     doc["instance"] = to_document(graph)
     run.write(args.out, _canonical_json(doc))
     if args.dump_states:
-        op = build_operator(graph, args.omega, report.delta_star, args.lam)
-        w, v = lowest_eigenpairs(op, 2)
-        rows = [{"mask": z, "ground": v[i, 0], "excited": v[i, 1]}
+        op, pair = report.operator, report.pair
+        if op is None:  # a star scan, solved in the symmetric sector
+            op = build_operator(graph, args.omega, report.delta_star, args.lam)
+            pair = lowest_eigenpairs(op, 2)
+        rows = [{"mask": z, "ground": pair[1][i, 0], "excited": pair[1][i, 1]}
                 for i, z in enumerate(op.basis)]
         _write_csv(run, args.dump_states, ["mask", "ground", "excited"], rows)
     return 0

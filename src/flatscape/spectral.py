@@ -500,17 +500,14 @@ def _manifold_ground(exchange, free: np.ndarray):
     """(vec, <H_se>, <H_fv>, degenerate) of the ground state of the
     second-order Hamiltonian on one non-empty fixed-size manifold, from its
     exchange adjacency and free-vertex counts: the maximal eigenvector of
-    (H_se - H_fv)."""
-    dim = len(free)
-    if dim == 1:
+    M = H_se - H_fv, the lowest pair of lowest_eigenpairs(-M, 2)."""
+    if len(free) == 1:
         return np.ones(1), 0.0, float(free[0]), False
     M = (exchange - scipy.sparse.diags(free)).tocsr()
-    w, v = scipy.linalg.eigh(M.toarray(), subset_by_index=(dim - 2, dim - 1))
-    vec = v[:, -1]
-    if vec.sum() < 0:
-        vec = -vec
+    w, v = lowest_eigenpairs(-M, 2)
+    vec = v[:, 0] if v[:, 0].sum() >= 0 else -v[:, 0]
     scale = max(operator_norm_bound(M), 1.0)  # bounds |every eigenvalue|
-    degenerate = abs(w[-1] - w[-2]) < DEGENERACY_RTOL * scale
+    degenerate = abs(w[1] - w[0]) < DEGENERACY_RTOL * scale
     se = float(vec @ (exchange @ vec))
     fv = float(vec @ (free * vec))
     return vec, se, fv, degenerate

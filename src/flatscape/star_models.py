@@ -142,7 +142,7 @@ class SymmetricStarSpace:
 
     Basis row i holds occupation numbers: ``occ[i, 0]`` is the centre and
     ``occ[i, 1 + s]`` counts the branches in branch state s.  Sector A (the
-    rows of ``basis_a``) has the centre absent, sector B (``basis_b``)
+    leading rows) has the centre absent, sector B (the rows of ``sector_b``)
     present, and every branch of sector B avoids its first vertex.  Every
     operator is a sum of moves (dec, inc): take one from each occupation
     column in dec and add one to each column in inc.  A move leaves one
@@ -189,16 +189,19 @@ class SymmetricStarSpace:
         self.exchange_moves = (moves(branch.exchanges) + hops
                                + [(inc, dec) for dec, inc in hops])
 
-        self.basis_a = list(combinations_with_replacement(range(K), n_b))
-        self.basis_b = list(combinations_with_replacement(
-            [s for s in range(K) if constrained[s]], n_b))
-        self.dim = len(self.basis_a) + len(self.basis_b)
-        multisets = np.array(self.basis_a + self.basis_b, dtype=np.int32)
+        # sector A: any branch states; sector B: first branch vertex empty
+        sectors = [range(K), [s for s in range(K) if constrained[s]]]
+        self._dim_a, dim_b = (math.comb(len(c) + n_b - 1, n_b) for c in sectors)
+        self.dim = self._dim_a + dim_b
+        multisets = np.fromiter(
+            (m for c in sectors for m in combinations_with_replacement(c, n_b)),
+            dtype=np.dtype((np.int32, n_b)), count=self.dim)
         # int32 counts: the class serves hundreds of branches at ell = 2
         self.occ = np.zeros((self.dim, 1 + K), dtype=np.int32)
-        self.occ[len(self.basis_a):, 0] = 1
+        self.occ[self._dim_a:, 0] = 1
         for s in range(K):
             self.occ[:, 1 + s] = (multisets == s).sum(axis=1)
+        del multisets  # before _key's temporaries: star(20,4) peaks 69 MiB lower
         self.sector_b = self.occ[:, 0] == 1
         self.total_size = self.occ @ np.array([1] + self.size, dtype=np.int64)
         # rank[v, S]: the multisets that agree with a row on its branches up
@@ -215,7 +218,7 @@ class SymmetricStarSpace:
         times the number of multisets: the basis rows ascend in key."""
         above = self.n_b - np.cumsum(occ[:, 1:-1], axis=1)
         rank = self._rank[np.arange(len(self._rank)), above].sum(axis=1)
-        return rank + occ[:, 0] * np.int64(len(self.basis_a))
+        return rank + occ[:, 0] * np.int64(self._dim_a)
 
     def _assemble(self, moves, raising_only: bool = False):
         """The operator summed over ``moves``, and per basis row the moves
@@ -332,8 +335,7 @@ class SymmetricStarSpace:
         m = self.ell // 2 + 1
         # branch states with a single domain wall: centre-absent sets of
         # size ell/2; wall position x means first vertex occupied iff x > 1
-        vec = np.zeros(self.dim)
-        wall_amp = {}
+        wall_amp = np.zeros(len(self.size))
         for i, s in enumerate(self.branch_states):
             if self.size[i] != self.ell // 2:
                 continue
@@ -343,13 +345,11 @@ class SymmetricStarSpace:
             x = 1 + sum((s >> v) & 1 for v in range(0, self.ell, 2))
             wall_amp[i] = math.sin(math.pi * x / (m + 1)) / math.sqrt(
                 self.ell / 4.0 + 1.0)
-        for idx, mset in enumerate(self.basis_a):
-            if any(s not in wall_amp for s in mset):
-                continue
-            amp = 1.0
-            for s in mset:
-                amp *= wall_amp[s]
-            vec[idx] = amp * math.sqrt(self.permutation_multiplicity(idx))
+        # 0 ** 0 = 1: a sector-A row is nonzero iff all its branches hold walls
+        amps = np.prod(wall_amp ** self.occ[:, 1:], axis=1) * ~self.sector_b
+        vec = np.zeros(self.dim)
+        for i in np.flatnonzero(amps).tolist():
+            vec[i] = amps[i] * math.sqrt(self.permutation_multiplicity(i))
         return vec
 
 

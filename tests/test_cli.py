@@ -98,6 +98,42 @@ def test_star_gap_dumps_generic_states(tmp_path):
     assert manifest["outputs"] == [str(out), str(dump)]
 
 
+def test_gap_dumps_the_scan_pair(tmp_path, monkeypatch):
+    # the generic path dumps the scan's operator and pair at delta*: one
+    # Space and no tol-0 solve of the full operator
+    from flatscape import bits, cli, spectral
+
+    calls = {"space": 0, "tols": set()}
+    space_of, eig = bits.Space.of, spectral.lowest_eigenpairs
+
+    def counted_space(cls, *args, **kwargs):
+        calls["space"] += 1
+        return space_of(*args, **kwargs)
+
+    def counted_eig(op, *args, **kwargs):
+        dim = getattr(op, "matrix", op).shape[0]
+        calls["tols"].add((dim, kwargs.get("tol", 0.0)))
+        return eig(op, *args, **kwargs)
+
+    inst, out = tmp_path / "ud.json", tmp_path / "g.json"
+    dump = tmp_path / "ds.csv"
+    assert run_cli(["gen", "--width", "5", "--height", "4", "--filling",
+                    "0.8", "--seed", "7", "--out", str(inst)]) == 0
+    dim = len(restricted_basis(deserialize(inst.read_text())))
+    assert dim > spectral.DENSE_EIG_LIMIT
+    monkeypatch.setattr(bits.Space, "of", classmethod(counted_space))
+    monkeypatch.setattr(spectral, "lowest_eigenpairs", counted_eig)
+    monkeypatch.setattr(cli, "lowest_eigenpairs", counted_eig)
+    assert run_cli(["gap", "--in", str(inst), "--dump-states", str(dump),
+                    "--out", str(out)]) == 0
+    assert calls["space"] == 1
+    assert {tol for d, tol in calls["tols"] if d == dim} == \
+        {spectral.SCAN_ARPACK_TOL}
+    lines = dump.read_text().splitlines()
+    assert lines[0] == "mask,ground,excited"
+    assert len(lines) - 1 == dim
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -252,7 +288,9 @@ def test_resolvent_reports_a_boundary_scan_like_gap(tmp_path, capsys):
 
 def test_resolvent_reuses_the_scan_operator_and_pair(tmp_path, monkeypatch):
     # one enumeration and one Space each for the manifolds and the scan;
-    # the resolvent takes the scan's operator and full solve at delta*
+    # the resolvent takes the scan's operator and full solve at delta*, so
+    # every solve of the full operator runs at the scan's tolerance (the
+    # manifold grounds run at tol 0 on their smaller blocks)
     from flatscape import bits, spectral
 
     calls = {"enum": 0, "space": 0, "tols": set()}
@@ -267,9 +305,9 @@ def test_resolvent_reuses_the_scan_operator_and_pair(tmp_path, monkeypatch):
         calls["space"] += 1
         return space_of(*args, **kwargs)
 
-    def counted_eig(*args, **kwargs):
-        calls["tols"].add(kwargs.get("tol", 0.0))
-        return eig(*args, **kwargs)
+    def counted_eig(op, *args, **kwargs):
+        calls["tols"].add((op.shape[0], kwargs.get("tol", 0.0)))
+        return eig(op, *args, **kwargs)
 
     inst, out = tmp_path / "ud.json", tmp_path / "res.json"
     assert run_cli(["gen", "--width", "5", "--height", "4", "--filling",
@@ -279,7 +317,9 @@ def test_resolvent_reuses_the_scan_operator_and_pair(tmp_path, monkeypatch):
     monkeypatch.setattr(spectral, "lowest_eigenpairs", counted_eig)
     assert run_cli(["resolvent", "--in", str(inst), "--out", str(out)]) == 0
     assert (calls["enum"], calls["space"]) == (2, 2)
-    assert calls["tols"] == {spectral.SCAN_ARPACK_TOL}
+    dim = len(restricted_basis(deserialize(inst.read_text())))
+    assert {tol for d, tol in calls["tols"] if d == dim} == \
+        {spectral.SCAN_ARPACK_TOL}
     assert json.loads(out.read_text())["validity"] > 0
 
 

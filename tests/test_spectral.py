@@ -443,6 +443,50 @@ def test_manifold_ground_degeneracy_flag():
         perturbative_states(g)
 
 
+def test_manifold_ground_degeneracy_flag_on_lanczos_path():
+    # two disjoint 8-vertex paths: an exchange keeps each path's set size,
+    # so the size-5 manifold (920 rows) splits into blocks (b1, 5 - b1), and
+    # (2, 3) mirrors (3, 2): its top pair is exactly degenerate; the size-4
+    # manifold's top lies in the self-mirrored block (2, 2)
+    from flatscape.bits import Space
+    from flatscape.spectral import (DENSE_EIG_LIMIT, _manifold_ground,
+                                    _move_matrix)
+
+    path = tuple((v, v + 1) for v in range(7))
+    g = Graph(n=16, edges=path + tuple((u + 8, v + 8) for u, v in path))
+    space = Space.of(g, restricted_basis(g))
+    exchange = _move_matrix(space.exchanges)
+    free = free_vertex_diag(g, space.basis)
+    for b, expect in ((5, True), (4, False)):
+        rows = slice(*np.searchsorted(space.sizes, [b, b + 1]))
+        assert rows.stop - rows.start > DENSE_EIG_LIMIT
+        *_, degenerate = _manifold_ground(exchange[rows, rows], free[rows])
+        assert degenerate == expect
+
+
+def test_manifold_ground_lanczos_matches_dense_oracle():
+    # the b = 4 manifold of the 5x5 unit disk has 1059 rows, so its ground
+    # comes from Lanczos; a dense eigh of the same block is the oracle
+    from flatscape.bits import Space
+    from flatscape.spectral import (DENSE_EIG_LIMIT, _manifold_ground,
+                                    _move_matrix)
+
+    g = generate_unit_disk(5, 5, 0.8, 7)
+    space = Space.of(g, restricted_basis(g))
+    rows = slice(*np.searchsorted(space.sizes, [4, 5]))
+    exchange = _move_matrix(space.exchanges)[rows, rows]
+    free = free_vertex_diag(g, space.basis)[rows]
+    assert len(free) == 1059 > DENSE_EIG_LIMIT
+    vec, se, fv, degenerate = _manifold_ground(exchange, free)
+    w, v = scipy.linalg.eigh(exchange.toarray() - np.diag(free))
+    top = v[:, -1]
+    assert se - fv == pytest.approx(w[-1], rel=1e-10)
+    assert abs(vec @ top) == pytest.approx(1.0, abs=1e-10)
+    assert se == pytest.approx(top @ (exchange @ top), rel=1e-10)
+    assert fv == pytest.approx(top @ (free * top), rel=1e-10)
+    assert not degenerate
+
+
 def test_resolvent_iterative_path_matches_dense(star22, monkeypatch):
     from flatscape import spectral
 
@@ -478,8 +522,9 @@ def test_basis_is_sorted_and_manifolds_are_its_runs(small_unit_disks,
 
 
 def test_perturbative_states_enumerates_once(monkeypatch, star22):
-    # one enumeration and one Space serve every manifold, and no manifold
-    # needs an eigensolve past its one dense eigh
+    # one enumeration and one Space serve every manifold, and each manifold
+    # of more than one row takes one lowest_eigenpairs solve: here b = 2 and
+    # b = 1, while the maximum set is a single row
     from flatscape import spectral
 
     runs = {b: brute_independent_sets(star22, b) for b in range(4)}
@@ -499,10 +544,21 @@ def test_perturbative_states_enumerates_once(monkeypatch, star22):
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
                         counted("eig", spectral.lowest_eigenpairs))
     ps = perturbative_states(star22)
-    assert calls == {"enumerate": 1, "space": 1, "eig": 0}
+    assert calls == {"enumerate": 1, "space": 1, "eig": 2}
     assert ps.alpha == 3
     assert ps.ground_basis == runs[3]
     assert ps.excited_basis == runs[ps.b_excited]
+
+
+def test_perturbative_states_at_thirty_vertices():
+    # dim 56,336 with a 17,357-row manifold: a dense copy of that manifold
+    # alone would take 2.4 GB
+    g = generate_unit_disk(6, 6, 0.8, seed=7)
+    assert g.n == 30
+    ps = perturbative_states(g)
+    assert ps.b_excited == 8
+    assert ps.crossing == pytest.approx(0.7003942308779314, rel=1e-9)
+    assert not ps.degenerate
 
 
 def test_free_vertex_diag(star22):
@@ -868,3 +924,20 @@ def test_dense_solves_allocate_no_dim_squared_array():
         finally:
             tracemalloc.stop()
         assert peak < op.dim ** 2 * 8 / 2, run.__name__
+
+
+def test_perturbative_states_allocate_no_manifold_squared_array():
+    # no manifold ground holds a dense copy of its block: the traced peak
+    # stays under one dense copy of the largest manifold (1059 rows)
+    import tracemalloc
+
+    g = generate_unit_disk(5, 5, 0.8, seed=7)
+    largest = max(independence_polynomial(g).counts)
+    assert largest == 1059
+    tracemalloc.start()
+    try:
+        perturbative_states(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < largest ** 2 * 8

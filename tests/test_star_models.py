@@ -180,9 +180,10 @@ def test_sector_diagonals_count_generic_moves(n_b, ell):
     degree = (space.exchanges >= 0).sum(axis=1)
     free = free_vertex_diag(g, space.basis)
     sym = SymmetricStarSpace(n_b, ell)
-    for i, m in enumerate(sym.basis_a + sym.basis_b):
-        mask = int(sym.sector_b[i])
-        for branch, state in enumerate(m):
+    for i, occ in enumerate(sym.occ.tolist()):
+        mask = occ[0]  # the centre
+        multiset = [s for s, count in enumerate(occ[1:]) for _ in range(count)]
+        for branch, state in enumerate(multiset):
             mask |= sym.branch_states[state] << (1 + branch * ell)
         row = space.index[mask]
         assert sym.exchange_degree_diag()[i] == degree[row]
@@ -241,6 +242,27 @@ def test_product_wall_state_matches_perturbation_ground():
         overlaps.append(abs(float(ground @ wall)))
     assert all(o >= 1.0 - 10.0 / 3 ** n for o, n in zip(overlaps, (2, 4, 6, 8)))
     assert overlaps == sorted(overlaps)
+
+
+@pytest.mark.parametrize("n_b,ell", [(5, 2), (3, 4), (2, 6)])
+def test_product_wall_state_matches_per_row_products(n_b, ell):
+    # reference: per sector-A row, star_wavefunction of its branches' wall
+    # positions (x = 1 + occupied even-indexed vertices) times sqrt of the
+    # orbit size; the product order differs, so equal to a few ulps
+    sym = SymmetricStarSpace(n_b, ell)
+    want = np.zeros(sym.dim)
+    for i, occ in enumerate(sym.occ.tolist()):
+        states = [s for s, count in enumerate(occ[1:]) for _ in range(count)]
+        if occ[0] or any(sym.size[s] != ell // 2 for s in states):
+            continue
+        walls = [1 + sum((sym.branch_states[s] >> v) & 1
+                         for v in range(0, ell, 2)) for s in states]
+        want[i] = star_wavefunction(n_b, ell, walls) * math.sqrt(
+            sym.permutation_multiplicity(i))
+    got = sym.product_wall_state()
+    assert np.flatnonzero(got).tolist() == np.flatnonzero(want).tolist()
+    assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * want.max()
+    assert np.linalg.norm(got) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_closed_form_tilde_is_wall_state_leading_coupling():
