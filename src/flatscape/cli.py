@@ -142,7 +142,9 @@ def _load_graph(run: _Run, path: str) -> Graph:
     doc = json.loads(text)
     if isinstance(doc, dict) and doc.get("kind") == "star_prediction":
         return generate_star(doc["n_b"], doc["ell"])
-    return deserialize(text)
+    if (graph := deserialize(text)).n == 0:
+        raise ValueError(f"instance {path} has no vertices")
+    return graph
 
 
 def _parse_range(text: str) -> tuple[float, float]:

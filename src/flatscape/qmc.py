@@ -76,6 +76,17 @@ class QMCResult:
         return {z: c / total for z, c in self.marginal.items()}
 
 
+def _dense_split(graph: Graph, config: QMCConfig):
+    """(operator, diagonal, dense off-diagonal part) of ``config`` on
+    ``graph``; CapacityError past DENSE_WORLDLINE_LIMIT rows."""
+    op = build_operator(graph, config.omega, config.delta, config.lam)
+    if op.dim > DENSE_WORLDLINE_LIMIT:
+        raise CapacityError(f"restricted dimension {op.dim} exceeds the dense "
+                            f"exponentiation limit {DENSE_WORLDLINE_LIMIT}")
+    diag = op.matrix.diagonal()
+    return op, diag, (op.matrix - scipy.sparse.diags(diag)).toarray()
+
+
 class WorldlineEngine:
     """Precomputed tables for one (graph, config) worldline chain.
 
@@ -90,16 +101,9 @@ class WorldlineEngine:
     """
 
     def __init__(self, graph: Graph, config: QMCConfig):
-        op = build_operator(graph, config.omega, config.delta, config.lam)
-        if op.dim > DENSE_WORLDLINE_LIMIT:
-            raise CapacityError(
-                f"restricted dimension {op.dim} exceeds the dense "
-                f"exponentiation limit {DENSE_WORLDLINE_LIMIT}")
+        op, diag, H_od = _dense_split(graph, config)
         self.basis = op.basis
         self.index = op.space.index
-        H = op.matrix.toarray()
-        diag = np.diag(H).copy()
-        H_od = H - np.diag(diag)
         bond = scipy.linalg.expm(-config.beta / config.slices * H_od)
         bond = np.maximum(bond, 0.0)  # clip roundoff negatives
         with np.errstate(divide="ignore"):
@@ -332,19 +336,15 @@ def qmc_run(graph: Graph, config: QMCConfig) -> QMCResult:
 def trotter_error_proxy(graph: Graph, config: QMCConfig) -> float:
     """Total-variation distance between the exact slice-1 marginals at M and
     2M slices (transfer-matrix evaluation, no sampling noise)."""
-    marg = {}
+    _, diag, H_od = _dense_split(graph, config)
+    marg = []
     for slices in (config.slices, 2 * config.slices):
-        cfg = QMCConfig(beta=config.beta, slices=slices, omega=config.omega,
-                        delta=config.delta, lam=config.lam, sweeps=1,
-                        seed=config.seed)
-        engine = WorldlineEngine(graph, cfg)
-        T = np.exp(engine.log_bond) @ np.diag(np.exp(engine.log_diag))
-        power = np.linalg.matrix_power(T, slices)
-        diag = np.clip(np.diag(power), 0.0, None)
-        marg[slices] = diag / diag.sum()
-    a = marg[config.slices]
-    b = marg[2 * config.slices]
-    return float(0.5 * np.abs(a - b).sum())
+        tau = config.beta / slices
+        T = np.maximum(scipy.linalg.expm(-tau * H_od), 0.0)
+        T *= np.exp(-tau * diag)  # column j times exp(-tau H_d(j))
+        power = np.linalg.matrix_power(T, slices).diagonal().clip(0.0)
+        marg.append(power / power.sum())
+    return float(0.5 * np.abs(marg[0] - marg[1]).sum())
 
 
 def worldline_transition_matrix(graph: Graph, config: QMCConfig,

@@ -685,14 +685,15 @@ def _heff_solver(H, G: np.ndarray, E: np.ndarray, z0: float):
     for a, b in {G, E}; counts holds the LDL^T factorizations and the most
     series terms summed.
 
-    Up to RESOLVENT_DENSE_LIMIT rows, the dense path factors M = z0 - QHQ
-    once by ``_sector_ldl``: sparse z0 - H plus U W^T + W U^T (U = [G E],
-    W = HU - U (U^T H U) / 2), a rank-4 term on the sectors of G and E and
-    their neighbours, so M stays block tridiagonal.  At z = z0 + s the resolvent term is the series
+    Both paths solve only M = z0 - QHQ, whose powers feed the series below:
+    up to RESOLVENT_DENSE_LIMIT rows ``_sector_ldl`` factors M once as
+    sparse z0 - H plus U W^T + W U^T (U = [G E], W = HU - U (U^T H U) / 2),
+    rank 4 on the sectors of G and E and their neighbours, so M stays block
+    tridiagonal; above, each column is a MINRES solve to RESOLVENT_SOLVE_TOL
+    of M on Q and the identity on P.  At z = z0 + s the resolvent term is
     sum_{k>=1} (-s)^{k-1} rhs^T M^{-k} rhs, cut below double precision of
     the entries; it diverges (ConvergenceError) when z - QHQ has an
-    eigenvalue within about |s| of z0.  Above, each z is a MINRES solve to
-    RESOLVENT_SOLVE_TOL.
+    eigenvalue within about |s| of z0.
     """
     U = np.column_stack([G, E])
     HU = H @ U
@@ -708,49 +709,48 @@ def _heff_solver(H, G: np.ndarray, E: np.ndarray, z0: float):
         if solve is None:
             raise ConvergenceError(f"z0 = {z0!r} is an eigenvalue of QHQ")
         counts["factorizations"] = 1
-        ys = [HU, solve(rhs)]
-
-        def moment(k):  # Y_a^T Y_{k-a}, Y_j = M^-j rhs; Y_0 = HU, Y_1 is in Q
-            while len(ys) <= (k + 1) // 2:
-                ys.append(solve(ys[-1]))
-            return ys[k // 2].T @ ys[k - k // 2]
-
-        def resolvent(z):
-            s, total, k = z - z0, moment(1), 1
-            cut = np.finfo(float).eps * np.abs(base + total).max()
-            while np.abs(term := (-s) ** k * moment(k + 1)).max() > cut:
-                if k == SERIES_MAX_TERMS:
-                    pole = abs(moment(k)).max() / abs(moment(k + 1)).max()
-                    raise ConvergenceError(
-                        f"resolvent series at z0 {s:+.3e} does not converge "
-                        f"in {k} terms: z - QHQ has an eigenvalue about "
-                        f"{pole:.3e} from z0", residuals=[pole])
-                total, k = total + term, k + 1
-            counts["series_terms"] = max(counts["series_terms"] or 0, k)
-            return total
     else:
-        def resolvent(z):
-            # acts as (z - QHQ) on the Q subspace and as the identity on the
-            # P block, so MINRES stays well-posed; rhs lives in Q already
-            def av(x):
-                qx = _project_out(x, G, E)
-                return z * qx - _project_out(H @ qx, G, E) + (x - qx)
+        def av(x):  # M on Q, the identity on P, so MINRES stays well-posed
+            qx = _project_out(x, G, E)
+            return z0 * qx - _project_out(H @ qx, G, E) + (x - qx)
 
-            linop = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=av)
-            ys = []
-            for b in rhs.T:
+        linop = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=av)
+
+        def solve(b):  # every column of b lies in Q
+            cols = []
+            for col in b.T:
                 y, info = scipy.sparse.linalg.minres(
-                    linop, b, rtol=RESOLVENT_SOLVE_TOL, maxiter=40 * dim)
+                    linop, col, rtol=RESOLVENT_SOLVE_TOL, maxiter=40 * dim)
                 if info != 0:
                     ritz = scipy.sparse.linalg.eigsh(
                         linop, k=1, which="SA", return_eigenvectors=False,
                         maxiter=2000, tol=1e-6)
                     raise ConvergenceError(
                         "resolvent solve did not converge; smallest Ritz "
-                        f"value of (z - QHQ) is {float(ritz[0]):.3e} "
+                        f"value of (z0 - QHQ) is {float(ritz[0]):.3e} "
                         "(pole proximity)", residuals=[float(ritz[0])])
-                ys.append(_project_out(y, G, E))
-            return HU.T @ np.column_stack(ys)
+                cols.append(_project_out(y, G, E))
+            return np.column_stack(cols)
+    ys = [HU, solve(rhs)]
+
+    def moment(k):  # Y_a^T Y_{k-a}, Y_j = M^-j rhs; Y_0 = HU, Y_1 is in Q
+        while len(ys) <= (k + 1) // 2:
+            ys.append(solve(ys[-1]))
+        return ys[k // 2].T @ ys[k - k // 2]
+
+    def resolvent(z):
+        s, total, k = z - z0, moment(1), 1
+        cut = np.finfo(float).eps * np.abs(base + total).max()
+        while np.abs(term := (-s) ** k * moment(k + 1)).max() > cut:
+            if k == SERIES_MAX_TERMS:
+                pole = abs(moment(k)).max() / abs(moment(k + 1)).max()
+                raise ConvergenceError(
+                    f"resolvent series at z0 {s:+.3e} does not converge "
+                    f"in {k} terms: z - QHQ has an eigenvalue about "
+                    f"{pole:.3e} from z0", residuals=[pole])
+            total, k = total + term, k + 1
+        counts["series_terms"] = max(counts["series_terms"] or 0, k)
+        return total
 
     def entries(z):
         m = base + resolvent(z)
@@ -808,11 +808,11 @@ def resolvent_gap(H, G: np.ndarray, E: np.ndarray, z0: float,
     supplied, the overlap-area validity diagnostic.
 
     ``order`` switches to the truncated series in powers of the drive; the
-    default solves (z - QHQ) exactly, by _heff_solver, and raises
-    ConvergenceError when it has a pole within about h of z0.  A slope is
-    the central difference at step h/2, or its Richardson extrapolation
-    with the one at h where the two differ by over 1%.  ``method`` records
-    the LDL^T factorizations and the most series terms summed.
+    default, _heff_solver's exact moment series about z0 on either path,
+    raises ConvergenceError when z - QHQ has a pole within about h of z0.
+    A slope is the central difference at step h/2, or its Richardson
+    extrapolation with the one at h where the two differ by over 1%.
+    ``method`` records the LDL^T factorizations and the most series terms.
     """
     norm_g, norm_e = np.linalg.norm(G), np.linalg.norm(E)
     G = G / norm_g

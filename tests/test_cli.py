@@ -267,6 +267,25 @@ def test_inputs_outside_their_range_exit_code(tmp_path, capsys, argv, limit):
     assert manifest["status"] == 2
 
 
+@pytest.mark.parametrize("command", ["profile", "sa", "pt", "qmc", "gap",
+                                     "resolvent", "chain"])
+def test_vertex_less_instance_exit_code(tmp_path, capsys, command):
+    # an n = 0 instance is valid output of gen; every --in subcommand
+    # rejects it at load as a usage error with a manifest, not a traceback
+    inst = tmp_path / "i.json"
+    assert run_cli(["gen", "--width", "2", "--height", "1", "--filling", "0",
+                    "--out", str(inst)]) == 0
+    assert deserialize(inst.read_text()).n == 0
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    assert run_cli([command, "--in", str(inst), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[usage]" in err and "has no vertices" in err
+    assert not out.exists()
+    manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    assert manifest["status"] == 2
+
+
 def test_resolvent_reports_a_boundary_scan_like_gap(tmp_path, capsys):
     # the 4x3 disk's default scan has no interior dip: it ends at delta =
     # 6, crossing 1/6, and resolvent says so in its document and on stderr

@@ -1,12 +1,14 @@
-"""No flatscape module imports a name it does not use, and the package
-reads every private function, method and class it defines.
+"""No flatscape module imports a name it does not use, the package reads
+every private function, method and class it defines, and each module reads
+every UPPER_CASE constant it defines.
 
-An import or a private helper left behind by a refactor keeps dead code
-alive and misleads a reader about what a module needs.  The package
-``__init__`` is excepted from the import check: its imports are the public
-re-exports.
+An import, a private helper or a constant left behind by a refactor keeps
+dead code alive and misleads a reader about what a module needs.  The
+package ``__init__`` is excepted from the import check: its imports are the
+public re-exports.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -116,3 +118,39 @@ def test_check_flags_an_unread_private_definition():
              "b.py": ast.parse("from .a import _kept\n"
                                "print(_kept(1), Space()._method())\n")}
     assert set(_unread(trees)) == {"a.py:_dead", "a.py:_orphan"}
+
+
+def _unread_constants(tree: ast.Module) -> dict[str, int]:
+    """Each module-level UPPER_CASE name the module assigns and never reads
+    by name itself, with the line of its assignment."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assigned = {}
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name)
+                        and re.fullmatch(r"[A-Z][A-Z0-9_]*", name.id)):
+                    assigned.setdefault(name.id, node.lineno)
+    return {name: line for name, line in assigned.items() if name not in read}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.stem for p in PACKAGE])
+def test_module_reads_every_constant_it_defines(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = _unread_constants(tree)
+    assert not unread, f"{path.name}: constant never read here {unread}"
+
+
+def test_check_flags_an_unread_constant():
+    tree = ast.parse("LIMIT = 4\n"
+                     "STALE: int = 2\n"
+                     "A, B = 1, 2\n"
+                     "_private = 3\n"
+                     "def f(x):\n"
+                     "    LOCAL = 1\n"
+                     "    return x < LIMIT + A + other.STALE\n")
+    assert set(_unread_constants(tree)) == {"STALE", "B"}

@@ -100,20 +100,24 @@ def test_trotter_convergence_and_proxy(star22):
     basis = restricted_basis(star22)
     H = dense_hamiltonian(star22, basis, 0.3, 1.0, 1.0)
     exact = gibbs_diagonal(H, 2.0)
-    tvs = []
+    tvs, margs = [], {}
     for slices in (8, 16, 32, 64):
-        marg = trotter_marginal(H, 2.0, slices)
-        tvs.append(0.5 * np.abs(marg - exact).sum())
+        margs[slices] = trotter_marginal(H, 2.0, slices)
+        tvs.append(0.5 * np.abs(margs[slices] - exact).sum())
     assert all(b < a for a, b in zip(tvs, tvs[1:]))  # halves as M doubles
     proxy = trotter_error_proxy(star22, QMCConfig(beta=2.0, slices=32,
                                                   omega=0.3, lam=1.0))
     assert 0.0 < proxy < 1e-3
+    assert proxy == pytest.approx(
+        0.5 * np.abs(margs[32] - margs[64]).sum(), rel=1e-10)
 
 
 def test_capacity_error_on_large_restricted_space():
     g = generate_star(4, 6)
     with pytest.raises(CapacityError):
         WorldlineEngine(g, QMCConfig(beta=1.0, slices=4))
+    with pytest.raises(CapacityError):
+        trotter_error_proxy(g, QMCConfig(beta=1.0, slices=4))
 
 
 def test_emax_uniform_at_infinite_temperature(star22):
