@@ -65,10 +65,16 @@ class _Uniforms:
 
 
 class _UpdateMix:
-    """The flip/exchange mix and dynamics mode that SAConfig and PTConfig
-    share."""
+    """The inverse temperatures, flip/exchange mix and dynamics mode that
+    SAConfig and PTConfig share."""
 
-    def _check_mix(self) -> None:
+    def _check_common(self, sweeps: int) -> None:
+        self.betas = tuple(float(b) for b in self.betas)
+        if not all(b >= 0 for b in self.betas):
+            raise ConfigError(f"inverse temperatures must be >= 0, got "
+                              f"{self.betas}")
+        if sweeps < 1:
+            raise ConfigError(f"sweeps must be >= 1, got {sweeps}")
         if self.flip_weight < 0 or self.exchange_weight < 0:
             raise ConfigError("update weights must be non-negative")
         if self.flip_weight + self.exchange_weight <= 0:
@@ -108,10 +114,9 @@ class SAConfig(_UpdateMix):
     trace_stride: int = 0
 
     def __post_init__(self):
-        self.betas = tuple(float(b) for b in self.betas)
+        self._check_common(self.sweeps_per_beta)
         if any(b2 < b1 for b1, b2 in zip(self.betas, self.betas[1:])):
             raise ConfigError("beta schedule must be non-decreasing")
-        self._check_mix()
 
     @property
     def k(self) -> int:
@@ -134,12 +139,11 @@ class PTConfig(_UpdateMix):
     record_histogram: bool = False
 
     def __post_init__(self):
-        self.betas = tuple(float(b) for b in self.betas)
+        self._check_common(self.sweeps)
         if sorted(self.betas) != list(self.betas):
             raise ConfigError("replica betas must be sorted")
         if self.isoenergetic and len(self.betas) < 2:
             raise ConfigError("isoenergetic updates need at least 2 replicas")
-        self._check_mix()
 
     @property
     def replicas(self) -> int:

@@ -153,10 +153,12 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",") if x]
+    lo, colon, hi = text.partition(":")
+    values = list(range(int(lo), int(hi) + 1)) if colon else \
+        [int(x) for x in text.split(",") if x]
+    if not values:
+        raise ValueError(f"empty integer list {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------- commands

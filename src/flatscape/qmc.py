@@ -58,6 +58,8 @@ class QMCConfig:
     def __post_init__(self):
         if self.slices < 2:
             raise ConfigError("need at least 2 Trotter slices")
+        if not self.beta >= 0:
+            raise ConfigError(f"beta must be >= 0, got {self.beta}")
         if not 0 <= self.burn_in < self.sweeps:
             raise ConfigError(f"burn-in must satisfy 0 <= burn-in < sweeps, "
                               f"got {self.burn_in} of {self.sweeps} sweeps")
@@ -337,10 +339,12 @@ def trotter_error_proxy(graph: Graph, config: QMCConfig) -> float:
     """Total-variation distance between the exact slice-1 marginals at M and
     2M slices (transfer-matrix evaluation, no sampling noise)."""
     _, diag, H_od = _dense_split(graph, config)
-    marg = []
-    for slices in (config.slices, 2 * config.slices):
+    half = scipy.linalg.expm(-config.beta / (2 * config.slices) * H_od)
+    marg = []  # expm(-(beta/M) H_od) is the square of the 2M-slice bond
+    for slices, bond in ((config.slices, half @ half),
+                         (2 * config.slices, half)):
         tau = config.beta / slices
-        T = np.maximum(scipy.linalg.expm(-tau * H_od), 0.0)
+        T = np.maximum(bond, 0.0)
         T *= np.exp(-tau * diag)  # column j times exp(-tau H_d(j))
         power = np.linalg.matrix_power(T, slices).diagonal().clip(0.0)
         marg.append(power / power.sum())
@@ -502,6 +506,8 @@ def qmc_bound_inputs(graph: Graph, b: int | None = None, omega: float = 0.3,
     maximizes over them.
     """
     check_bound_parameters(eps, k)
+    if not beta >= 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
     profile = independence_polynomial(graph)
     sizes = [b] if b is not None else profile.bound_sizes()
     if any(size < 1 or size > profile.alpha for size in sizes):

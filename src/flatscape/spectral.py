@@ -32,7 +32,6 @@ from .graphs import Graph
 DENSE_EIG_LIMIT = 256
 # build_operator raises CapacityError past this many estimated nonzeros
 NNZ_LIMIT = 2_000_000
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEGENERACY_RTOL = 1e-8
 SERIES_MAX_TERMS = 64  # resolvent moment series; about 12 terms when h << pole
 # every Lanczos pair must reach ||H v - E v|| <= RESIDUAL_RTOL * ||H||
@@ -234,24 +233,6 @@ class GapReport:
         }
 
 
-def _golden_minimize(fn, a, b, rel_tol):
-    """Golden-section minimization of a scalar function on [a, b]."""
-    c1 = b - GOLDEN * (b - a)
-    c2 = a + GOLDEN * (b - a)
-    f1, f2 = fn(c1), fn(c2)
-    while (b - a) > rel_tol * max(1.0, abs(a), abs(b)):
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - GOLDEN * (b - a)
-            f1 = fn(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + GOLDEN * (b - a)
-            f2 = fn(c2)
-    mid = 0.5 * (a + b)
-    return mid, fn(mid)
-
-
 def _brent_root(fn, a, b, fa, fb, xtol):
     """A root of ``fn`` in [a, b], where fa = fn(a) and fb = fn(b) differ in
     sign: Brent's safeguarded inverse-quadratic / secant / bisection search
@@ -307,30 +288,25 @@ def _scan_grid(deltas) -> np.ndarray:
 
 
 def minimize_gap(gap_at, deltas, rel_tol: float, grid=None) -> GapReport:
-    """Minimum of ``gap_at(delta)`` over a coarse grid, refined around every
-    interior local minimum.
-
-    ``gap_at`` returns the gap, or (gap, slope) with the slope d gap/d delta.
-    ``grid``, the gaps at ``deltas`` if known, stands in for the grid pass.
-    The avoided-crossing dip can be narrower than the grid spacing, so every
-    interior grid minimum k is refined.  With slopes, the sign of the slope
+    """Minimum of ``gap_at(delta)``, which returns (gap, d gap/d delta),
+    over a coarse grid, refined around every interior local minimum k (the
+    dip can be narrower than the grid spacing).  ``grid``, the gaps at
+    ``deltas`` if known, stands in for the grid pass.  The sign of the slope
     at delta_k picks the half bracket [delta_k-1, delta_k] or
     [delta_k, delta_k+1]; where the slope there goes from - to +, Brent's
-    root search finds the zero of the slope to rel_tol / 2 (refinement
-    "root").  Otherwise golden section minimizes the gap on
-    [delta_k-1, delta_k+1] (refinement "golden").  Each delta is evaluated
-    once.  The best refined value wins and the grid ends compete with it.
-    The report carries the coarse curve, the gap, its delta,
-    ``boundary_minimum`` and, in ``method``, the evaluations (grid, refine)
-    and the refinement of each dip.
+    root search finds its zero to rel_tol / 2 (refinement "root"), else the
+    dip keeps its grid point, solved in full (refinement "grid").  Each
+    delta is evaluated once.  The best refined value wins and the grid ends
+    compete with it.  The report carries the coarse curve, the gap, its
+    delta, ``boundary_minimum`` and, in ``method``, the evaluations (grid,
+    refine) and the refinement of each dip.
     """
     deltas = _scan_grid(deltas)
     seen = {}
 
     def evaluate(d):
         if d not in seen:
-            value = gap_at(d)
-            seen[d] = value if isinstance(value, tuple) else (value, None)
+            seen[d] = gap_at(d)
         return seen[d]
 
     gaps = np.asarray([evaluate(d)[0] for d in deltas.tolist()]
@@ -341,25 +317,20 @@ def minimize_gap(gap_at, deltas, rel_tol: float, grid=None) -> GapReport:
     report = GapReport(curve=curve)
     best_gap, best_delta, refinements = math.inf, None, []
     for k in interior:
-        slope = evaluate(deltas[k])[1]
-        lo, hi = (k - 1, k) if slope is None or slope >= 0 else (k, k + 1)
+        d_min = float(deltas[k])
+        g_min, slope = evaluate(d_min)
+        lo, hi = (k - 1, k) if slope >= 0 else (k, k + 1)
         a, b = float(deltas[lo]), float(deltas[hi])
         fa, fb = evaluate(a)[1], evaluate(b)[1]
-        if fa is not None and fb is not None and fa < 0 <= fb:
+        if fa < 0 <= fb:
             d_min = _brent_root(lambda d: evaluate(d)[1], a, b, fa, fb,
                                 0.5 * rel_tol * max(1.0, abs(a), abs(b)))
             g_min = evaluate(d_min)[0]
-            refinements.append("root")
-        else:
-            d_min, g_min = _golden_minimize(lambda d: evaluate(d)[0],
-                                            deltas[k - 1], deltas[k + 1],
-                                            rel_tol)
-            refinements.append("golden")
+        refinements.append("root" if fa < 0 <= fb else "grid")
         if g_min < best_gap:
             best_gap, best_delta = g_min, d_min
-    edge = int(np.argmin([gaps[0], gaps[-1]]))
-    edge_gap = float(gaps[0] if edge == 0 else gaps[-1])
-    edge_delta = float(deltas[0] if edge == 0 else deltas[-1])
+    edge = 0 if gaps[0] <= gaps[-1] else -1
+    edge_gap, edge_delta = float(gaps[edge]), float(deltas[edge])
     if edge_gap < best_gap:
         report.boundary_minimum = True
         report.gap, report.delta_star = edge_gap, edge_delta

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 
 from .errors import ConfigError
 from .landscape import LandscapeProfile
-from .spectral import _brent_root, minimize_gap
+from .spectral import _brent_root, lowest_eigenpairs, scan_minimum_gap
 
 SCHEDULE_RATE_FACTOR = 0.1  # adiabatic safety factor on |d delta / dt|
 
@@ -39,30 +39,21 @@ class ChainModel:
         if any(t <= 0 for t in self.hops):
             raise ConfigError("broken chain: non-positive coupling")
 
-    def eigenvalues(self, delta: float, count: int | None = None,
-                    bulk_only: bool = False) -> np.ndarray:
-        """Lowest eigenvalues via the dedicated symmetric-tridiagonal solver
-        (bisection plus inverse iteration)."""
+    def matrix(self, delta: float, bulk_only: bool = False):
+        """Sparse tridiagonal H(delta): -delta*b on site b and -hop between
+        neighbouring sites; sites 0..alpha-1 only when ``bulk_only``."""
         top = self.alpha - 1 if bulk_only else self.alpha
-        diag = -delta * np.arange(top + 1, dtype=float)
         off = -np.asarray(self.hops[:top], dtype=float)
-        if count is None:
-            count = top + 1
-        count = min(count, top + 1)
-        if top == 0:
-            return diag[:count]
-        return scipy.linalg.eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, count - 1),
-            eigvals_only=True)
+        return scipy.sparse.diags([off, -delta * np.arange(top + 1.0), off],
+                                  [-1, 0, 1], format="csr")
+
+    def eigenvalues(self, delta: float, count: int = 2,
+                    bulk_only: bool = False) -> np.ndarray:
+        """The ``count`` lowest eigenvalues of H(delta)."""
+        return lowest_eigenpairs(self.matrix(delta, bulk_only), count)[0]
 
     def bulk_ground(self, delta: float) -> tuple[float, np.ndarray]:
-        top = self.alpha - 1
-        diag = -delta * np.arange(top + 1, dtype=float)
-        off = -np.asarray(self.hops[:top], dtype=float)
-        if top == 0:
-            return float(diag[0]), np.array([1.0])
-        w, v = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
-                                             select_range=(0, 0))
+        w, v = lowest_eigenpairs(self.matrix(delta, bulk_only=True), 1)
         return float(w[0]), v[:, 0]
 
 
@@ -139,16 +130,12 @@ def locate_resonance(chain: ChainModel,
 
 def chain_gap_profile(chain: ChainModel, delta_range: tuple[float, float],
                       points: int = 128) -> ChainDiagnostics:
-    """Gap-vs-detuning curve, minimum refined to 1e-9 relative, resonance
-    and its coupling."""
+    """Gap-vs-detuning curve and its minimum from ``scan_minimum_gap``
+    (dH/d delta = -b on site b), resonance and its coupling."""
     if chain.alpha < 2:
         raise ConfigError("chain too short for a resonance analysis")
-
-    def gap_at(d):
-        w = chain.eigenvalues(d, count=2)
-        return float(w[1] - w[0])
-
-    scan = minimize_gap(gap_at, np.linspace(*delta_range, points), 1e-9)
+    scan = scan_minimum_gap(chain.matrix, np.linspace(*delta_range, points),
+                            -np.arange(chain.alpha + 1))
     out = ChainDiagnostics(curve=scan.curve, min_gap=scan.gap,
                            min_gap_delta=scan.delta_star,
                            boundary=scan.boundary_minimum)

@@ -250,12 +250,19 @@ def test_bound_error_target_outside_its_range_exit_code(tmp_path, capsys,
     (["sa", "--tts", "--p-target", "0"], "probability in (0, 1)"),
     (["sa", "--tts", "--p-target", "1"], "probability in (0, 1)"),
     (["sa", "--tts", "--p-target", "1.5"], "probability in (0, 1)"),
+    (["sa", "--sweeps", "0"], "sweeps must be >= 1"),
+    (["pt", "--sweeps", "0"], "sweeps must be >= 1"),
+    (["sa", "--beta=-1"], "inverse temperatures must be >= 0"),
+    (["pt", "--beta=-1,1"], "inverse temperatures must be >= 0"),
+    (["qmc", "--beta=-1"], "beta must be >= 0"),
+    (["qmc", "--bound-inputs", "--beta=-1"], "beta must be >= 0"),
 ])
 def test_inputs_outside_their_range_exit_code(tmp_path, capsys, argv, limit):
     # a reversed or empty scan range, a non-positive star drive, an empty
-    # TTS budget grid, a TTS target outside (0, 1), zero trials and a QMC
-    # run that is all burn-in are usage errors that name the limit and
-    # leave a manifest, not an unrefined answer or a traceback
+    # TTS budget grid, a TTS target outside (0, 1), zero trials, a QMC run
+    # that is all burn-in, zero sampler sweeps, a negative inverse
+    # temperature are usage errors that name the limit and leave a
+    # manifest, not an empty answer or a traceback
     inst = tmp_path / "i.json"
     inst.write_text(serialize(generate_star(3, 2)))
     out = tmp_path / "r.json"
@@ -350,6 +357,18 @@ def test_compare_star_family_csv(tmp_path):
     assert lines[0].startswith("schema,family,ell,n_b,n,sa_bound")
     assert len(lines) == 3
     assert all(line.startswith("flatscape.compare.v1") for line in lines[1:])
+
+
+@pytest.mark.parametrize("flag, family", [("--nb", "6:2"), ("--l", "")])
+def test_compare_empty_family_exit_code(tmp_path, capsys, flag, family):
+    # an empty star family is a usage error, not a header-only CSV
+    out = tmp_path / "cmp.csv"
+    assert run_cli(["compare", flag, family, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[usage]" in err and "empty integer list" in err
+    assert not out.exists()
+    manifest = json.loads((tmp_path / "cmp.csv.manifest.json").read_text())
+    assert manifest["status"] == 2
 
 
 def test_compare_join_mode(tmp_path):

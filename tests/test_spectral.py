@@ -163,17 +163,24 @@ def test_min_gap_scan_boundary_flag_single_vertex():
     assert report.delta_star == pytest.approx(0.2)
 
 
+def _lowest_branch(*branches):
+    """gap_at of the pointwise minimum of (gap, slope) branches: the gap
+    and analytic slope of the lowest branch."""
+    return lambda d: min(branch(d) for branch in branches)
+
+
 def test_minimize_gap_refines_narrow_dip_between_grid_points():
     # a wide shallow dip holds the coarse minimum (0.6 at delta = 3); the
     # deeper V at 7.2 lies between grid points and shows on the grid only
     # as a shallower local minimum (0.65 at delta = 7)
-    def gap_at(d):
-        return min(0.6 + 0.1 * (d - 3.0) ** 2, 0.05 + 3.0 * abs(d - 7.2),
-                   1.0 + 0.01 * d)
+    gap_at = _lowest_branch(
+        lambda d: (0.6 + 0.1 * (d - 3.0) ** 2, 0.2 * (d - 3.0)),
+        lambda d: (0.05 + 3.0 * abs(d - 7.2), math.copysign(3.0, d - 7.2)),
+        lambda d: (1.0 + 0.01 * d, 0.01))
 
     grid = np.linspace(0.0, 10.0, 21)
     report = minimize_gap(gap_at, grid, rel_tol=1e-9)
-    assert report.curve == [(d, gap_at(d)) for d in grid.tolist()]
+    assert report.curve == [(d, gap_at(d)[0]) for d in grid.tolist()]
     assert min(report.curve, key=lambda p: p[1])[0] == 3.0
     assert not report.boundary_minimum
     assert report.gap == pytest.approx(0.05, abs=1e-7)
@@ -181,15 +188,20 @@ def test_minimize_gap_refines_narrow_dip_between_grid_points():
 
 
 def test_minimize_gap_lower_boundary_wins():
+    # the interior dip sits at 3.2, off the grid, so refining it takes
+    # points beyond the grid
     calls = []
+    gap_slope = _lowest_branch(
+        lambda d: (0.8 + 0.1 * (d - 3.2) ** 2, 0.2 * (d - 3.2)),
+        lambda d: (0.2 + 0.3 * (10.0 - d), -0.3))
 
     def gap_at(d):
         calls.append(d)
-        return min(0.8 + 0.1 * (d - 3.0) ** 2, 0.2 + 0.3 * (10.0 - d))
+        return gap_slope(d)
 
     grid = np.linspace(0.0, 10.0, 21)
     report = minimize_gap(gap_at, grid, rel_tol=1e-6)
-    assert len(calls) > len(grid)  # the interior dip at 3 was refined
+    assert len(calls) > len(grid)  # the interior dip at 3.2 was refined
     assert report.boundary_minimum
     assert report.gap == 0.2
     assert report.delta_star == 10.0
@@ -240,23 +252,19 @@ def test_minimize_gap_root_search_takes_the_half_bracket():
     assert report.delta_star == pytest.approx(lo, abs=1e-8)
 
 
-def test_minimize_gap_without_sign_change_matches_golden_bit_for_bit():
+def test_minimize_gap_without_sign_change_keeps_the_grid_point():
     # slopes +, +, + around the grid minimum delta = 3: no bracket, so the
-    # search falls back to golden section exactly as for a float callable
+    # dip keeps its grid point
     def gap_slope(d):
         return (1.5 + math.sin(5.9 * d) + 0.1 * d + 0.02 * (d - 3.0) ** 2,
                 5.9 * math.cos(5.9 * d) + 0.1 + 0.04 * (d - 3.0))
 
     grid = np.linspace(0.0, 6.0, 7)
     assert all(gap_slope(d)[1] > 0 for d in (2.0, 3.0, 4.0))
-    with_slope = minimize_gap(gap_slope, grid, rel_tol=1e-6)
-    plain = minimize_gap(lambda d: gap_slope(d)[0], grid, rel_tol=1e-6)
-    assert with_slope.method["refinement"] == ["golden"]
-    assert plain.method["refinement"] == ["golden"]
-    assert with_slope.method == plain.method
-    assert with_slope.gap == plain.gap
-    assert with_slope.delta_star == plain.delta_star
-    assert with_slope.curve == plain.curve
+    report = minimize_gap(gap_slope, grid, rel_tol=1e-6)
+    assert report.method["refinement"] == ["grid"]
+    assert report.delta_star == 3.0
+    assert report.gap == gap_slope(3.0)[0]
 
 
 @pytest.mark.parametrize("case", ["star-3-6-sector", "unit-disk-4x3"])

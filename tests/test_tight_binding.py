@@ -207,3 +207,33 @@ def test_resonance_bisection_consistency(star22):
     dstar = locate_resonance(chain)
     e0, _ = chain.bulk_ground(dstar)
     assert e0 == pytest.approx(-dstar * chain.alpha, abs=1e-9)
+
+
+def test_chain_scan_goes_through_scan_minimum_gap(monkeypatch):
+    # one scan routine for every spectrum; its minimum is the zero of the
+    # Hellmann-Feynman slope sum_b b (psi0_b^2 - psi1_b^2) of the chain gap
+    from flatscape import spectral, tight_binding
+
+    calls = []
+
+    def counted_scan(*args, **kwargs):
+        calls.append(args)
+        return spectral.scan_minimum_gap(*args, **kwargs)
+
+    monkeypatch.setattr(tight_binding, "scan_minimum_gap", counted_scan)
+    chain = ChainModel(alpha=5, hops=(2.0, 3.5, 2.5, 4.0, 1e-2), omega=1.0)
+    diag = chain_gap_profile(chain, (0.05, 8.0), points=64)
+    assert len(calls) == 1
+
+    def slope(d):
+        _, v = scipy.linalg.eigh(chain.matrix(d).toarray(),
+                                 subset_by_index=(0, 1))
+        return float(np.arange(chain.alpha + 1) @ (v[:, 0] ** 2 - v[:, 1] ** 2))
+
+    cell = (8.0 - 0.05) / 63
+    lo, hi = diag.min_gap_delta - cell, diag.min_gap_delta + cell
+    assert slope(lo) < 0 < slope(hi)
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) < 0 else (lo, mid)
+    assert abs(diag.min_gap_delta - lo) <= spectral.SCAN_REL_TOL * lo
