@@ -31,7 +31,8 @@ from .landscape import independence_polynomial
 from .spectral import restricted_basis, violation_count
 
 RNG_CHUNK = 8192
-# the TTS bootstrap's stream index; trial indices never reach it
+# the TTS bootstrap's resamples and stream index (no trial index reaches it)
+BOOTSTRAP_RESAMPLES = 200
 BOOTSTRAP_STREAM = 2 ** 63 - 1
 
 
@@ -111,7 +112,6 @@ class SAConfig(_UpdateMix):
     penalty: float | None = None
     seed: int = 0
     record_histogram: bool = False
-    trace_stride: int = 0
 
     def __post_init__(self):
         self._check_common(self.sweeps_per_beta)
@@ -159,7 +159,6 @@ class MCResult:
     acceptance: dict
     histogram: dict | None
     replica_histograms: list | None
-    trace: list | None
     rng: dict
 
 
@@ -258,8 +257,6 @@ def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
     triples = zip(it, it, it)
     n = max(graph.n, 1)
     histogram: dict[int, int] | None = {} if config.record_histogram else None
-    trace: list | None = [] if config.trace_stride else None
-    recorded = histogram is not None or trace is not None
     acceptance = {}
     rep = (0, 0, 0)
     best_mask, best_size = 0, 0
@@ -275,8 +272,8 @@ def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
             # at the target is recorded after one more proposal
             target = best_size + 1 if first_hit else min(best_size + 1, alpha)
             size = rep[1] if not rep[2] else -1
-            count = 1 if size >= target else \
-                n - proposals % n if recorded else rung_end - proposals
+            count = 1 if size >= target else rung_end - proposals \
+                if histogram is None else n - proposals % n
             rep, acc, done = _local_moves(moves, rep, islice(triples, count),
                                           beta, target)
             accepted += acc
@@ -289,12 +286,8 @@ def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
                 if stop_at_hit:
                     stopped = True
                     break
-            sweep, offset = divmod(proposals, n)
-            if histogram is not None and not offset:
+            if histogram is not None and not proposals % n:
                 histogram[rep[0]] = histogram.get(rep[0], 0) + 1
-            if trace is not None and not offset and \
-                    sweep % config.trace_stride == 0:
-                trace.append((sweep, _energy(rep, moves[3])))
         acceptance[beta] = accepted / max(proposals - rung_start, 1)
         if stopped:
             break
@@ -303,7 +296,7 @@ def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
                     first_hit_sweep=first_hit,
                     sweeps=(proposals - stopped) // n,
                     acceptance=acceptance, histogram=histogram,
-                    replica_histograms=None, trace=trace,
+                    replica_histograms=None,
                     rng={"generator": "philox", "key": [config.seed, trial]})
 
 
@@ -391,7 +384,7 @@ def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None,
     return MCResult(best_mask=best_mask, best_size=best_size,
                     first_hit_sweep=first_hit, sweeps=config.sweeps,
                     acceptance=acceptance, histogram=None,
-                    replica_histograms=histograms, trace=None,
+                    replica_histograms=histograms,
                     rng={"generator": "philox", "key": [config.seed, trial]})
 
 
@@ -445,8 +438,8 @@ class TTSEstimate:
 
 
 def estimate_tts(graph: Graph, config: SAConfig, p_target: float = 0.75,
-                 sweep_grid=None, trials: int = 64, alpha: int | None = None,
-                 bootstrap: int = 200) -> TTSEstimate:
+                 sweep_grid=None, trials: int = 64,
+                 alpha: int | None = None) -> TTSEstimate:
     """Empirical time-to-solution for a fixed-schedule SA chain.
 
     Each trial runs once to the longest budget and records its first-hit
@@ -454,8 +447,8 @@ def estimate_tts(graph: Graph, config: SAConfig, p_target: float = 0.75,
     distribution.  TTS(T) = T * ln(1 - p_target) / ln(1 - p(T)), with the
     saturation convention TTS(T) = T when p(T) = 1; censored trials (no hit
     anywhere) set the flag instead of crashing.  Trial t runs on the
-    Philox stream (config.seed, t); the bootstrap resamples on
-    (config.seed, BOOTSTRAP_STREAM).
+    Philox stream (config.seed, t); the BOOTSTRAP_RESAMPLES resamples of the
+    confidence interval draw on (config.seed, BOOTSTRAP_STREAM).
     """
     if sweep_grid is None:
         sweep_grid = [2 ** k for k in range(3, 12)]
@@ -473,7 +466,7 @@ def estimate_tts(graph: Graph, config: SAConfig, p_target: float = 0.75,
     n_rungs = max(len(config.betas), 1)
     per_rung = max(horizon // n_rungs + 1, 1)
     trial_config = replace(config, sweeps_per_beta=per_rung,
-                           record_histogram=False, trace_stride=0)
+                           record_histogram=False)
     hits = []
     for trial in range(trials):
         result = sa_run(graph, trial_config, alpha=alpha, stop_at_hit=True,
@@ -499,10 +492,10 @@ def estimate_tts(graph: Graph, config: SAConfig, p_target: float = 0.75,
     (tts, at_min), curve = tts_from(hits)
     censored = not np.isfinite(hits).any()
     ci_low = ci_high = None
-    if not censored and bootstrap:
+    if not censored:
         rng = _stream(config.seed, BOOTSTRAP_STREAM)
         values = []
-        for _ in range(bootstrap):
+        for _ in range(BOOTSTRAP_RESAMPLES):
             sample = hits[rng.integers(0, len(hits), size=len(hits))]
             (v, _), _ = tts_from(sample)
             if math.isfinite(v):

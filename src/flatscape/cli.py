@@ -82,8 +82,8 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _canonical_json(doc) -> str:  # a NaN or infinity raises ValueError
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 class _Run:
@@ -141,6 +141,9 @@ def _load_graph(run: _Run, path: str) -> Graph:
     run.note_input(path, text)
     doc = json.loads(text)
     if isinstance(doc, dict) and doc.get("kind") == "star_prediction":
+        for key in ("n_b", "ell"):
+            if type(doc.get(key)) is not int:
+                raise ParseError(key, f"must be an integer, got {doc.get(key)!r}")
         return generate_star(doc["n_b"], doc["ell"])
     if (graph := deserialize(text)).n == 0:
         raise ValueError(f"instance {path} has no vertices")
@@ -446,6 +449,8 @@ def _cmd_compare(args, run: _Run) -> int:
             text = _read_text(path)
             run.note_input(path, text)
             doc = json.loads(text)
+            if not isinstance(doc, dict):
+                raise ValueError(f"report {path} is not a JSON object")
             flat = {"schema": COMPARE_SCHEMA, "source": os.path.basename(path)}
             for key, value in doc.items():
                 if isinstance(value, (int, float, str, bool)) or value is None:

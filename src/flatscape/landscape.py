@@ -7,6 +7,7 @@ sizes this module targets, so bound arithmetic goes through fractions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -321,6 +322,9 @@ def classical_bound(profile: LandscapeProfile, kind: str, *, k: int = 1,
         best = min(_isoenergetic_term(profile, b, k_prime)
                    for b in profile.bound_sizes())
         value = Fraction(1, 2 * n) / best
+    if value * Fraction(max(log_factor, 1.0)) > sys.float_info.max:
+        raise CapacityError(f"the {kind} bound exceeds the float range "
+                            f"(largest double {sys.float_info.max:.3e})")
     return log_factor * float(value)
 
 

@@ -32,6 +32,16 @@ from .spectral import (DENSE_EIG_LIMIT, _sector_ldl, build_operator,
 DENSE_WORLDLINE_LIMIT = 4096
 
 
+def _check_physics(beta: float, omega: float, delta: float, lam: float):
+    """Reject a non-finite coefficient or a negative beta (0 is valid)."""
+    for name, value in zip(("beta", "omega", "delta", "lambda"),
+                           (beta, omega, delta, lam)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    if beta < 0:
+        raise ConfigError(f"beta must be >= 0, got {beta}")
+
+
 @dataclass
 class QMCConfig:
     """Worldline-chain parameters.
@@ -58,8 +68,7 @@ class QMCConfig:
     def __post_init__(self):
         if self.slices < 2:
             raise ConfigError("need at least 2 Trotter slices")
-        if not self.beta >= 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        _check_physics(self.beta, self.omega, self.delta, self.lam)
         if not 0 <= self.burn_in < self.sweeps:
             raise ConfigError(f"burn-in must satisfy 0 <= burn-in < sweeps, "
                               f"got {self.burn_in} of {self.sweeps} sweeps")
@@ -92,14 +101,15 @@ def _dense_split(graph: Graph, config: QMCConfig):
 class WorldlineEngine:
     """Precomputed tables for one (graph, config) worldline chain.
 
-    Holds the restricted basis, the dense log bond matrix, per-slice
-    diagonal log factors, and the flip table mapping (state, vertex) to the
-    flipped state's index (-1 when the flip leaves the independent-set
-    space).  For the heat bath, per vertex v: ``lower[v][s]`` is state s
-    with v removed, ``upper[v][s]`` is s with v added (-1 when that leaves
-    the space), and ``blocks[v]`` memoizes the normalized 2x2 transfer
-    block of each pair of consecutive v-free slice states (see
-    ``transfer_block``); it fills on first use and lives with the engine.
+    Holds the restricted basis and, as plain lists for the samplers' hot
+    loops, the bond matrix and its log, the per-slice diagonal factors and
+    their logs, and the flip table mapping (state, vertex) to the flipped
+    state's index (-1 when the flip leaves the independent-set space).  For
+    the heat bath, per vertex v: ``lower[v][s]`` is state s with v removed,
+    ``upper[v][s]`` is s with v added (-1 when that leaves the space), and
+    ``blocks[v]`` memoizes the normalized 2x2 transfer block of each pair of
+    consecutive v-free slice states (see ``transfer_block``); it fills on
+    first use and lives with the engine.
     """
 
     def __init__(self, graph: Graph, config: QMCConfig):
@@ -108,22 +118,19 @@ class WorldlineEngine:
         self.index = op.space.index
         bond = scipy.linalg.expm(-config.beta / config.slices * H_od)
         bond = np.maximum(bond, 0.0)  # clip roundoff negatives
-        with np.errstate(divide="ignore"):
-            self.log_bond = np.where(bond > 0.0, np.log(np.maximum(bond, 1e-300)),
-                                     -np.inf)
-        self.log_diag = -config.beta / config.slices * diag
-        # plain-list mirrors for the samplers' hot loops
+        log_diag = -config.beta / config.slices * diag
         self.bond_rows = bond.tolist()
-        self.diag_list = np.exp(self.log_diag - self.log_diag.max()).tolist()
-        self.log_bond_rows = self.log_bond.tolist()
-        self.log_diag_list = self.log_diag.tolist()
-        self.flip_to = op.space.flips
-        self.flip_rows = self.flip_to.tolist()
+        self.diag_list = np.exp(log_diag - log_diag.max()).tolist()
+        self.log_bond_rows = np.where(
+            bond > 0.0, np.log(np.maximum(bond, 1e-300)), -np.inf).tolist()
+        self.log_diag_list = log_diag.tolist()
+        flips = op.space.flips
+        self.flip_rows = flips.tolist()
         rows = np.arange(op.dim)[:, None]
         occupied = (op.space.masks[:, None]
                     >> np.arange(graph.n, dtype=np.uint64)) & np.uint64(1) == 1
-        self.lower = np.where(occupied, self.flip_to, rows).T.tolist()
-        self.upper = np.where(occupied, rows, self.flip_to).T.tolist()
+        self.lower = np.where(occupied, flips, rows).T.tolist()
+        self.upper = np.where(occupied, rows, flips).T.tolist()
         self.blocks = [{} for _ in range(graph.n)]
 
     def transfer_block(self, v: int, a0: int, b0: int) -> tuple:
@@ -157,7 +164,7 @@ class WorldlineEngine:
         m = len(slices)
         for i in range(m):
             j = slices[(i + 1) % m]
-            total += self.log_bond[slices[i], j] + self.log_diag[j]
+            total += self.log_bond_rows[slices[i]][j] + self.log_diag_list[j]
         return total
 
 
@@ -372,11 +379,11 @@ def worldline_transition_matrix(graph: Graph, config: QMCConfig,
     for k, s in enumerate(states):
         for slot in range(m):
             for v in range(n):
-                new = engine.flip_to[s[slot], v]
+                new = engine.flip_rows[s[slot]][v]
                 if new < 0:
                     continue
                 s2 = list(s)
-                s2[slot] = int(new)
+                s2[slot] = new
                 k2 = index[tuple(s2)]
                 acc = min(1.0, math.exp(min(logw[k2] - logw[k], 0.0)))
                 P[k, k2] += p_site / (m * n) * acc
@@ -388,11 +395,11 @@ def worldline_transition_matrix(graph: Graph, config: QMCConfig,
                     ok = True
                     for j in range(length):
                         slot = (start + j) % m
-                        new = engine.flip_to[s2[slot], v]
+                        new = engine.flip_rows[s2[slot]][v]
                         if new < 0:
                             ok = False
                             break
-                        s2[slot] = int(new)
+                        s2[slot] = new
                     if not ok:
                         continue
                     k2 = index[tuple(s2)]
@@ -506,8 +513,7 @@ def qmc_bound_inputs(graph: Graph, b: int | None = None, omega: float = 0.3,
     maximizes over them.
     """
     check_bound_parameters(eps, k)
-    if not beta >= 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    _check_physics(beta, omega, delta, lam)
     profile = independence_polynomial(graph)
     sizes = [b] if b is not None else profile.bound_sizes()
     if any(size < 1 or size > profile.alpha for size in sizes):

@@ -23,7 +23,7 @@ import scipy.sparse.linalg
 
 from .bits import (Space, enumerate_independent_sets, popcount,
                    require_mask_width)
-from .errors import CapacityError, ConfigError, ConvergenceError
+from .errors import CapacityError, ConvergenceError
 from .graphs import Graph
 
 # dense eigh up to here, Lanczos above: the two cost the same near 250 rows
@@ -132,7 +132,7 @@ def build_operator(graph: Graph, omega: float, delta: float,
         raise CapacityError(
             f"operator would need ~{est_nnz} nonzeros, over the {NNZ_LIMIT} limit")
     space = Space.of(graph, basis)
-    H = scipy.sparse.diags(-delta * space.sizes).tocsr()
+    H = scipy.sparse.diags(-delta * space.sizes.astype(float)).tocsr()
     if omega:
         H = H - omega * _move_matrix(space.flips)
     if lam:
@@ -730,46 +730,7 @@ def _heff_solver(H, G: np.ndarray, E: np.ndarray, z0: float):
     return entries, counts
 
 
-def _heff_series(H_cost_diag: np.ndarray, drive, G: np.ndarray, E: np.ndarray,
-                 z: float, omega: float, order: int):
-    """Truncated expansion of the effective coupling in powers of the drive,
-    using the bare diagonal resolvent Q/(z - H_cost).
-
-    Assumes a restricted-basis, unmodified operator whose diagonal is the
-    cost term alone (constant within manifolds), so the diagonal resolvent
-    commutes with projecting out the crossing states.
-    """
-    denom = z - H_cost_diag
-    pole = np.abs(denom) < 1e-12 * max(1.0, abs(z))
-
-    def apply_resolvent(x):
-        qx = _project_out(x, G, E)
-        # components exactly removed by the projector may sit on a pole;
-        # anything else there is a genuine divergence
-        if np.any(pole & (np.abs(qx) > 1e-10 * max(np.abs(x).max(), 1e-30))):
-            raise ConvergenceError("series resolvent hits a pole of z - H_cost")
-        out = np.zeros_like(qx)
-        np.divide(qx, denom, out=out, where=~pole)
-        return out
-
-    total = {"GG": 0.0, "GE": 0.0, "EG": 0.0, "EE": 0.0}
-    # term j applies (-omega * drive) then j resolvent insertions; j = 0
-    # reproduces the bare coupling between the states
-    for name_b, vb in (("G", G), ("E", E)):
-        x = -omega * (drive @ vb)
-        acc = x.copy()
-        for _ in range(order):
-            x = -omega * (drive @ apply_resolvent(x))
-            acc += x
-        total["G" + name_b] = float(G @ acc)
-        total["E" + name_b] = float(E @ acc)
-    total["GG"] += float(G @ (H_cost_diag * G))
-    total["EE"] += float(E @ (H_cost_diag * E))
-    return total
-
-
 def resolvent_gap(H, G: np.ndarray, E: np.ndarray, z0: float,
-                  order: int | None = None, omega: float | None = None,
                   h_rel: float = 1e-4, exact_pairs=None) -> GapReport:
     """Effective-two-level gap estimates of the matrix ``H`` at the crossing.
 
@@ -778,38 +739,23 @@ def resolvent_gap(H, G: np.ndarray, E: np.ndarray, z0: float,
     slopes, and, when ``exact_pairs`` (the eigenvectors psi0, psi1) are
     supplied, the overlap-area validity diagnostic.
 
-    ``order`` switches to the truncated series in powers of the drive; the
-    default, _heff_solver's exact moment series about z0 on either path,
-    raises ConvergenceError when z - QHQ has a pole within about h of z0.
+    H_eff(z) is _heff_solver's exact moment series about z0 on either path;
+    it raises ConvergenceError when z - QHQ has a pole within about h of z0.
     A slope is the central difference at step h/2, or its Richardson
     extrapolation with the one at h where the two differ by over 1%.
     ``method`` records the LDL^T factorizations and the most series terms.
     """
-    norm_g, norm_e = np.linalg.norm(G), np.linalg.norm(E)
-    G = G / norm_g
-    E = E / norm_e
+    G, E = G / np.linalg.norm(G), E / np.linalg.norm(E)
     if abs(float(G @ E)) > 1e-10:
         raise ValueError("crossing states must be orthogonal")
 
-    if order is not None:
-        if omega is None:
-            raise ConfigError("series mode needs the drive coefficient omega")
-        diag = np.asarray(H.diagonal()).ravel()
-        drive = -(H - scipy.sparse.diags(diag)) / omega
-
-        def entries(z):
-            return _heff_series(diag, drive, G, E, z, omega, order)
-        counts = {"factorizations": 0, "series_terms": None}
-    else:
-        entries, counts = _heff_solver(H, G, E, z0)
-
+    entries, counts = _heff_solver(H, G, E, z0)
     ent0 = entries(z0)
     tilde = 2.0 * abs(ent0["GE"])
     h = h_rel * max(abs(z0), 1.0)
 
     def slopes_at(step):
-        ep = entries(z0 + step)
-        em = entries(z0 - step)
+        ep, em = entries(z0 + step), entries(z0 - step)
         return {key: (ep[key] - em[key]) / (2.0 * step)
                 for key in ("GG", "EE", "GE")}
 
@@ -829,8 +775,8 @@ def resolvent_gap(H, G: np.ndarray, E: np.ndarray, z0: float,
         tilde_gap=tilde, corrected_gap=corrected,
         slopes={"m_gg": m_gg, "m_ee": m_ee, "m_ge": m_ge,
                 "f_gg": f_gg, "f_ee": f_ee},
-        method={"z0": z0, "order": order,
-                "dense": H.shape[0] <= RESOLVENT_DENSE_LIMIT, "h": h, **counts},
+        method={"z0": z0, "dense": H.shape[0] <= RESOLVENT_DENSE_LIMIT,
+                "h": h, **counts},
     )
     if exact_pairs is not None:
         psi0, psi1 = exact_pairs

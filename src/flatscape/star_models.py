@@ -14,17 +14,22 @@ hundreds of branches for ell = 2.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse
 
 from .bits import Space, enumerate_independent_sets
+from .errors import CapacityError
 from .graphs import Graph
 from .spectral import GapReport, scan_minimum_gap
+
+# SymmetricStarSpace's row limit: a space and its first hamiltonian peak at
+# 1.0-1.6 KiB a row (star(20,4)'s 898,656 rows: 1068 MiB), so about 2 GiB
+STAR_ROW_LIMIT = 1_300_000
 
 
 def exchange_density(ell: int) -> float:
@@ -126,17 +131,6 @@ def star_wavefunction(n_b: int, ell: int, walls) -> float:
     return amp
 
 
-def _built_once(method):
-    """Memoise a zero-argument operator method on its space instance."""
-    @functools.wraps(method)
-    def once(self):
-        built = vars(self).setdefault("_built", {})
-        if method.__name__ not in built:
-            built[method.__name__] = method(self)
-        return built[method.__name__]
-    return once
-
-
 class SymmetricStarSpace:
     """Star-graph operators in the branch-permutation-symmetric sector.
 
@@ -193,6 +187,10 @@ class SymmetricStarSpace:
         sectors = [range(K), [s for s in range(K) if constrained[s]]]
         self._dim_a, dim_b = (math.comb(len(c) + n_b - 1, n_b) for c in sectors)
         self.dim = self._dim_a + dim_b
+        if self.dim > STAR_ROW_LIMIT:
+            raise CapacityError(
+                f"star({n_b},{ell}) has {self.dim} symmetric-sector rows, "
+                f"over the STAR_ROW_LIMIT of {STAR_ROW_LIMIT}")
         multisets = np.fromiter(
             (m for c in sectors for m in combinations_with_replacement(c, n_b)),
             dtype=np.dtype((np.int32, n_b)), count=self.dim)
@@ -248,34 +246,37 @@ class SymmetricStarSpace:
             shape=(self.dim, self.dim))
         return matrix, out
 
-    @_built_once
+    @cached_property
     def _drive(self):
         return self._assemble(self.drive_moves, raising_only=True)
 
-    @_built_once
+    @cached_property
     def _exchange(self):
         return self._assemble(self.exchange_moves)
 
+    @cached_property
+    def _laplacian(self):
+        return (scipy.sparse.diags(self.exchange_degree_diag())
+                - self.spin_exchange_matrix()).tocsr()
+
     def drive_matrix(self) -> scipy.sparse.csr_matrix:
         """Single-spin-flip generator (matrix elements 1 per allowed flip)."""
-        return self._drive()[0]
+        return self._drive[0]
 
     def spin_exchange_matrix(self) -> scipy.sparse.csr_matrix:
-        return self._exchange()[0]
+        return self._exchange[0]
 
     def exchange_degree_diag(self) -> np.ndarray:
         """Configuration-graph degree of each basis state (possible spin
         exchanges, including hops on or off the centre)."""
-        return self._exchange()[1]
+        return self._exchange[1]
 
     def free_vertex_diag(self) -> np.ndarray:
         """Vertices each basis state can add, centre included."""
-        return self._drive()[1]
+        return self._drive[1]
 
-    @_built_once
     def laplacian_matrix(self) -> scipy.sparse.csr_matrix:
-        return (scipy.sparse.diags(self.exchange_degree_diag())
-                - self.spin_exchange_matrix()).tocsr()
+        return self._laplacian
 
     def hamiltonian(self, omega: float, delta: float,
                     lam: float = 0.0) -> scipy.sparse.csr_matrix:

@@ -328,7 +328,6 @@ def scalar_sa_run(graph, config, alpha, stop_at_hit=False, trial=0):
     u01 = ScalarUniforms(config.seed, trial)
     n = max(graph.n, 1)
     histogram = {} if config.record_histogram else None
-    trace = [] if config.trace_stride else None
     acceptance = {}
     best_mask, best_size = 0, 0
     first_hit = None
@@ -357,14 +356,12 @@ def scalar_sa_run(graph, config, alpha, stop_at_hit=False, trial=0):
             sweeps_done += 1
             if histogram is not None:
                 histogram[chain.mask] = histogram.get(chain.mask, 0) + 1
-            if trace is not None and sweeps_done % config.trace_stride == 0:
-                trace.append((sweeps_done, chain.energy()))
         acceptance[beta] = accepted / max(attempted, 1)
         if stopped:
             break
     return dict(best_mask=best_mask, best_size=best_size,
                 first_hit_sweep=first_hit, sweeps=sweeps_done,
-                acceptance=acceptance, histogram=histogram, trace=trace)
+                acceptance=acceptance, histogram=histogram)
 
 
 def scalar_pt_run(graph, config, alpha, trial=0):

@@ -345,7 +345,7 @@ def test_tts_trial_t_is_sa_trial_t(monkeypatch):
         return result
 
     monkeypatch.setattr(classical_mc, "sa_run", recorded)
-    estimate_tts(g, config, sweep_grid=[4, 16, 64], trials=12, bootstrap=0)
+    estimate_tts(g, config, sweep_grid=[4, 16, 64], trials=12)
     # a trial runs horizon // rungs + 1 sweeps per rung
     single = SAConfig(betas=(2.0,), sweeps_per_beta=65, seed=4)
     assert hits == [sa_run(g, single, stop_at_hit=True, trial=t).first_hit_sweep
@@ -363,20 +363,18 @@ def test_tts_bootstrap_key_differs_from_trial_keys(monkeypatch):
 
     monkeypatch.setattr(classical_mc, "_stream", recorded)
     est = estimate_tts(generate_star(2, 2), SAConfig(betas=(2.0,), seed=3),
-                       sweep_grid=[4, 16], trials=8, bootstrap=5)
+                       sweep_grid=[4, 16], trials=8)
     assert est.ci_low is not None
     assert keys[:-1] == [(3, t) for t in range(8)]
     assert keys[-1] not in keys[:-1]
 
 
 def test_mc_result_summary_fields(star22):
-    config = SAConfig(betas=(1.0, 2.0), sweeps_per_beta=200, seed=0,
-                      trace_stride=50)
+    config = SAConfig(betas=(1.0, 2.0), sweeps_per_beta=200, seed=0)
     result = sa_run(star22, config)
     assert isinstance(result, MCResult)
     assert result.sweeps == 400
     assert set(result.acceptance) == {1.0, 2.0}
-    assert result.trace and all(s % 50 == 0 for s, _ in result.trace)
     assert result.best_size <= 3
     assert result.rng["generator"] == "philox"
 
@@ -425,22 +423,23 @@ def test_sa_matches_scalar_chain(graph, mode, penalty):
     # every field of sa_run equals the one-proposal-at-a-time reference,
     # over runs that cross many 8192-draw chunks (3 draws per proposal)
     alpha = _alpha(graph)
-    cases = [  # (stop_at_hit, trace_stride, flip_weight, alpha, seed, trial)
-        (False, 0, 0.5, alpha, 3, 0),
-        (False, 7, 0.3, alpha, 4, 2),
-        (True, 0, 0.5, alpha, 5, 1),
-        (True, 3, 0.5, 0, 6, 0),       # hit in hand before any proposal
-        (False, 0, 0.5, alpha + 1, 7, 0),
+    # (stop_at_hit, record_histogram, flip_weight, alpha, seed, trial)
+    cases = [
+        (False, True, 0.5, alpha, 3, 0),
+        (False, False, 0.3, alpha, 4, 2),
+        (True, True, 0.5, alpha, 5, 1),
+        (True, False, 0.5, 0, 6, 0),       # hit in hand before any proposal
+        (False, True, 0.5, alpha + 1, 7, 0),
     ]
-    for stop, stride, flip, a, seed, trial in cases:
+    for stop, histogram, flip, a, seed, trial in cases:
         config = SAConfig(betas=geometric_betas(0.3, 3.0, 4),
                           sweeps_per_beta=6000 // graph.n, flip_weight=flip,
                           exchange_weight=1.0 - flip, mode=mode,
                           penalty=penalty, seed=seed,
-                          record_histogram=stride == 0, trace_stride=stride)
+                          record_histogram=histogram)
         got = sa_run(graph, config, alpha=a, stop_at_hit=stop, trial=trial)
         want = scalar_sa_run(graph, config, a, stop_at_hit=stop, trial=trial)
-        assert {k: getattr(got, k) for k in want} == want, (stop, stride)
+        assert {k: getattr(got, k) for k in want} == want, (stop, histogram)
 
 
 @MC_GRAPHS

@@ -256,13 +256,20 @@ def test_bound_error_target_outside_its_range_exit_code(tmp_path, capsys,
     (["pt", "--beta=-1,1"], "inverse temperatures must be >= 0"),
     (["qmc", "--beta=-1"], "beta must be >= 0"),
     (["qmc", "--bound-inputs", "--beta=-1"], "beta must be >= 0"),
+    (["qmc", "--delta", "nan"], "delta must be finite"),
+    (["qmc", "--lambda", "inf"], "lambda must be finite"),
+    (["qmc", "--beta", "inf"], "beta must be finite"),
+    (["qmc", "--omega=-inf"], "omega must be finite"),
+    (["qmc", "--bound-inputs", "--beta", "inf"], "beta must be finite"),
+    (["qmc", "--bound-inputs", "--delta", "nan"], "delta must be finite"),
 ])
 def test_inputs_outside_their_range_exit_code(tmp_path, capsys, argv, limit):
     # a reversed or empty scan range, a non-positive star drive, an empty
     # TTS budget grid, a TTS target outside (0, 1), zero trials, a QMC run
     # that is all burn-in, zero sampler sweeps, a negative inverse
-    # temperature are usage errors that name the limit and leave a
-    # manifest, not an empty answer or a traceback
+    # temperature and a non-finite QMC coefficient are usage errors that
+    # name the limit and leave a manifest, not an empty or NaN answer or a
+    # traceback
     inst = tmp_path / "i.json"
     inst.write_text(serialize(generate_star(3, 2)))
     out = tmp_path / "r.json"
@@ -272,6 +279,87 @@ def test_inputs_outside_their_range_exit_code(tmp_path, capsys, argv, limit):
     assert not out.exists()
     manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
     assert manifest["status"] == 2
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"ell": 2}, "n_b"),
+    ({"n_b": 3}, "ell"),
+    ({"n_b": "3", "ell": 2}, "n_b"),
+], ids=["no-n_b", "no-ell", "string-n_b"])
+def test_malformed_star_prediction_exit_code(tmp_path, capsys, doc, field):
+    # a star_prediction input without an integer n_b or ell is a usage
+    # error naming the field, with a manifest, not a traceback
+    inst = tmp_path / "pred.json"
+    inst.write_text(json.dumps({"version": 1, "kind": "star_prediction",
+                                **doc}))
+    out = tmp_path / "g.json"
+    assert run_cli(["gap", "--in", str(inst), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[usage]" in err and f"field '{field}'" in err
+    assert not out.exists()
+    manifest = json.loads((tmp_path / "g.json.manifest.json").read_text())
+    assert manifest["status"] == 2
+
+
+def test_compare_join_of_a_json_list_exit_code(tmp_path, capsys):
+    # a joined report must be a JSON object; a list names its path
+    report = tmp_path / "list.json"
+    report.write_text("[1, 2]")
+    out = tmp_path / "joined.csv"
+    assert run_cli(["compare", "--join", str(report), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[usage]" in err and str(report) in err
+    assert not out.exists()
+    manifest = json.loads((tmp_path / "joined.csv.manifest.json").read_text())
+    assert manifest["status"] == 2
+
+
+def _assert_capacity_exit(argv, out, capsys, limit):
+    assert run_cli(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error[capacity]" in err and limit in err
+    assert not out.exists()
+    manifest = json.loads(out.with_name(out.name + ".manifest.json")
+                          .read_text())
+    assert manifest["status"] == 3
+
+
+def test_star_sector_past_the_row_limit_exit_code(tmp_path, capsys,
+                                                  monkeypatch):
+    # the symmetric sector counts its rows before it allocates them; the
+    # limit is shrunk so that star(3,4)'s 155 rows cross it
+    from flatscape import star_models
+
+    monkeypatch.setattr(star_models, "STAR_ROW_LIMIT", 100)
+    _assert_capacity_exit(["gap", "--nb", "3", "--l", "4"],
+                          tmp_path / "g.json", capsys, "STAR_ROW_LIMIT")
+
+
+def test_star_sector_past_the_index_range_exit_code(tmp_path, capsys):
+    # star(400,8) has about 5e70 sector rows: a capacity error, not an
+    # overflow while sizing the arrays
+    _assert_capacity_exit(["gap", "--nb", "400", "--l", "8"],
+                          tmp_path / "g.json", capsys, "STAR_ROW_LIMIT")
+
+
+def test_bound_past_the_float_range_exit_code(tmp_path, capsys):
+    # star(500,8)'s suffix ratio overflows a double: the bound names the
+    # float range instead of raising OverflowError
+    inst = tmp_path / "s.json"
+    assert run_cli(["gen", "--nb", "500", "--l", "8", "--out", str(inst)]) == 0
+    _assert_capacity_exit(["profile", "--in", str(inst)],
+                          tmp_path / "p.json", capsys, "float range")
+
+
+def test_documents_are_strict_json():
+    # NaN and Infinity are not JSON values; no document may carry them
+    from flatscape.cli import _canonical_json
+
+    assert _canonical_json({"a": 1.5, "b": "inf"}) == \
+        '{\n  "a": 1.5,\n  "b": "inf"\n}\n'
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            _canonical_json({"value": [1.0, bad]})
 
 
 @pytest.mark.parametrize("command", ["profile", "sa", "pt", "qmc", "gap",

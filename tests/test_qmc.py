@@ -23,7 +23,7 @@ def test_config_validation():
 def test_no_sign_problem_bond_matrix(star22):
     engine = WorldlineEngine(star22, QMCConfig(beta=2.0, slices=16, omega=0.4,
                                                lam=1.0))
-    bond = np.exp(engine.log_bond)
+    bond = np.exp(np.array(engine.log_bond_rows))
     assert (bond >= 0).all()
     assert (np.diag(bond) > 0).all()
 

@@ -49,6 +49,19 @@ def test_matrix_matches_pairwise_oracle(star22):
         assert np.allclose(op.matrix.toarray(), oracle, atol=1e-12)
 
 
+@pytest.mark.parametrize("omega, delta, lam", [(1, 0, 0), (1, 1, 0),
+                                               (2, 3, 1)])
+def test_build_operator_takes_integer_coefficients(star22, omega, delta, lam):
+    # integer coefficients build the float operator bit for bit, with no
+    # warning from an integer diagonal
+    got = build_operator(star22, omega, delta, lam).matrix
+    want = build_operator(star22, float(omega), float(delta),
+                          float(lam)).matrix
+    assert got.dtype == want.dtype == np.float64
+    for part in ("data", "indices", "indptr"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
 def test_diagonal_operator_multiplicities(star22):
     op = build_operator(star22, omega=0.0, delta=1.0)
     w = np.sort(np.diag(op.matrix.toarray()))
@@ -322,38 +335,6 @@ def test_h2_ground_overlap_with_exact_eigenstate(star22):
     w, v = lowest_eigenpairs(op, 2)
     excited_full = embed_state(op.basis, ps.excited_basis, ps.excited)
     assert abs(float(excited_full @ v[:, 1])) >= 0.99
-
-
-def test_resolvent_leading_order_uniform_states(star22):
-    """Series order 0 with uniform crossing states reproduces the coherent
-    coupling 2*Omega*alpha*sqrt(D_alpha/D_{alpha-1})."""
-    omega = 0.37
-    profile = independence_polynomial(star22)
-    op = build_operator(star22, omega=omega, delta=1.0)
-    sizes = op.sizes()
-    G = np.where(sizes == 3, 1.0, 0.0)
-    G /= np.linalg.norm(G)
-    E = np.where(sizes == 2, 1.0, 0.0)
-    E /= np.linalg.norm(E)
-    report = resolvent_gap(op.matrix, G, E, z0=-3.0, order=0, omega=omega)
-    expected = 2.0 * omega * 3.0 * math.sqrt(
-        profile.counts[3] / profile.counts[2])
-    assert report.tilde_gap == pytest.approx(expected, rel=1e-12)
-
-
-def test_resolvent_series_converges_to_exact(star22):
-    ps = perturbative_states(star22)
-    scan = min_gap_scan(star22, omega=1.0, delta_range=(0.3, 2.0), points=48)
-    op = build_operator(star22, omega=1.0, delta=scan.delta_star)
-    basis = op.basis
-    G = embed_state(basis, ps.ground_basis, ps.ground)
-    E = embed_state(basis, ps.excited_basis, ps.excited)
-    exact = resolvent_gap(op.matrix, G, E, z0=scan.e_star)
-    series = [resolvent_gap(op.matrix, G, E, z0=scan.e_star, order=L,
-                            omega=1.0).tilde_gap for L in (0, 8, 48)]
-    diffs = [abs(s - exact.tilde_gap) for s in series]
-    assert diffs[-1] <= 1e-6 * exact.tilde_gap
-    assert diffs[0] > diffs[1] > diffs[2]
 
 
 def test_resolvent_corrected_matches_exact_gap(star22):
