@@ -30,7 +30,7 @@ from .graphs import Graph
 from .landscape import independence_polynomial
 from .spectral import restricted_basis, violation_count
 
-RNG_CHUNK = 8192
+RNG_CHUNK = 512
 # the TTS bootstrap's resamples and stream index (no trial index reaches it)
 BOOTSTRAP_RESAMPLES = 200
 BOOTSTRAP_STREAM = 2 ** 63 - 1
@@ -174,76 +174,71 @@ def _moves(graph: Graph, config) -> tuple:
             config.penalty_for(graph))
 
 
-def _local_moves(moves: tuple, rep: tuple, triples, beta: float,
-                 target: int):
-    """Metropolis proposals on rep = (mask, size, violations), one per
-    (move, pick, accept) triple of uniforms in ``triples``, up to an accepted
-    move that leaves a valid set (no violations) of ``target`` or more
-    vertices; ``triples`` then resumes with the next proposal.  Returns the
-    new replica, the accepted count and the proposals made."""
+def _local_moves(moves: tuple, reps: list, rungs, accepted: list, triples,
+                 count: int, target: int) -> int:
+    """Metropolis proposals on each replica (mask, size, violations) of
+    ``reps`` in turn at its rung (beta, exp(-beta)): ``count`` each, one per
+    (move, pick, accept) triple of ``triples``, ending a replica's run at an
+    accepted move to a valid set of ``target`` or more vertices.  Updates
+    ``reps`` and ``accepted`` in place; returns the proposals made."""
     p_flip, flips, exchanges, penalty = moves
     n, n_ex = len(flips), len(exchanges)
-    mask, size, viol = rep
-    w_remove = math.exp(-beta)  # acceptance of a restricted removal
     trunc = math.trunc  # int(x) for x >= 0, at half the cost of the int call
-    accepted = done = 0
-    for r_move, r_pick, r_acc in triples:
-        done += 1
-        if r_move < p_flip:
-            bit, near = flips[trunc(r_pick * n)]
-            if penalty is not None:
-                d_viol = (near & mask).bit_count()
-                if mask & bit:
-                    d_h, d_size, d_viol = 1.0 - penalty * d_viol, -1, -d_viol
+    done = 0
+    for i, (beta, w_remove) in enumerate(rungs):
+        mask, size, viol = reps[i]
+        acc = 0
+        for r_move, r_pick, r_acc in islice(triples, count):
+            done += 1
+            if r_move < p_flip:
+                bit, near = flips[trunc(r_pick * n)]
+                if penalty is not None:
+                    d_viol = (near & mask).bit_count()
+                    if mask & bit:
+                        d_h, d_size, d_viol = 1.0 - penalty * d_viol, -1, -d_viol
+                    else:
+                        d_h, d_size = -1.0 + penalty * d_viol, 1
+                    if not (d_h <= 0 or r_acc < math.exp(-beta * d_h)):
+                        continue
+                    viol += d_viol
+                elif mask & bit:
+                    if not r_acc < w_remove:
+                        continue
+                    d_size = -1
+                elif near & mask:
+                    continue
                 else:
-                    d_h, d_size = -1.0 + penalty * d_viol, 1
-                if not (d_h <= 0 or r_acc < math.exp(-beta * d_h)):
+                    d_size = 1
+                mask ^= bit
+                size += d_size
+            elif n_ex:
+                ubit, vbit, near_u, near_v = exchanges[trunc(r_pick * n_ex)]
+                if not mask & ubit or mask & vbit:
                     continue
-                viol += d_viol
-            elif mask & bit:
-                if not r_acc < w_remove:
+                without = mask ^ ubit
+                if penalty is not None:
+                    d_viol = ((near_v & without).bit_count()
+                              - (near_u & without).bit_count())
+                    d_h = penalty * d_viol
+                    if not (d_h <= 0 or r_acc < math.exp(-beta * d_h)):
+                        continue
+                    viol += d_viol
+                elif near_v & without:
                     continue
-                d_size = -1
-            elif near & mask:
-                continue
+                mask = without | vbit
             else:
-                d_size = 1
-            mask ^= bit
-            size += d_size
-        elif n_ex:
-            ubit, vbit, near_u, near_v = exchanges[trunc(r_pick * n_ex)]
-            if not mask & ubit or mask & vbit:
                 continue
-            without = mask ^ ubit
-            if penalty is not None:
-                d_viol = ((near_v & without).bit_count()
-                          - (near_u & without).bit_count())
-                d_h = penalty * d_viol
-                if not (d_h <= 0 or r_acc < math.exp(-beta * d_h)):
-                    continue
-                viol += d_viol
-            elif near_v & without:
-                continue
-            mask = without | vbit
-        else:
-            continue
-        accepted += 1
-        if size >= target and not viol:
-            break
-    return (mask, size, viol), accepted, done
+            acc += 1
+            if size >= target and not viol:
+                break
+        reps[i] = (mask, size, viol)
+        accepted[i] += acc
+    return done
 
 
-def _energy(rep: tuple, penalty: float | None) -> float:
-    e = -float(rep[1])
-    if penalty is not None:
-        e += penalty * rep[2]
-    return e
-
-
-def _resolve_alpha(graph: Graph, alpha: int | None) -> int:
-    if alpha is not None:
-        return alpha
-    return independence_polynomial(graph).alpha
+def _energy(rep: tuple, penalty: float) -> float:
+    """Penalty-mode energy: -|z| plus ``penalty`` per violated edge."""
+    return -float(rep[1]) + penalty * rep[2]
 
 
 def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
@@ -251,44 +246,43 @@ def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
     """Anneal one chain through the beta ladder on the Philox stream
     (config.seed, trial).  Best and first-hit sets are checked after every
     proposal; _local_moves returns at each proposal that can change them."""
-    alpha = _resolve_alpha(graph, alpha)
+    alpha = independence_polynomial(graph).alpha if alpha is None else alpha
     moves = _moves(graph, config)
     it = iter(_Uniforms(_stream(config.seed, trial)))
     triples = zip(it, it, it)
     n = max(graph.n, 1)
     histogram: dict[int, int] | None = {} if config.record_histogram else None
     acceptance = {}
-    rep = (0, 0, 0)
-    best_mask, best_size = 0, 0
+    reps = [(0, 0, 0)]
+    best_mask = best_size = size = 0  # size: the chain's, -1 when invalid
     first_hit = None
     proposals = 0
     stopped = False
     for beta in config.betas:
-        accepted = 0
+        rung = ((beta, math.exp(-beta)),)
+        accepted = [0]
         rung_start = proposals
         rung_end = proposals + n * config.sweeps_per_beta
         while proposals < rung_end:
             # run to the next recorded sweep or the rung's end; a set already
             # at the target is recorded after one more proposal
             target = best_size + 1 if first_hit else min(best_size + 1, alpha)
-            size = rep[1] if not rep[2] else -1
             count = 1 if size >= target else rung_end - proposals \
                 if histogram is None else n - proposals % n
-            rep, acc, done = _local_moves(moves, rep, islice(triples, count),
-                                          beta, target)
-            accepted += acc
-            proposals += done
-            size = rep[1] if not rep[2] else -1
+            proposals += _local_moves(moves, reps, rung, accepted, triples,
+                                      count, target)
+            mask, size, viol = reps[0]
+            size = -1 if viol else size
             if size > best_size:
-                best_mask, best_size = rep[0], size
+                best_mask, best_size = mask, size
             if first_hit is None and size >= alpha:
                 first_hit = proposals / n
                 if stop_at_hit:
                     stopped = True
                     break
             if histogram is not None and not proposals % n:
-                histogram[rep[0]] = histogram.get(rep[0], 0) + 1
-        acceptance[beta] = accepted / max(proposals - rung_start, 1)
+                histogram[mask] = histogram.get(mask, 0) + 1
+        acceptance[beta] = accepted[0] / max(proposals - rung_start, 1)
         if stopped:
             break
     # a stopped chain does not count the sweep of its hit
@@ -301,15 +295,14 @@ def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
 
 
 def _cluster_swap(graph: Graph, rep_i: tuple, rep_j: tuple, cluster: int,
-                  penalty: float | None) -> tuple:
-    """Both replicas after swapping ``cluster`` between them, and the energy
-    change of the first.  The pair's total energy is conserved, penalties
-    included: every edge leaving a cluster ends where the two masks agree."""
+                  penalty: float) -> tuple:
+    """Both penalty-mode replicas after swapping ``cluster`` between them,
+    and the energy change of the first.  The pair's total energy is
+    conserved, penalties included: every edge leaving a cluster ends where
+    the two masks agree."""
     (mi, si, _), (mj, sj, _) = rep_i, rep_j
     di, dj = popcount(mi & cluster), popcount(mj & cluster)
-    mi, mj = (mi & ~cluster) | (mj & cluster), (mj & ~cluster) | (mi & cluster)
-    if penalty is None:  # independent sets stay independent
-        return (mi, si + dj - di, 0), (mj, sj + di - dj, 0), float(di - dj)
+    mi, mj = mi ^ cluster, mj ^ cluster  # the masks differ on all of it
     new_i = (mi, si + dj - di, violation_count(graph, mi))
     new_j = (mj, sj + di - dj, violation_count(graph, mj))
     return new_i, new_j, _energy(new_i, penalty) - _energy(rep_i, penalty)
@@ -320,11 +313,14 @@ def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None,
     """Parallel tempering on the Philox stream (config.seed, trial):
     per-replica local sweeps, adjacent replica exchange, and optional
     isoenergetic cluster moves.  Best and first-hit sets are checked after
-    each replica's sweep."""
-    alpha = _resolve_alpha(graph, alpha)
+    each replica's sweep.  In restricted mode the energy is -|z|, so the
+    exchange and cluster moves read the replicas' sizes alone."""
+    alpha = independence_polynomial(graph).alpha if alpha is None else alpha
     moves = _moves(graph, config)
     penalty = moves[3]
     betas = config.betas
+    rungs = [(beta, math.exp(-beta)) for beta in betas]
+    gaps = [b_i - b_j for b_i, b_j in zip(betas, betas[1:])]
     m_rep = config.replicas
     reps = [(0, 0, 0)] * m_rep
     it = iter(_Uniforms(_stream(config.seed, trial)))
@@ -333,48 +329,50 @@ def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None,
     n = max(graph.n, 1)
     adj = graph.adjacency()
     histograms = [dict() for _ in range(m_rep)] if config.record_histogram else None
-    swap_attempts = swap_accepts = 0
-    iso_attempts = iso_accepts = 0
+    swap_attempts = swap_accepts = iso_attempts = iso_accepts = 0
     local_acc = [0] * m_rep
     best_mask, best_size = 0, 0
     first_hit = None
-    proposals = 0
     for sweep in range(config.sweeps):
-        for i, beta in enumerate(betas):
-            reps[i], acc, _ = _local_moves(moves, reps[i], islice(triples, n),
-                                           beta, n + 1)
-            local_acc[i] += acc
-            proposals += n
-            mask, size, viol = reps[i]
+        _local_moves(moves, reps, rungs, local_acc, triples, n, n + 1)
+        for i, (mask, size, viol) in enumerate(reps):
             size = -1 if viol else size
             if size > best_size:
                 best_mask, best_size = mask, size
             if first_hit is None and size >= alpha:
-                first_hit = proposals / (n * m_rep)
+                first_hit = (sweep * m_rep + i + 1) / m_rep
         if histograms is not None:
-            for i, (mask, _, _) in enumerate(reps):
-                histograms[i][mask] = histograms[i].get(mask, 0) + 1
+            for hist, (mask, _, _) in zip(histograms, reps):
+                hist[mask] = hist.get(mask, 0) + 1
         if config.swap_every and (sweep + 1) % config.swap_every == 0:
-            for i in range(m_rep - 1):
-                swap_attempts += 1
-                bi, bj = betas[i], betas[i + 1]
-                ei = _energy(reps[i], penalty)
-                ej = _energy(reps[i + 1], penalty)
-                log_acc = (bi - bj) * (ei - ej)
+            swap_attempts += m_rep - 1
+            for i, gap in enumerate(gaps):
+                d_e = reps[i + 1][1] - reps[i][1] if penalty is None else \
+                    _energy(reps[i], penalty) - _energy(reps[i + 1], penalty)
+                log_acc = gap * d_e
                 if log_acc >= 0 or draw() < math.exp(log_acc):
                     swap_accepts += 1
                     reps[i], reps[i + 1] = reps[i + 1], reps[i]
-            if config.isoenergetic and m_rep >= 2:
+            if config.isoenergetic:
                 iso_attempts += 1
                 pair = int(draw() * (m_rep - 1))
-                comps = components(reps[pair][0] ^ reps[pair + 1][0], adj)
+                (mi, si, _), (mj, sj, _) = reps[pair], reps[pair + 1]
+                comps = components(mi ^ mj, adj)
                 if comps:
                     cluster = comps[int(draw() * len(comps))]
-                    new_i, new_j, d_h_i = _cluster_swap(
-                        graph, reps[pair], reps[pair + 1], cluster, penalty)
-                    log_acc = -(betas[pair] - betas[pair + 1]) * d_h_i
+                    if penalty is None:  # independent sets stay independent
+                        di, dj = popcount(mi & cluster), popcount(mj & cluster)
+                        d_h_i = di - dj
+                    else:
+                        new_i, new_j, d_h_i = _cluster_swap(
+                            graph, reps[pair], reps[pair + 1], cluster,
+                            penalty)
+                    log_acc = -gaps[pair] * d_h_i
                     if log_acc >= 0 or draw() < math.exp(log_acc):
                         iso_accepts += 1
+                        if penalty is None:
+                            new_i = (mi ^ cluster, si + dj - di, 0)
+                            new_j = (mj ^ cluster, sj + di - dj, 0)
                         reps[pair], reps[pair + 1] = new_i, new_j
     acceptance = {f"local_beta_{beta:g}": acc / max(config.sweeps * n, 1)
                   for beta, acc in zip(betas, local_acc)}
@@ -461,7 +459,7 @@ def estimate_tts(graph: Graph, config: SAConfig, p_target: float = 0.75,
     if not 0 < p_target < 1:
         raise ValueError(f"TTS needs a target probability in (0, 1), got "
                          f"{p_target:g}")
-    alpha = _resolve_alpha(graph, alpha)
+    alpha = independence_polynomial(graph).alpha if alpha is None else alpha
     horizon = sweep_grid[-1]
     n_rungs = max(len(config.betas), 1)
     per_rung = max(horizon // n_rungs + 1, 1)

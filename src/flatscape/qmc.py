@@ -109,7 +109,8 @@ class WorldlineEngine:
     ``upper[v][s]`` is s with v added (-1 when that leaves the space), and
     ``blocks[v]`` memoizes the normalized 2x2 transfer block of each pair of
     consecutive v-free slice states (see ``transfer_block``); it fills on
-    first use and lives with the engine.
+    first use and lives with the engine.  ``lines[v]`` keeps the suffix
+    products of v's last resampled line (see ``resample_vertex_line``).
     """
 
     def __init__(self, graph: Graph, config: QMCConfig):
@@ -132,6 +133,7 @@ class WorldlineEngine:
         self.lower = np.where(occupied, flips, rows).T.tolist()
         self.upper = np.where(occupied, rows, flips).T.tolist()
         self.blocks = [{} for _ in range(graph.n)]
+        self.lines = [None] * graph.n
 
     def transfer_block(self, v: int, a0: int, b0: int) -> tuple:
         """The transfer block (t00, t01, t10, t11) of vertex v's line
@@ -168,24 +170,15 @@ class WorldlineEngine:
         return total
 
 
-def resample_vertex_line(engine: WorldlineEngine, state, v: int, u01):
-    """Exact Gibbs draw of vertex v's occupation timeline conditioned on all
-    other vertices: transfer-matrix products around the cycle, then
-    sequential sampling.  Returns the new slice indices.
-
-    Slice k takes v-free state opt0[k] (x = 0) or that state with v added
-    (x = 1); the 2x2 block from slice k to k+1 is read from the engine's
-    memo, keyed by the two v-free states.  One backward loop forms the
-    suffix products S[k] = T_k ... T_{m-1}, normalized per step (the
-    normalizations cancel in every conditional); x0 is drawn from the
-    trace, then x1..x_{m-1} from the column of S that x0 picks.
-    """
-    m = len(state)
-    lower = engine.lower[v]
-    upper = engine.upper[v]
+def _suffix_products(engine: WorldlineEngine, v: int, opt0: list) -> tuple:
+    """(opt0, blocks, s00, s01, s10, s11) of vertex v's line whose slices
+    have v-free states ``opt0``: the 2x2 block from slice k to k+1, read
+    from the engine's memo, and the suffix products S[k] = T_k ... T_{m-1},
+    normalized per step (the normalizations cancel in every conditional).
+    Raises ConfigError when the line has no admissible timeline."""
+    m = len(opt0)
     memo = engine.blocks[v]
     dim = len(engine.basis)
-    opt0 = [lower[s] for s in state]
     blocks = [None] * m
     s00 = [0.0] * m
     s01 = [0.0] * m
@@ -218,9 +211,32 @@ def resample_vertex_line(engine: WorldlineEngine, state, v: int, u01):
         s10[k] = g = p10 * inv
         s11[k] = h = p11 * inv
         b0 = a0
-    total = e + h
-    if total <= 0.0:
+    if e + h <= 0.0:
         raise ConfigError("vertex line has no admissible timeline")
+    return opt0, blocks, s00, s01, s10, s11
+
+
+def resample_vertex_line(engine: WorldlineEngine, state, v: int, u01):
+    """Exact Gibbs draw of vertex v's occupation timeline conditioned on all
+    other vertices: transfer-matrix products around the cycle, then
+    sequential sampling.  Returns the new slice indices.
+
+    Slice k takes v-free state opt0[k] (x = 0) or that state with v added
+    (x = 1).  The suffix products come from ``_suffix_products``, or, when
+    opt0 equals that of v's previous line, from the engine's copy of that
+    line's; x0 is drawn from the trace, then x1..x_{m-1} from the column of
+    S that x0 picks.
+    """
+    m = len(state)
+    lower = engine.lower[v]
+    upper = engine.upper[v]
+    opt0 = [lower[s] for s in state]
+    line = engine.lines[v]
+    if line is None or line[0] != opt0:
+        line = engine.lines[v] = _suffix_products(engine, v, opt0)
+    _, blocks, s00, s01, s10, s11 = line
+    e = s00[0]
+    total = e + s11[0]
     draws = u01.take(m)
     if draws[0] * total < e:
         prev, col0, col1 = 0, s00, s10

@@ -386,10 +386,11 @@ def test_uniforms_follow_the_generator_across_chunks():
     it = iter(u)
     got = u.take(1) + [next(it)] + u.take(0) + u.take(RNG_CHUNK + 1)
     # one triple straddles the second chunk boundary
-    for triple in islice(zip(it, it, it), RNG_CHUNK // 3 + 1):
+    triples = RNG_CHUNK // 3 + 1
+    for triple in islice(zip(it, it, it), triples):
         got += triple
     got += u.take(2 * RNG_CHUNK) + [next(it) for _ in range(5)]
-    assert len(got) == 4 * RNG_CHUNK + 9
+    assert len(got) == 2 + (RNG_CHUNK + 1) + 3 * triples + 2 * RNG_CHUNK + 5
     assert got == expected[:len(got)]
     assert all(type(x) is float for x in got)
 
@@ -421,7 +422,7 @@ def _alpha(graph):
 @pytest.mark.parametrize("mode, penalty", MODES)
 def test_sa_matches_scalar_chain(graph, mode, penalty):
     # every field of sa_run equals the one-proposal-at-a-time reference,
-    # over runs that cross many 8192-draw chunks (3 draws per proposal)
+    # over runs that cross many RNG_CHUNK-draw chunks (3 draws per proposal)
     alpha = _alpha(graph)
     # (stop_at_hit, record_histogram, flip_weight, alpha, seed, trial)
     cases = [
@@ -454,3 +455,34 @@ def test_pt_matches_scalar_chain(graph, mode, penalty):
         got = pt_run(graph, config, alpha=alpha, trial=trial)
         want = scalar_pt_run(graph, config, alpha, trial=trial)
         assert {k: getattr(got, k) for k in want} == want, (swap_every, iso)
+
+
+@MC_GRAPHS
+@pytest.mark.parametrize("mode, penalty", MODES)
+def test_sweep_kernel_edge_cases_match_scalar_chain(graph, mode, penalty):
+    # the one-call-per-sweep paths the cases above leave out: PT without
+    # histograms, without exchange, with one replica, and with flips alone
+    # beside cluster moves; SA with flips alone
+    alpha = _alpha(graph)
+    sweeps = 6000 // graph.n
+    # (betas, swap_every, isoenergetic, exchange_weight, record_histogram)
+    for seed, (betas, swap_every, iso, exchange, histogram) in enumerate([
+            ((0.5, 1.0, 2.0), 1, True, 0.5, False),
+            ((0.5, 1.0, 2.0), 0, False, 0.5, True),
+            ((1.5,), 1, False, 0.5, True),
+            ((0.5, 1.0, 1.5, 2.0), 2, True, 0.0, True)]):
+        config = PTConfig(betas=betas, sweeps=sweeps, swap_every=swap_every,
+                          isoenergetic=iso, exchange_weight=exchange,
+                          mode=mode, penalty=penalty, seed=seed,
+                          record_histogram=histogram)
+        got = pt_run(graph, config, alpha=alpha, trial=1)
+        want = scalar_pt_run(graph, config, alpha, trial=1)
+        assert {k: getattr(got, k) for k in want} == want, seed
+    for stop, histogram in ((False, True), (True, False)):
+        config = SAConfig(betas=geometric_betas(0.3, 3.0, 4),
+                          sweeps_per_beta=sweeps, exchange_weight=0.0,
+                          mode=mode, penalty=penalty, seed=7,
+                          record_histogram=histogram)
+        got = sa_run(graph, config, alpha=alpha, stop_at_hit=stop, trial=3)
+        want = scalar_sa_run(graph, config, alpha, stop_at_hit=stop, trial=3)
+        assert {k: getattr(got, k) for k in want} == want, stop

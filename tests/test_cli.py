@@ -351,6 +351,16 @@ def test_bound_past_the_float_range_exit_code(tmp_path, capsys):
                           tmp_path / "p.json", capsys, "float range")
 
 
+def test_isoenergetic_bound_past_the_term_limit_exit_code(tmp_path, capsys):
+    # star(200,8)'s isoenergetic triple sum has 6.5e9 Fraction terms: the
+    # bound counts them first and stops at once instead of running for hours
+    inst = tmp_path / "s.json"
+    assert run_cli(["gen", "--nb", "200", "--l", "8", "--out", str(inst)]) == 0
+    _assert_capacity_exit(["profile", "--in", str(inst)],
+                          tmp_path / "p.json", capsys,
+                          "ISOENERGETIC_TERM_LIMIT")
+
+
 def test_documents_are_strict_json():
     # NaN and Infinity are not JSON values; no document may carry them
     from flatscape.cli import _canonical_json

@@ -200,6 +200,25 @@ def test_bound_domain_errors(star22):
         classical_bound(profile, "sa", k=0)
 
 
+@pytest.mark.parametrize("n_b, ell", [(5, 4), (8, 8)])
+def test_isoenergetic_term_limit_counts_the_triple_sum(monkeypatch, n_b, ell):
+    # the closed-form count equals the triple sum's own term count: a limit
+    # of exactly that many terms evaluates, one fewer refuses
+    from flatscape import landscape
+
+    profile = independence_polynomial(generate_star(n_b, ell))
+    terms = sum(len(range(b1 - b + 1, b - 1 - b2 + 1))
+                for b in profile.bound_sizes()
+                for b1 in range(b, profile.alpha + 1)
+                for b2 in range(0, 2 * (b - 1) - b1 + 1))
+    assert terms > 0
+    monkeypatch.setattr(landscape, "ISOENERGETIC_TERM_LIMIT", terms)
+    assert classical_bound(profile, "pt_isoenergetic") > 0
+    monkeypatch.setattr(landscape, "ISOENERGETIC_TERM_LIMIT", terms - 1)
+    with pytest.raises(CapacityError, match=f"sums {terms} terms"):
+        classical_bound(profile, "pt_isoenergetic")
+
+
 def test_pt_bounds_ordering(star22):
     profile = independence_polynomial(star22)
     sa = classical_bound(profile, "sa")
