@@ -18,10 +18,11 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import resource
+import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -94,6 +95,7 @@ class _Run:
         self.seeds = seeds or []
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
+        self.workers = 1
         self.started = time.time()
 
     def note_input(self, path: str, text: str) -> None:
@@ -130,6 +132,7 @@ class _Run:
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "status": status,
+            "workers": self.workers,
         }
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
@@ -258,12 +261,65 @@ def _cmd_pt(args, run: _Run) -> int:
                        lambda t: pt_run(graph, config, trial=t))
 
 
+def _usable_cpus() -> int:  # taskset lowers it; 1 without fork
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if forks else 1
+
+
+def _parallel_map(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items] on k = min(jobs, len(items)) processes.  Forked
+    child j pickles the results of items j, j + k, ..., or its exception,
+    into a pipe while this process runs items 0, k, ...; every child is
+    then reaped, a child's exception is raised again here, and a child that
+    exits without a result raises RuntimeError."""
+    k, n, children = max(1, min(jobs, len(items))), len(items), []
+    try:
+        for j in range(1, k):
+            read, write = os.pipe()
+            if not (pid := os.fork()):
+                status = 1  # the child never returns into the caller
+                try:
+                    try:
+                        out = [(i, fn(items[i])) for i in range(j, n, k)]
+                    except BaseException as exc:
+                        out = exc
+                    with os.fdopen(write, "wb") as fh:
+                        pickle.dump(out, fh)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, read, j))
+        results = {i: fn(items[i]) for i in range(0, n, k)}
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        reaped = []
+        for pid, read, j in children:
+            with os.fdopen(read, "rb") as fh:
+                reaped.append((pid, fh.read(), os.waitpid(pid, 0)[1], j))
+    for pid, data, status, j in reaped:
+        if (code := os.waitstatus_to_exitcode(status)) or not data:
+            how = f"signal {-code}" if code < 0 else f"status {code}"
+            raise RuntimeError(f"worker {pid} exited with {how} without a "
+                               f"result for items {list(range(j, n, k))}")
+        if isinstance(out := pickle.loads(data), BaseException):
+            raise out
+        results.update(out)
+    return [results[i] for i in range(n)]
+
+
 def _run_trials(args, run: _Run, kind: str, run_trial) -> int:
-    """Run trials 0 .. args.trials - 1 (trial t samples the Philox stream
-    (seed, t)) and write the summary document and the per-trial CSV."""
+    """Run trials 0 .. args.trials - 1 on min(trials, usable CPUs) processes
+    and write the summary document and the per-trial CSV.  Trial t samples
+    the Philox stream (seed, t) and results come back in trial order, so
+    the bytes do not depend on the worker count."""
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    results = [run_trial(t) for t in range(args.trials)]
+    run.workers = min(args.trials, _usable_cpus())
+    results = _parallel_map(run_trial, range(args.trials), run.workers)
     doc = {
         "version": 1, "kind": kind, "trials": args.trials,
         "best_size": max(r.best_size for r in results),
@@ -442,6 +498,8 @@ _COMPARE_COLUMNS = ["schema", "family", "ell", "n_b", "n", "sa_bound",
 
 
 def _cmd_compare(args, run: _Run) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.join:
         rows = []
         keys = ["schema"]
@@ -464,11 +522,8 @@ def _cmd_compare(args, run: _Run) -> int:
     tasks = [(n_b, ell, args.lam)
              for ell in _parse_int_list(args.ell_list)
              for n_b in _parse_int_list(args.nb_list)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_star_family_row, tasks))
-    else:
-        rows = [_star_family_row(t) for t in tasks]
+    run.workers = min(args.jobs, len(tasks))
+    rows = _parallel_map(_star_family_row, tasks, run.workers)
     _write_csv(run, args.out, _COMPARE_COLUMNS, rows)
     return 0
 
@@ -627,6 +682,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     run = _Run(argv, seeds=[getattr(args, "seed", None)])
+    status = 1  # an exception not mapped below is raised again
     try:
         status = args.func(args, run)
     except (ParseError, ConsistencyError, ConfigError, ValueError) as exc:
@@ -641,7 +697,8 @@ def main(argv=None) -> int:
     except (CensoredResult, DegenerateResult) as exc:
         _fail("censored", str(exc))
         status = 5
-    run.finish(status, args.out)
+    finally:
+        run.finish(status, args.out)
     return status
 
 

@@ -9,8 +9,11 @@ class ParseError(FlatscapeError, ValueError):
     """Malformed instance or report document."""
 
     def __init__(self, field: str, message: str):
-        self.field = field
+        self.field, self.message = field, message
         super().__init__(f"field '{field}': {message}")
+
+    def __reduce__(self):  # pickle rebuilds from both arguments, not args
+        return type(self), (self.field, self.message)
 
 
 class ConsistencyError(FlatscapeError, ValueError):

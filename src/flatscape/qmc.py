@@ -93,7 +93,8 @@ def _dense_split(graph: Graph, config: QMCConfig):
     op = build_operator(graph, config.omega, config.delta, config.lam)
     if op.dim > DENSE_WORLDLINE_LIMIT:
         raise CapacityError(f"restricted dimension {op.dim} exceeds the dense "
-                            f"exponentiation limit {DENSE_WORLDLINE_LIMIT}")
+                            "exponentiation limit DENSE_WORLDLINE_LIMIT = "
+                            f"{DENSE_WORLDLINE_LIMIT}")
     diag = op.matrix.diagonal()
     return op, diag, (op.matrix - scipy.sparse.diags(diag)).toarray()
 
@@ -490,7 +491,8 @@ def _restricted_gibbs_populations(full, sizes, beta: float) -> dict:
     dims = {b: int(np.searchsorted(full.sizes(), b)) for b in sizes}
     if max(dims.values()) > DENSE_WORLDLINE_LIMIT:
         raise CapacityError(f"restricted space of {max(dims.values())} "
-                            "states exceeds the dense limit")
+                            "states exceeds the dense limit "
+                            f"DENSE_WORLDLINE_LIMIT = {DENSE_WORLDLINE_LIMIT}")
     diag = full.matrix.diagonal()
     tops = {b: diag[:dim].min() + 40.0 / beta if beta > 0 else np.inf
             for b, dim in dims.items()}

@@ -210,6 +210,7 @@ class SymmetricStarSpace:
                                 for S in range(n_b + 1)]
                                for v in range(K - 1)], dtype=np.int64)
         self._keys = self._key(self.occ)
+        self._pattern = (None,)  # see hamiltonian
 
     def _key(self, occ: np.ndarray) -> np.ndarray:
         """Lexicographic rank of each row's branch multiset, plus the centre
@@ -280,12 +281,20 @@ class SymmetricStarSpace:
 
     def hamiltonian(self, omega: float, delta: float,
                     lam: float = 0.0) -> scipy.sparse.csr_matrix:
-        """H = H_cost - omega * H_drive + lam * H_laplacian, a fresh matrix."""
-        H = scipy.sparse.diags(-delta * self.total_size.astype(float))
-        H = H - omega * self.drive_matrix()
-        if lam:
-            H = H + lam * self.laplacian_matrix()
-        return H.tocsr()
+        """H = H_cost - omega * H_drive + lam * H_laplacian, a fresh matrix:
+        a copy of the last (omega, lam)'s pattern, NaN in each diagonal slot,
+        with the diagonal written and zeros dropped."""
+        if self._pattern[0] != (omega, lam):
+            H = scipy.sparse.diags(np.full(self.dim, np.nan))
+            H = (H - omega * self.drive_matrix()).tocsr()
+            H = H + lam * self.laplacian_matrix() if lam else H
+            const = lam * self.exchange_degree_diag() if lam else 0.0
+            self._pattern = (omega, lam), H, np.isnan(H.data), const
+        _, H, slots, const = self._pattern
+        H = H.copy()
+        H.data[slots] = -delta * self.total_size.astype(float) + const
+        H.eliminate_zeros()
+        return H
 
     def manifold_indices(self, b: int) -> np.ndarray:
         return np.where(self.total_size == b)[0]

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,17 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from flatscape.graphs import generate_star, generate_unit_disk
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left a child process (waitpid gave pid {pid})")
 
 
 @pytest.fixture

@@ -176,6 +176,7 @@ def test_trials_are_keyed_by_seed_and_trial(tmp_path, monkeypatch, command,
     # --seed 0 does not replay trial 0 of --seed 7919
     from flatscape import cli
 
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # record in-process
     inst = tmp_path / "i.json"
     inst.write_text(serialize(generate_star(2, 2)))
     keys = []
@@ -262,18 +263,21 @@ def test_bound_error_target_outside_its_range_exit_code(tmp_path, capsys,
     (["qmc", "--omega=-inf"], "omega must be finite"),
     (["qmc", "--bound-inputs", "--beta", "inf"], "beta must be finite"),
     (["qmc", "--bound-inputs", "--delta", "nan"], "delta must be finite"),
+    (["compare", "--jobs", "0"], "--jobs must be at least 1"),
+    (["compare", "--jobs", "-3"], "--jobs must be at least 1"),
 ])
 def test_inputs_outside_their_range_exit_code(tmp_path, capsys, argv, limit):
     # a reversed or empty scan range, a non-positive star drive, an empty
     # TTS budget grid, a TTS target outside (0, 1), zero trials, a QMC run
     # that is all burn-in, zero sampler sweeps, a negative inverse
-    # temperature and a non-finite QMC coefficient are usage errors that
-    # name the limit and leave a manifest, not an empty or NaN answer or a
-    # traceback
+    # temperature, a non-finite QMC coefficient and fewer than one compare
+    # job are usage errors that name the limit and leave a manifest, not an
+    # empty or NaN answer or a traceback
     inst = tmp_path / "i.json"
     inst.write_text(serialize(generate_star(3, 2)))
     out = tmp_path / "r.json"
-    assert run_cli(argv + ["--in", str(inst), "--out", str(out)]) == 2
+    source = [] if argv[0] == "compare" else ["--in", str(inst)]
+    assert run_cli(argv + source + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error[usage]" in err and limit in err
     assert not out.exists()
@@ -601,3 +605,93 @@ print("scipy.optimize" in sys.modules)
     done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                           capture_output=True, text=True)
     assert done.stdout.split()[-1] == "False"
+
+
+@pytest.mark.parametrize("command", ["sa", "pt"])
+@pytest.mark.parametrize("trials", [1, 2, 5, 7])
+def test_trial_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch,
+                                                   command, trials):
+    # trial t samples the stream (seed, t) in whichever process runs it, and
+    # results are gathered in trial order, so documents and CSVs match
+    from flatscape import cli
+
+    inst = tmp_path / "i.json"
+    inst.write_text(serialize(generate_star(2, 2)))
+    files = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out, table = tmp_path / f"{cpus}.json", tmp_path / f"{cpus}.csv"
+        assert run_cli([command, "--in", str(inst), "--sweeps", "30",
+                        "--trials", str(trials), "--seed", "5",
+                        "--out", str(out), "--csv", str(table)]) == 0
+        files[cpus] = out.read_bytes(), table.read_bytes()
+        manifest = json.loads((tmp_path / f"{cpus}.json.manifest.json")
+                              .read_text())
+        assert manifest["workers"] == min(cpus, trials)
+    assert files[1] == files[3]
+
+
+def test_compare_csv_does_not_depend_on_jobs(tmp_path):
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"c{jobs}.csv"
+        assert run_cli(["compare", "--l", "2", "--nb", "2:3", "--jobs", jobs,
+                        "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_worker_exception_keeps_its_exit_code(tmp_path, capsys, monkeypatch):
+    # a usage error raised in a forked trial reaches main as the same
+    # exception: exit 2 with a manifest
+    from flatscape import cli
+    from flatscape.errors import ParseError
+
+    parent, real = os.getpid(), cli.sa_run
+
+    def failing(graph, config, trial):
+        if trial == 1 and os.getpid() != parent:
+            raise ParseError("trial", "refused in the worker")
+        return real(graph, config, trial=trial)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "sa_run", failing)
+    inst, out = tmp_path / "i.json", tmp_path / "sa.json"
+    inst.write_text(serialize(generate_star(2, 2)))
+    assert run_cli(["sa", "--in", str(inst), "--sweeps", "10", "--trials",
+                    "4", "--out", str(out)]) == 2
+    assert "field 'trial': refused in the worker" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "sa.json.manifest.json").read_text())
+    assert manifest["status"] == 2
+
+
+@pytest.mark.parametrize("how", ["status 9", "signal 9"])
+def test_worker_without_a_result_is_named(tmp_path, monkeypatch, how):
+    # a worker that exits or is killed before it reports names its pid, exit
+    # status or signal and items; main leaves a manifest with status 1 and
+    # raises again
+    import signal
+
+    from flatscape import cli
+
+    parent, real = os.getpid(), cli.sa_run
+
+    def dying(graph, config, trial):
+        if trial == 1 and os.getpid() != parent:
+            if how == "status 9":
+                os._exit(9)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(graph, config, trial=trial)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "sa_run", dying)
+    inst, out = tmp_path / "i.json", tmp_path / "sa.json"
+    inst.write_text(serialize(generate_star(2, 2)))
+    with pytest.raises(RuntimeError,
+                       match=rf"worker \d+ exited with {how} without a "
+                             r"result for items \[1, 3\]"):
+        run_cli(["sa", "--in", str(inst), "--sweeps", "10", "--trials", "4",
+                 "--out", str(out)])
+    assert not out.exists()
+    manifest = json.loads((tmp_path / "sa.json.manifest.json").read_text())
+    assert manifest["status"] == 1

@@ -120,6 +120,18 @@ def test_capacity_error_on_large_restricted_space():
         trotter_error_proxy(g, QMCConfig(beta=1.0, slices=4))
 
 
+def test_capacity_errors_name_the_dense_limit(star22, monkeypatch):
+    # both dense steps name the limit they refuse, and its value
+    from flatscape import qmc
+
+    monkeypatch.setattr(qmc, "DENSE_WORLDLINE_LIMIT", 2)
+    named = r"DENSE_WORLDLINE_LIMIT = 2\b"
+    with pytest.raises(CapacityError, match=named):
+        WorldlineEngine(star22, QMCConfig(beta=1.0, slices=4))
+    with pytest.raises(CapacityError, match=named):
+        qmc_bound_inputs(star22)
+
+
 def test_emax_uniform_at_infinite_temperature(star22):
     # beta -> 0: populations uniform over the restricted space, so
     # e_max = D_{b-1} / #restricted
