@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import pickle
 import resource
@@ -32,8 +33,8 @@ from .errors import (CapacityError, ConfigError, ConsistencyError,
                      ConvergenceError, ParseError)
 from .graphs import (Graph, deserialize, generate_star, generate_unit_disk,
                      serialize, to_document)
-from .landscape import (BOUND_KINDS, classical_bound, independence_polynomial,
-                        unimodality_scan)
+from .landscape import (BOUND_KINDS, check_float_range, classical_bound,
+                        independence_polynomial, unimodality_scan)
 from .qmc import QMCConfig, qmc_bound_inputs, qmc_run, trotter_error_proxy
 from .spectral import (build_operator, embed_state, hamming_gap_estimate,
                        lowest_eigenpairs, min_gap_scan, perturbative_states,
@@ -192,6 +193,12 @@ def _cmd_gen(args, run: _Run) -> int:
     return 0
 
 
+def _max_suffix_ratio(profile) -> float:  # float() would raise OverflowError
+    r = profile.max_suffix_ratio
+    check_float_range(math.log(r.numerator) - math.log(r.denominator), "max suffix ratio")
+    return float(r)
+
+
 def _cmd_profile(args, run: _Run) -> int:
     graph = _load_graph(run, args.inp)
     profile = independence_polynomial(graph)
@@ -200,7 +207,7 @@ def _cmd_profile(args, run: _Run) -> int:
         kind: classical_bound(profile, kind, k=args.k, eps=args.eps)
         for kind in BOUND_KINDS
     }
-    doc["max_suffix_ratio"] = float(profile.max_suffix_ratio)
+    doc["max_suffix_ratio"] = _max_suffix_ratio(profile)
     run.write(args.out, _canonical_json(doc))
     return 0
 
@@ -466,8 +473,7 @@ def _cmd_star(args, run: _Run) -> int:
     return 0
 
 
-def _star_family_row(task):
-    n_b, ell, lam = task
+def _star_family_row(n_b: int, ell: int, lam: float) -> dict:
     graph = generate_star(n_b, ell)
     profile = independence_polynomial(graph)
     bound = classical_bound(profile, "sa", k=1, eps=0.25)
@@ -476,7 +482,7 @@ def _star_family_row(task):
         "schema": COMPARE_SCHEMA,
         "family": "star", "ell": ell, "n_b": n_b, "n": graph.n,
         "sa_bound": bound,
-        "max_suffix_ratio": float(profile.max_suffix_ratio),
+        "max_suffix_ratio": _max_suffix_ratio(profile),
         "gap": report.gap,
         "inv_gap": 1.0 / report.gap if report.gap else None,
         "crossing": report.crossing,
@@ -498,8 +504,6 @@ _COMPARE_COLUMNS = ["schema", "family", "ell", "n_b", "n", "sa_bound",
 
 
 def _cmd_compare(args, run: _Run) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.join:
         rows = []
         keys = ["schema"]
@@ -519,11 +523,9 @@ def _cmd_compare(args, run: _Run) -> int:
                     keys.append(key)
         _write_csv(run, args.out, keys, rows)
         return 0
-    tasks = [(n_b, ell, args.lam)
-             for ell in _parse_int_list(args.ell_list)
-             for n_b in _parse_int_list(args.nb_list)]
-    run.workers = min(args.jobs, len(tasks))
-    rows = _parallel_map(_star_family_row, tasks, run.workers)
+    rows = [_star_family_row(n_b, ell, args.lam)
+            for ell in _parse_int_list(args.ell_list)
+            for n_b in _parse_int_list(args.nb_list)]
     _write_csv(run, args.out, _COMPARE_COLUMNS, rows)
     return 0
 
@@ -669,7 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="star family branch lengths (list or lo:hi)")
     p.add_argument("--nb", dest="nb_list", default="2:6")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_compare)
     return parser
 

@@ -2,7 +2,8 @@
 manifold Laplacian gaps, and the analytic classical runtime lower bounds.
 
 All counts are exact Python integers; they overflow 64 bits well below the
-sizes this module targets, so bound arithmetic goes through fractions.
+sizes this module targets, so bound arithmetic goes through fractions,
+except for the isoenergetic PT bound, an O(alpha^2) sum taken in logs.
 """
 from __future__ import annotations
 
@@ -23,9 +24,6 @@ from .graphs import Graph
 from .spectral import lowest_eigenpairs
 
 ENUMERATION_LIMIT = 30          # default exact-counting vertex limit
-# most Fraction terms of the isoenergetic bound's triple sum; 1.8e5 of them
-# take 2.3 s on star(14,8) (a 2-vCPU host), 7.3e5 21 s on star(20,8)
-ISOENERGETIC_TERM_LIMIT = 200_000
 
 BOUND_KINDS = ("sa", "pt_local", "pt_isoenergetic", "qmc")
 
@@ -272,18 +270,36 @@ def laplacian_gap(cg: ConfigurationGraph) -> float:
     return float(w[1] - w[0])
 
 
-def _isoenergetic_term(profile: LandscapeProfile, b: int, k_prime: int) -> Fraction:
-    """Bracketed denominator for the isoenergetic cluster-update bound: the
-    local-update flow plus the triple sum over replica-pair energy splits."""
-    D = profile.counts
-    alpha = profile.alpha
-    n = profile.n
-    total = Fraction(k_prime * n ** k_prime) * Fraction(D[b], D[b - 1])
-    for b1 in range(b, alpha + 1):
-        for b2 in range(0, 2 * (b - 1) - b1 + 1):
-            for k in range(b1 - b + 1, b - 1 - b2 + 1):
-                total += Fraction(D[b1] * D[b2], D[b1 - k] * D[b2 + k])
+def _log_isoenergetic_terms(profile: LandscapeProfile) -> np.ndarray:
+    """log T(b) for b in ``bound_sizes()``, the isoenergetic bound's
+    denominator T(b) = n D_b / D_{b-1} + sum_{k=1}^{b-1} A_k(b) C_k(b), with
+    A_k(b) = sum_{j=b}^{min(alpha, b+k-1)} D_j / D_{j-k} and C_k(b) =
+    sum_{i=0}^{b-1-k} D_i / D_{i+k}.  All terms are positive, so the logs
+    only accumulate: C_k is a prefix, and split at multiples of k, A_k's
+    window of length k is one block's suffix plus the next block's prefix."""
+    sizes = np.array(profile.bound_sizes())
+    logd = np.array([math.log(c) for c in profile.counts])  # counts pass 1e308
+    total = math.log(profile.n) + logd[sizes] - logd[sizes - 1]
+    for k in range(1, sizes[-1]):
+        b = sizes[sizes > k]
+        ratios = logd[:-k] - logd[k:]  # log D_i / D_{i+k}
+        c = np.logaddexp.accumulate(ratios)[b - 1 - k]
+        blocks = np.full(-(-profile.alpha // k) * k, -np.inf)
+        blocks[:len(ratios)] = -ratios
+        blocks = blocks.reshape(-1, k)
+        prefix = np.logaddexp.accumulate(blocks, axis=1).ravel()
+        suffix = np.logaddexp.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+        a = np.where((b - k) % k, np.logaddexp(suffix[b - k], prefix[b - 1]),
+                     suffix[b - k])
+        total[sizes > k] = np.logaddexp(total[sizes > k], a + c)
     return total
+
+
+def check_float_range(log_value: float, what: str) -> None:
+    """Raise CapacityError when exp(log_value) exceeds the largest double."""
+    if log_value > math.log(sys.float_info.max):
+        raise CapacityError(f"the {what} exceeds the float range "
+                            f"(largest double {sys.float_info.max:.3e})")
 
 
 def check_bound_parameters(eps: float, k: int) -> None:
@@ -297,46 +313,28 @@ def check_bound_parameters(eps: float, k: int) -> None:
 
 
 def classical_bound(profile: LandscapeProfile, kind: str, *, k: int = 1,
-                    k_prime: int = 1, eps: float = 0.25,
-                    e_max: float = 1.0) -> float:
+                    eps: float = 0.25) -> float:
     """Analytic runtime lower bounds for SA, parallel tempering (with and
     without isoenergetic cluster updates), and path-integral QMC.
 
-    ``k`` bounds the spins altered per update (SA/QMC), ``k_prime`` the
-    spins per replica per collective update (PT), ``e_max`` the Gibbs
-    enhancement factor entering the QMC bound.
+    ``k`` bounds the spins altered per update (SA/QMC); PT alters one spin
+    per replica per update, and QMC takes a Gibbs enhancement of 1.  Each
+    bound but the isoenergetic one is an exact fraction rounded once.
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
     check_bound_parameters(eps, k)
-    if k_prime < 1:
-        raise ValueError("k_prime must be >= 1")
     n = profile.n
     log_factor = math.log(1.0 / (2.0 * eps))
-    if kind == "sa":
-        value = Fraction(1, 2 * n * k) * profile.max_suffix_ratio
-    elif kind == "pt_local":
-        value = Fraction(1, 2 * n * k_prime * n ** k_prime) * profile.max_suffix_ratio
-    elif kind == "qmc":
-        if e_max <= 0:
-            raise ValueError("e_max must be positive")
-        value = Fraction(1, 2 * n * k * n ** k) * profile.max_suffix_ratio / Fraction(e_max)
-    else:  # pt_isoenergetic
-        # size b sums (M + 1)(M + 2) / 2 terms at each b1 = b .. min(alpha,
-        # 2b - 2), where M = 2b - 2 - b1: a difference of two binomials
-        sizes = profile.bound_sizes()
-        terms = sum(math.comb(b + 1, 3) - math.comb(
-            max(0, 2 * b - 2 - profile.alpha) + 2, 3) for b in sizes)
-        if terms > ISOENERGETIC_TERM_LIMIT:
-            raise CapacityError(f"the pt_isoenergetic bound sums {terms} "
-                                f"terms, over ISOENERGETIC_TERM_LIMIT = "
-                                f"{ISOENERGETIC_TERM_LIMIT}")
-        best = min(_isoenergetic_term(profile, b, k_prime) for b in sizes)
-        value = Fraction(1, 2 * n) / best
-    if value * Fraction(max(log_factor, 1.0)) > sys.float_info.max:
-        raise CapacityError(f"the {kind} bound exceeds the float range "
-                            f"(largest double {sys.float_info.max:.3e})")
-    return log_factor * float(value)
+    if kind == "pt_isoenergetic":
+        value = None
+        log_value = -math.log(2 * n) - float(_log_isoenergetic_terms(profile).min())
+    else:
+        per_update = k if kind == "sa" else n if kind == "pt_local" else k * n ** k
+        value = profile.max_suffix_ratio / (2 * n * per_update)
+        log_value = math.log(value.numerator) - math.log(value.denominator)
+    check_float_range(log_value + math.log(max(log_factor, 1.0)), f"{kind} bound")
+    return log_factor * (math.exp(log_value) if value is None else float(value))
 
 
 @dataclass

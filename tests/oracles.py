@@ -5,6 +5,7 @@ sweeps, dense linear algebra) without touching the package's enumeration or
 solver paths, so oracle and implementation can disagree.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -185,6 +186,21 @@ def brute_emax(graph, b, omega, delta, lam, beta, k=1):
         ball |= {z ^ (1 << v) for z in ball for v in range(graph.n)}
     best = max(pops[pos[z]] for z in ball if z in pos)
     return float(best) * int(np.sum(ok & (sizes == b - 1)))
+
+
+def brute_isoenergetic_term(profile, b, k_prime=1):
+    """The isoenergetic cluster-update bound's denominator T(b) as the exact
+    triple sum over replica-pair energy splits, one Fraction per term,
+    O(alpha^3): the local-update flow plus every (b1, b2, k) split."""
+    D = profile.counts
+    alpha = profile.alpha
+    n = profile.n
+    total = Fraction(k_prime * n ** k_prime) * Fraction(D[b], D[b - 1])
+    for b1 in range(b, alpha + 1):
+        for b2 in range(0, 2 * (b - 1) - b1 + 1):
+            for k in range(b1 - b + 1, b - 1 - b2 + 1):
+                total += Fraction(D[b1] * D[b2], D[b1 - k] * D[b2 + k])
+    return total
 
 
 # --- reference scalar samplers -------------------------------------------

@@ -263,16 +263,14 @@ def test_bound_error_target_outside_its_range_exit_code(tmp_path, capsys,
     (["qmc", "--omega=-inf"], "omega must be finite"),
     (["qmc", "--bound-inputs", "--beta", "inf"], "beta must be finite"),
     (["qmc", "--bound-inputs", "--delta", "nan"], "delta must be finite"),
-    (["compare", "--jobs", "0"], "--jobs must be at least 1"),
-    (["compare", "--jobs", "-3"], "--jobs must be at least 1"),
 ])
 def test_inputs_outside_their_range_exit_code(tmp_path, capsys, argv, limit):
     # a reversed or empty scan range, a non-positive star drive, an empty
     # TTS budget grid, a TTS target outside (0, 1), zero trials, a QMC run
     # that is all burn-in, zero sampler sweeps, a negative inverse
-    # temperature, a non-finite QMC coefficient and fewer than one compare
-    # job are usage errors that name the limit and leave a manifest, not an
-    # empty or NaN answer or a traceback
+    # temperature and a non-finite QMC coefficient are usage errors that name
+    # the limit and leave a manifest, not an empty or NaN answer or a
+    # traceback
     inst = tmp_path / "i.json"
     inst.write_text(serialize(generate_star(3, 2)))
     out = tmp_path / "r.json"
@@ -355,14 +353,24 @@ def test_bound_past_the_float_range_exit_code(tmp_path, capsys):
                           tmp_path / "p.json", capsys, "float range")
 
 
-def test_isoenergetic_bound_past_the_term_limit_exit_code(tmp_path, capsys):
-    # star(200,8)'s isoenergetic triple sum has 6.5e9 Fraction terms: the
-    # bound counts them first and stops at once instead of running for hours
+def test_suffix_ratio_past_the_float_range_exit_code(tmp_path, capsys):
+    # star(442,8)'s bounds fit a double but its max suffix ratio, 8.7e308,
+    # does not: a capacity error naming the float range, not OverflowError
     inst = tmp_path / "s.json"
+    assert run_cli(["gen", "--nb", "442", "--l", "8", "--out", str(inst)]) == 0
+    _assert_capacity_exit(["profile", "--in", str(inst)], tmp_path / "p.json",
+                          capsys, "max suffix ratio exceeds the float range")
+
+
+def test_isoenergetic_bound_on_a_large_star(tmp_path):
+    # star(200,8) has alpha = 801, 6.5e9 terms in the isoenergetic triple
+    # sum; the log-space evaluator gives its bound in well under a second
+    inst, out = tmp_path / "s.json", tmp_path / "p.json"
     assert run_cli(["gen", "--nb", "200", "--l", "8", "--out", str(inst)]) == 0
-    _assert_capacity_exit(["profile", "--in", str(inst)],
-                          tmp_path / "p.json", capsys,
-                          "ISOENERGETIC_TERM_LIMIT")
+    assert run_cli(["profile", "--in", str(inst), "--out", str(out)]) == 0
+    bounds = json.loads(out.read_text())["bounds"]
+    assert 0 < bounds["pt_isoenergetic"] <= bounds["pt_local"]
+    assert math.isfinite(bounds["pt_isoenergetic"])
 
 
 def test_documents_are_strict_json():
@@ -629,16 +637,6 @@ def test_trial_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch,
                               .read_text())
         assert manifest["workers"] == min(cpus, trials)
     assert files[1] == files[3]
-
-
-def test_compare_csv_does_not_depend_on_jobs(tmp_path):
-    outs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"c{jobs}.csv"
-        assert run_cli(["compare", "--l", "2", "--nb", "2:3", "--jobs", jobs,
-                        "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
 
 
 def test_worker_exception_keeps_its_exit_code(tmp_path, capsys, monkeypatch):

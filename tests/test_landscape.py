@@ -1,16 +1,19 @@
+import decimal
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_counts, brute_exchange_neighbors,
-                     brute_independent_sets, dense_fiedler_gap)
+                     brute_independent_sets, brute_isoenergetic_term,
+                     dense_fiedler_gap)
 
 from flatscape.errors import CapacityError, EmptyManifoldError
 from flatscape.graphs import Graph, generate_star, generate_unit_disk
-from flatscape.landscape import (LandscapeProfile, classical_bound,
+from flatscape.landscape import (LandscapeProfile, _log_isoenergetic_terms,
+                                 _profile_from_counts, classical_bound,
                                  configuration_graph, independence_polynomial,
                                  laplacian_gap, unimodality_scan)
 
@@ -200,23 +203,50 @@ def test_bound_domain_errors(star22):
         classical_bound(profile, "sa", k=0)
 
 
-@pytest.mark.parametrize("n_b, ell", [(5, 4), (8, 8)])
-def test_isoenergetic_term_limit_counts_the_triple_sum(monkeypatch, n_b, ell):
-    # the closed-form count equals the triple sum's own term count: a limit
-    # of exactly that many terms evaluates, one fewer refuses
-    from flatscape import landscape
+def _exact_log(value: Fraction) -> float:
+    # math.log of a numerator and a denominator near 1e50 loses 1e-13
+    with decimal.localcontext(prec=50):
+        return float(decimal.Decimal(value.numerator).ln()
+                     - decimal.Decimal(value.denominator).ln())
 
+
+def _assert_isoenergetic_terms_match_oracle(profile, rel):
+    got = _log_isoenergetic_terms(profile)
+    want = [_exact_log(brute_isoenergetic_term(profile, b))
+            for b in profile.bound_sizes()]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):  # log-space error of a relative error
+        assert abs(g - w) <= rel * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("n_b, ell", [(1, 2), (1, 4), (2, 2), (2, 4), (3, 4),
+                                      (5, 4), (8, 8), (14, 8)])
+def test_isoenergetic_terms_match_the_triple_sum_on_stars(n_b, ell):
     profile = independence_polynomial(generate_star(n_b, ell))
-    terms = sum(len(range(b1 - b + 1, b - 1 - b2 + 1))
-                for b in profile.bound_sizes()
-                for b1 in range(b, profile.alpha + 1)
-                for b2 in range(0, 2 * (b - 1) - b1 + 1))
-    assert terms > 0
-    monkeypatch.setattr(landscape, "ISOENERGETIC_TERM_LIMIT", terms)
-    assert classical_bound(profile, "pt_isoenergetic") > 0
-    monkeypatch.setattr(landscape, "ISOENERGETIC_TERM_LIMIT", terms - 1)
-    with pytest.raises(CapacityError, match=f"sums {terms} terms"):
-        classical_bound(profile, "pt_isoenergetic")
+    _assert_isoenergetic_terms_match_oracle(profile, 1e-12)
+
+
+@pytest.mark.parametrize("seed", [7, 1685])
+def test_isoenergetic_terms_match_the_triple_sum_on_unit_disks(seed):
+    profile = independence_polynomial(generate_unit_disk(5, 5, 0.8, seed))
+    _assert_isoenergetic_terms_match_oracle(profile, 1e-12)
+    iso = classical_bound(profile, "pt_isoenergetic")
+    best = min(brute_isoenergetic_term(profile, b)
+               for b in profile.bound_sizes())
+    assert iso == pytest.approx(
+        math.log(2.0) * float(Fraction(1, 2 * profile.n) / best), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40),
+       counts=st.lists(st.integers(1, 10 ** 400), min_size=2, max_size=9))
+@example(n=3, counts=[1, 3, 9])                 # fallback: bound_sizes [alpha]
+@example(n=4, counts=[3, 2, 1])                 # sizes 1..3; b = 1 has no k term
+@example(n=9, counts=[1, 10 ** 320, 7, 10 ** 330, 10 ** 310, 5])  # past 1e308
+def test_isoenergetic_terms_match_the_triple_sum_on_count_tuples(n, counts):
+    # counts need not be unimodal, nor fit a double
+    profile = _profile_from_counts(n, list(counts), {})
+    _assert_isoenergetic_terms_match_oracle(profile, 1e-12)
 
 
 def test_pt_bounds_ordering(star22):
@@ -231,8 +261,8 @@ def test_pt_bounds_ordering(star22):
 
 def test_qmc_bound_reduces_to_pt_local_when_emax_one(star22):
     profile = independence_polynomial(star22)
-    qmc = classical_bound(profile, "qmc", k=1, e_max=1.0)
-    pt = classical_bound(profile, "pt_local", k_prime=1)
+    qmc = classical_bound(profile, "qmc", k=1)
+    pt = classical_bound(profile, "pt_local")
     assert qmc == pytest.approx(pt, rel=1e-12)
 
 

@@ -151,7 +151,7 @@ def test_qmc_bound_reduces_to_pt_local_when_emax_one(star22):
 
     report = qmc_bound_inputs(star22, omega=0.3, beta=2.0, lam=50.0, k=1)
     profile = independence_polynomial(star22)
-    pt = classical_bound(profile, "pt_local", k_prime=1)
+    pt = classical_bound(profile, "pt_local")
     # with e_max <= 1 the QMC bound is at least the local-update PT bound
     assert report.bound >= pt * 0.999
     manual = max(float(profile.suffix_ratio(b)) / report.e_max[b]
