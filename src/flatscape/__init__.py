@@ -5,5 +5,4 @@ __version__ = "0.1.0"
 
 from .graphs import Graph, generate_star, generate_unit_disk  # noqa: F401
 from .landscape import (LandscapeProfile, classical_bound,  # noqa: F401
-                        configuration_graph, independence_polynomial,
-                        laplacian_gap, unimodality_scan)
+                        independence_polynomial, unimodality_scan)

@@ -34,7 +34,3 @@ class ConvergenceError(FlatscapeError, RuntimeError):
     def __init__(self, message: str, residuals=None):
         self.residuals = residuals
         super().__init__(message)
-
-
-class EmptyManifoldError(FlatscapeError, ValueError):
-    """Requested configuration-graph manifold contains no independent sets."""

@@ -55,13 +55,6 @@ class Graph:
     def adjacency(self) -> list[int]:
         return adjacency_masks(self.n, self.edges)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
     def directed_edges(self) -> list[tuple[int, int]]:
         """Both orientations of every edge, in canonical order."""
         out = []

@@ -1,5 +1,5 @@
-"""Landscape analysis: independence polynomial, configuration graphs,
-manifold Laplacian gaps, and the analytic classical runtime lower bounds.
+"""Landscape analysis: independence polynomial and the analytic classical
+runtime lower bounds.
 
 All counts are exact Python integers; they overflow 64 bits well below the
 sizes this module targets, so bound arithmetic goes through fractions,
@@ -13,15 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg  # noqa: F401 (csgraph first adds ~30 ms to start-up)
-import scipy.sparse
-import scipy.sparse.csgraph
 
-from .bits import (Space, components, enumerate_independent_sets_of_size,
-                   popcount)
-from .errors import CapacityError, EmptyManifoldError
+from .bits import components, popcount
+from .errors import CapacityError
 from .graphs import Graph
-from .spectral import lowest_eigenpairs
 
 ENUMERATION_LIMIT = 30          # default exact-counting vertex limit
 
@@ -200,74 +195,6 @@ def independence_polynomial(graph: Graph, method: str = "auto",
             "star instances use the closed form at any size")
     counts = _count_recursive((1 << graph.n) - 1, graph.adjacency())
     return _profile_from_counts(graph.n, counts, source)
-
-
-@dataclass(frozen=True)
-class ConfigurationGraph:
-    """Independent sets of one size as nodes, spin-exchange moves as edges."""
-
-    b: int
-    nodes: tuple[int, ...]
-    neighbors: tuple[tuple[int, ...], ...]
-    components: tuple[int, ...]
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
-
-    @property
-    def n_components(self) -> int:
-        return len(set(self.components)) if self.components else 0
-
-    def largest_component(self) -> list[int]:
-        """Node indices of the largest connected component."""
-        sizes: dict[int, int] = {}
-        for label in self.components:
-            sizes[label] = sizes.get(label, 0) + 1
-        best = max(sizes, key=lambda lab: (sizes[lab], -lab))
-        return [i for i, lab in enumerate(self.components) if lab == best]
-
-    @property
-    def connected(self) -> bool:
-        return self.n_components <= 1
-
-
-def _move_adjacency(neighbors) -> scipy.sparse.csr_matrix:
-    """Adjacency matrix of a move graph given as per-node neighbour lists."""
-    indptr = np.cumsum([0] + [len(nb) for nb in neighbors])
-    indices = [j for nb in neighbors for j in nb]
-    m = len(neighbors)
-    return scipy.sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
-                                   shape=(m, m))
-
-
-def configuration_graph(graph: Graph, b: int) -> ConfigurationGraph:
-    nodes = enumerate_independent_sets_of_size(graph.n, graph.adjacency(), b)
-    if not nodes:
-        raise EmptyManifoldError(f"no independent sets of size {b}")
-    neighbors = tuple(tuple(sorted(row[row >= 0].tolist()))
-                      for row in Space.of(graph, nodes).exchanges)
-    _, labels = scipy.sparse.csgraph.connected_components(
-        _move_adjacency(neighbors), directed=False)
-    return ConfigurationGraph(b=b, nodes=tuple(nodes), neighbors=neighbors,
-                              components=tuple(labels.tolist()))
-
-
-def laplacian_gap(cg: ConfigurationGraph) -> float:
-    """Gap between the two smallest Laplacian eigenvalues of the largest
-    connected component; a single-node manifold reports +inf."""
-    comp = cg.largest_component()
-    m = len(comp)
-    if m == 1:
-        return math.inf
-    lap = scipy.sparse.csgraph.laplacian(
-        _move_adjacency(cg.neighbors)[comp][:, comp])
-    w, _ = lowest_eigenpairs(lap, 2)
-    return float(w[1] - w[0])
 
 
 def _log_isoenergetic_terms(profile: LandscapeProfile) -> np.ndarray:

@@ -82,10 +82,6 @@ class QMCResult:
     acceptance: dict
     rng: dict
 
-    def marginal_probs(self) -> dict:
-        total = sum(self.marginal.values())
-        return {z: c / total for z, c in self.marginal.items()}
-
 
 def _dense_split(graph: Graph, config: QMCConfig):
     """(operator, diagonal, dense off-diagonal part) of ``config`` on
@@ -161,14 +157,6 @@ class WorldlineEngine:
         block = (w00 / peak, w01 / peak, w10 / peak, w11 / peak)
         self.blocks[v][a0 * len(self.basis) + b0] = block
         return block
-
-    def log_weight(self, slices: list[int]) -> float:
-        total = 0.0
-        m = len(slices)
-        for i in range(m):
-            j = slices[(i + 1) % m]
-            total += self.log_bond_rows[slices[i]][j] + self.log_diag_list[j]
-        return total
 
 
 def _suffix_products(engine: WorldlineEngine, v: int, opt0: list) -> tuple:
@@ -373,62 +361,6 @@ def trotter_error_proxy(graph: Graph, config: QMCConfig) -> float:
         power = np.linalg.matrix_power(T, slices).diagonal().clip(0.0)
         marg.append(power / power.sum())
     return float(0.5 * np.abs(marg[0] - marg[1]).sum())
-
-
-def worldline_transition_matrix(graph: Graph, config: QMCConfig,
-                                p_site: float = 0.5):
-    """Exact transition matrix over all worldlines of the one-update kernel
-    that makes a site flip with probability ``p_site`` and a segment flip
-    otherwise; exhaustive, so only for tiny (n, M)."""
-    engine = WorldlineEngine(graph, config)
-    dim = len(engine.basis)
-    m = config.slices
-    if dim ** m > 40_000:
-        raise CapacityError(f"worldline space {dim}^{m} too large to enumerate")
-    n = graph.n
-    from itertools import product
-
-    states = [tuple(s) for s in product(range(dim), repeat=m)]
-    index = {s: k for k, s in enumerate(states)}
-    logw = np.array([engine.log_weight(list(s)) for s in states])
-    p_seg = 1.0 - p_site
-    P = np.zeros((len(states), len(states)))
-    for k, s in enumerate(states):
-        for slot in range(m):
-            for v in range(n):
-                new = engine.flip_rows[s[slot]][v]
-                if new < 0:
-                    continue
-                s2 = list(s)
-                s2[slot] = new
-                k2 = index[tuple(s2)]
-                acc = min(1.0, math.exp(min(logw[k2] - logw[k], 0.0)))
-                P[k, k2] += p_site / (m * n) * acc
-        # segment proposals: uniform (vertex, start, length)
-        for v in range(n):
-            for start in range(m):
-                for length in range(1, m + 1):
-                    s2 = list(s)
-                    ok = True
-                    for j in range(length):
-                        slot = (start + j) % m
-                        new = engine.flip_rows[s2[slot]][v]
-                        if new < 0:
-                            ok = False
-                            break
-                        s2[slot] = new
-                    if not ok:
-                        continue
-                    k2 = index[tuple(s2)]
-                    if k2 == k:
-                        continue
-                    acc = min(1.0, math.exp(min(logw[k2] - logw[k], 0.0)))
-                    P[k, k2] += p_seg / (n * m * m) * acc
-        P[k, k] = 0.0
-        P[k, k] = 1.0 - P[k].sum()
-    weights = np.exp(logw - logw.max())
-    pi = weights / weights.sum()
-    return P, pi, states
 
 
 @dataclass

@@ -73,12 +73,6 @@ def _laplacian(exchanges: np.ndarray) -> scipy.sparse.csr_matrix:
     return (scipy.sparse.diags(degree) - exchange).tocsr()
 
 
-def drive_matrix(graph: Graph, basis: list[int]) -> scipy.sparse.csr_matrix:
-    """Single-spin-flip generator: unit entries between basis states one
-    flip apart."""
-    return _move_matrix(Space.of(graph, basis).flips)
-
-
 def free_vertex_diag(graph: Graph, basis: list[int]) -> np.ndarray:
     """Per-configuration count of vertices addable without a violation."""
     masks = np.asarray(basis, dtype=np.uint64)
@@ -86,12 +80,6 @@ def free_vertex_diag(graph: Graph, basis: list[int]) -> np.ndarray:
     for v, nbrs in enumerate(graph.adjacency()):
         out += (masks & np.uint64(nbrs | 1 << v)) == 0
     return out
-
-
-def laplacian_matrix(graph: Graph, basis: list[int]) -> scipy.sparse.csr_matrix:
-    """Configuration-graph Laplacian (degree diagonal minus exchange
-    adjacency); block diagonal over fixed-size manifolds."""
-    return _laplacian(Space.of(graph, basis).exchanges)
 
 
 def violation_count(graph: Graph, mask):
@@ -346,15 +334,6 @@ def minimize_gap(gap_at, deltas, rel_tol: float, grid=None) -> GapReport:
 def _gap_of(w, v, derivative):  # (ground energy, gap, slope) of two pairs
     slope = float(derivative @ (v[:, 1] ** 2 - v[:, 0] ** 2))
     return float(w[0]), float(w[1] - w[0]), slope
-
-
-def gap_point(H, derivative):
-    """(ground energy, gap, slope) of one scan point from its two lowest
-    eigenpairs: the slope is the Hellmann-Feynman derivative of the gap,
-    <psi1|dH/d delta|psi1> - <psi0|dH/d delta|psi0>, for ``derivative`` the
-    diagonal of dH/d delta.  ARPACK stops at SCAN_ARPACK_TOL; the residual
-    gate itself is unchanged."""
-    return _gap_of(*lowest_eigenpairs(H, 2, tol=SCAN_ARPACK_TOL), derivative)
 
 
 def _reduced_grid(factory, deltas: np.ndarray, derivative, solve):

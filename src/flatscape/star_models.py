@@ -116,21 +116,6 @@ def star_level_crossing(n_b: int, ell: int, omega: float = 1.0) -> StarPredictio
     )
 
 
-def star_wavefunction(n_b: int, ell: int, walls) -> float:
-    """Amplitude of the first-excited manifold state at domain-wall
-    positions x_i in {1, .., ell/2 + 1}: a product of sine modes."""
-    walls = tuple(walls)
-    if len(walls) != n_b:
-        raise ValueError(f"expected {n_b} domain-wall positions, got {len(walls)}")
-    m = ell // 2 + 1
-    amp = 1.0
-    for x in walls:
-        if not 1 <= x <= m:
-            raise ValueError(f"wall position {x} outside 1..{m}")
-        amp *= math.sin(math.pi * x / (m + 1)) / math.sqrt(ell / 4.0 + 1.0)
-    return amp
-
-
 class SymmetricStarSpace:
     """Star-graph operators in the branch-permutation-symmetric sector.
 
@@ -295,72 +280,6 @@ class SymmetricStarSpace:
         H.data[slots] = -delta * self.total_size.astype(float) + const
         H.eliminate_zeros()
         return H
-
-    def manifold_indices(self, b: int) -> np.ndarray:
-        return np.where(self.total_size == b)[0]
-
-    def perturbation_block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (H_se - H_fv) block on the size-b manifold.
-
-        The second-order effective Hamiltonian within a manifold is
-        -(Omega^2/delta) (H_se + b - H_fv) up to the uniform shift, so its
-        ground state is this block's maximal eigenvector.
-        """
-        sel = self.manifold_indices(b)
-        block = (self.spin_exchange_matrix()[sel][:, sel].toarray()
-                 - np.diag(self.free_vertex_diag()[sel]))
-        return sel, block
-
-    def permutation_multiplicity(self, i: int) -> int:
-        """Number of distinct branch arrangements collapsed into basis
-        state i (the multinomial coefficient of its multiset)."""
-        total = math.factorial(self.n_b)
-        for cnt in self.occ[i, 1:].tolist():
-            total //= math.factorial(cnt)
-        return total
-
-    def uniform_state(self, b: int) -> np.ndarray:
-        """The normalized uniform superposition of all size-b independent
-        sets, expressed in the symmetric basis."""
-        sel = self.manifold_indices(b)
-        vec = np.zeros(self.dim)
-        for i in sel:
-            vec[i] = math.sqrt(self.permutation_multiplicity(int(i)))
-        norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise ValueError(f"empty manifold b={b}")
-        return vec / norm
-
-    def maximum_state(self) -> np.ndarray:
-        """The unique maximum independent set as a symmetric basis vector."""
-        vec = np.zeros(self.dim)
-        sel = self.manifold_indices(self.alpha)
-        if len(sel) != 1:
-            raise RuntimeError("star maximum independent set should be unique")
-        vec[sel[0]] = 1.0
-        return vec
-
-    def product_wall_state(self) -> np.ndarray:
-        """The sine-product domain-wall state in the symmetric basis."""
-        m = self.ell // 2 + 1
-        # branch states with a single domain wall: centre-absent sets of
-        # size ell/2; wall position x means first vertex occupied iff x > 1
-        wall_amp = np.zeros(len(self.size))
-        for i, s in enumerate(self.branch_states):
-            if self.size[i] != self.ell // 2:
-                continue
-            # wall coordinate: x = 1 for the state reachable from the maximum
-            # set by flipping the centre (first branch vertex empty), growing
-            # by one per occupied odd-numbered site as the wall moves outward
-            x = 1 + sum((s >> v) & 1 for v in range(0, self.ell, 2))
-            wall_amp[i] = math.sin(math.pi * x / (m + 1)) / math.sqrt(
-                self.ell / 4.0 + 1.0)
-        # 0 ** 0 = 1: a sector-A row is nonzero iff all its branches hold walls
-        amps = np.prod(wall_amp ** self.occ[:, 1:], axis=1) * ~self.sector_b
-        vec = np.zeros(self.dim)
-        for i in np.flatnonzero(amps).tolist():
-            vec[i] = amps[i] * math.sqrt(self.permutation_multiplicity(i))
-        return vec
 
 
 def star_gap_scan(n_b: int, ell: int, omega: float = 1.0, lam: float = 0.0,

@@ -2,13 +2,25 @@
 
 Everything here recomputes quantities from first principles (2^n subset
 sweeps, dense linear algebra) without touching the package's enumeration or
-solver paths, so oracle and implementation can disagree.
+solver paths, so oracle and implementation can disagree; the reference
+samplers and the last section's definitions run on the package's tables.
 """
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
+
+from flatscape.bits import Space, enumerate_independent_sets_of_size
+from flatscape.classical_mc import _stream, _Uniforms
+from flatscape.errors import CapacityError, FlatscapeError
+from flatscape.qmc import WorldlineEngine
+from flatscape.spectral import (SCAN_ARPACK_TOL, _gap_of, _move_matrix,
+                                lowest_eigenpairs)
 
 
 def subset_sweep(graph):
@@ -564,9 +576,6 @@ def _scalar_segment_delta(state, flipped_slots, proposal, log_bond, log_diag,
 
 
 def scalar_qmc_run(graph, config):
-    from flatscape.classical_mc import _stream, _Uniforms
-    from flatscape.qmc import WorldlineEngine
-
     engine = WorldlineEngine(graph, config)
     m = config.slices
     n = max(graph.n, 1)
@@ -627,3 +636,205 @@ def scalar_qmc_run(graph, config):
     return dict(marginal=marginal,
                 acceptance={"site": site_acc / max(site_att, 1),
                             "segment": seg_acc / max(seg_att, 1)})
+
+
+# --- reference implementations moved out of src/ -------------------------
+# Definitions no pipeline, script or benchmark reads, kept for the tests
+# that pin them; a former method takes its object as the first argument.
+# Nothing in src/ imports tests/.
+
+def gap_point(H, derivative):
+    """(ground energy, gap, slope) of one scan point from its two lowest
+    eigenpairs: the slope is the Hellmann-Feynman derivative of the gap,
+    <psi1|dH/d delta|psi1> - <psi0|dH/d delta|psi0>, for ``derivative`` the
+    diagonal of dH/d delta.  ARPACK stops at SCAN_ARPACK_TOL."""
+    return _gap_of(*lowest_eigenpairs(H, 2, tol=SCAN_ARPACK_TOL), derivative)
+
+
+class EmptyManifoldError(FlatscapeError, ValueError):
+    """Requested configuration-graph manifold contains no independent sets."""
+
+
+@dataclass(frozen=True)
+class ConfigurationGraph:
+    """Independent sets of one size as nodes, spin-exchange moves as edges."""
+
+    nodes: tuple[int, ...]
+    neighbors: tuple[tuple[int, ...], ...]
+    components: tuple[int, ...]
+    adjacency: scipy.sparse.csr_matrix = field(repr=False, compare=False)
+    n_nodes = property(lambda self: len(self.nodes))
+    n_edges = property(lambda self: self.adjacency.nnz // 2)
+    n_components = property(lambda self: len(set(self.components)))
+    connected = property(lambda self: self.n_components <= 1)
+
+    def largest_component(self) -> list[int]:
+        """Node indices of the largest connected component (the lowest
+        label among equals)."""
+        labels = np.array(self.components)
+        return np.flatnonzero(labels == np.bincount(labels).argmax()).tolist()
+
+
+def configuration_graph(graph, b):
+    nodes = enumerate_independent_sets_of_size(graph.n, graph.adjacency(), b)
+    if not nodes:
+        raise EmptyManifoldError(f"no independent sets of size {b}")
+    exchanges = Space.of(graph, nodes).exchanges
+    adjacency = _move_matrix(exchanges)
+    _, labels = scipy.sparse.csgraph.connected_components(adjacency,
+                                                          directed=False)
+    return ConfigurationGraph(
+        nodes=tuple(nodes),
+        neighbors=tuple(tuple(sorted(row[row >= 0].tolist()))
+                        for row in exchanges),
+        components=tuple(labels.tolist()), adjacency=adjacency)
+
+
+def laplacian_gap(cg):
+    """Gap between the two smallest Laplacian eigenvalues of the largest
+    connected component; a single-node manifold reports +inf."""
+    comp = cg.largest_component()
+    if len(comp) == 1:
+        return math.inf
+    lap = scipy.sparse.csgraph.laplacian(cg.adjacency[comp][:, comp])
+    w, _ = lowest_eigenpairs(lap, 2)
+    return float(w[1] - w[0])
+
+
+def star_wavefunction(n_b, ell, walls):
+    """Amplitude of the first-excited manifold state at domain-wall
+    positions x_i in {1, .., ell/2 + 1}: a product of sine modes."""
+    walls = tuple(walls)
+    if len(walls) != n_b:
+        raise ValueError(f"expected {n_b} domain-wall positions, got {len(walls)}")
+    m = ell // 2 + 1
+    amp = 1.0
+    for x in walls:
+        if not 1 <= x <= m:
+            raise ValueError(f"wall position {x} outside 1..{m}")
+        amp *= math.sin(math.pi * x / (m + 1)) / math.sqrt(ell / 4.0 + 1.0)
+    return amp
+
+
+def manifold_indices(space, b):
+    """Rows of a ``SymmetricStarSpace`` holding size-b sets."""
+    return np.where(space.total_size == b)[0]
+
+
+def perturbation_block(space, b):
+    """(rows, dense (H_se - H_fv) block) of the size-b manifold.
+
+    The second-order effective Hamiltonian within a manifold is
+    -(Omega^2/delta) (H_se + b - H_fv) up to the uniform shift, so its
+    ground state is this block's maximal eigenvector.
+    """
+    sel = manifold_indices(space, b)
+    block = (space.spin_exchange_matrix()[sel][:, sel].toarray()
+             - np.diag(space.free_vertex_diag()[sel]))
+    return sel, block
+
+
+def permutation_multiplicity(space, i):
+    """Number of distinct branch arrangements collapsed into basis state i
+    (the multinomial coefficient of its multiset)."""
+    total = math.factorial(space.n_b)
+    for cnt in space.occ[i, 1:].tolist():
+        total //= math.factorial(cnt)
+    return total
+
+
+def uniform_state(space, b):
+    """The normalized uniform superposition of all size-b independent sets,
+    expressed in the symmetric basis."""
+    vec = np.zeros(space.dim)
+    for i in manifold_indices(space, b):
+        vec[i] = math.sqrt(permutation_multiplicity(space, int(i)))
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        raise ValueError(f"empty manifold b={b}")
+    return vec / norm
+
+
+def maximum_state(space):
+    """The unique maximum independent set as a symmetric basis vector."""
+    (row,) = manifold_indices(space, space.alpha)  # raises unless unique
+    vec = np.zeros(space.dim)
+    vec[row] = 1.0
+    return vec
+
+
+def product_wall_state(space):
+    """The sine-product domain-wall state in the symmetric basis."""
+    ell = space.ell
+    m = ell // 2 + 1
+    # branch states with a single domain wall: centre-absent sets of size
+    # ell/2; wall position x means first vertex occupied iff x > 1
+    wall_amp = np.zeros(len(space.size))
+    for i, s in enumerate(space.branch_states):
+        if space.size[i] != ell // 2:
+            continue
+        # wall coordinate: x = 1 for the state reachable from the maximum
+        # set by flipping the centre (first branch vertex empty), growing by
+        # one per occupied odd-numbered site as the wall moves outward
+        x = 1 + sum((s >> v) & 1 for v in range(0, ell, 2))
+        wall_amp[i] = math.sin(math.pi * x / (m + 1)) / math.sqrt(
+            ell / 4.0 + 1.0)
+    # 0 ** 0 = 1: a sector-A row is nonzero iff all its branches hold walls
+    amps = np.prod(wall_amp ** space.occ[:, 1:], axis=1) * ~space.sector_b
+    vec = np.zeros(space.dim)
+    for i in np.flatnonzero(amps).tolist():
+        vec[i] = amps[i] * math.sqrt(permutation_multiplicity(space, i))
+    return vec
+
+
+def marginal_probs(result):
+    """A ``QMCResult``'s slice marginals normalized to probabilities."""
+    total = sum(result.marginal.values())
+    return {z: c / total for z, c in result.marginal.items()}
+
+
+def log_weight(engine, slices):
+    """Log weight of a worldline (a list of basis rows, one per slice)."""
+    total = 0.0
+    m = len(slices)
+    for i in range(m):
+        j = slices[(i + 1) % m]
+        total += engine.log_bond_rows[slices[i]][j] + engine.log_diag_list[j]
+    return total
+
+
+def worldline_transition_matrix(graph, config, p_site=0.5):
+    """Exact transition matrix over all worldlines of the one-update kernel
+    that makes a site flip with probability ``p_site`` and a segment flip
+    otherwise; exhaustive, so only for tiny (n, M)."""
+    engine = WorldlineEngine(graph, config)
+    dim, m, n = len(engine.basis), config.slices, graph.n
+    if dim ** m > 40_000:
+        raise CapacityError(f"worldline space {dim}^{m} too large to enumerate")
+    # (rate, vertex, slots flipped): uniform site (slot, vertex) proposals,
+    # then uniform segment (vertex, start, length) ones; none returns to s
+    proposals = [(p_site / (m * n), v, [slot])
+                 for slot in range(m) for v in range(n)]
+    proposals += [((1.0 - p_site) / (n * m * m), v,
+                   [(start + j) % m for j in range(length)])
+                  for v in range(n) for start in range(m)
+                  for length in range(1, m + 1)]
+    states = list(product(range(dim), repeat=m))
+    index = {s: k for k, s in enumerate(states)}
+    logw = np.array([log_weight(engine, s) for s in states])
+    P = np.zeros((len(states), len(states)))
+    for k, s in enumerate(states):
+        for rate, v, slots in proposals:
+            s2 = list(s)
+            for slot in slots:
+                s2[slot] = engine.flip_rows[s2[slot]][v]
+                if s2[slot] < 0:
+                    break
+            else:
+                k2 = index[tuple(s2)]
+                acc = min(1.0, math.exp(min(logw[k2] - logw[k], 0.0)))
+                P[k, k2] += rate * acc
+        P[k, k] = 1.0 - P[k].sum()
+    weights = np.exp(logw - logw.max())
+    pi = weights / weights.sum()
+    return P, pi, states

@@ -17,19 +17,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import (brute_counts, dense_fiedler_gap, dense_hamiltonian,
-                     gibbs_diagonal, gibbs_distribution, total_variation)
+from oracles import (brute_counts, configuration_graph, dense_fiedler_gap,
+                     dense_hamiltonian, gibbs_diagonal, gibbs_distribution,
+                     laplacian_gap, marginal_probs, maximum_state,
+                     perturbation_block, total_variation,
+                     worldline_transition_matrix)
 
+from flatscape.bits import Space
 from flatscape.classical_mc import (PTConfig, SAConfig, estimate_tts, pt_run,
                                     sa_run, transition_matrix)
 from flatscape.graphs import Graph, generate_star, generate_unit_disk
-from flatscape.landscape import (classical_bound, configuration_graph,
-                                 independence_polynomial, laplacian_gap,
+from flatscape.landscape import (classical_bound, independence_polynomial,
                                  unimodality_scan)
-from flatscape.qmc import QMCConfig, qmc_bound_inputs, qmc_run, \
-    worldline_transition_matrix
-from flatscape.spectral import (build_operator, drive_matrix,
-                                laplacian_matrix,
+from flatscape.qmc import QMCConfig, qmc_bound_inputs, qmc_run
+from flatscape.spectral import (_laplacian, _move_matrix, build_operator,
                                 resolvent_gap, restricted_basis,
                                 scan_minimum_gap)
 from flatscape.star_models import (SymmetricStarSpace, central_absent_count,
@@ -195,7 +196,7 @@ def test_c05_sampler_correctness():
     basis = restricted_basis(star)
     H = dense_hamiltonian(star, basis, 0.3, 1.0, 1.0)
     exact = dict(zip(basis, gibbs_diagonal(H, 2.0)))
-    qmc_tv = total_variation(qmc_result.marginal_probs(), exact)
+    qmc_tv = total_variation(marginal_probs(qmc_result), exact)
 
     ok = sa_tv <= 0.03 and pt_tv <= 0.03 and qmc_tv <= 0.05
     check("C5", "sampler stationary distributions",
@@ -232,7 +233,7 @@ def test_c07_drive_coupling_identity():
     for g in graphs:
         profile = independence_polynomial(g)
         basis = restricted_basis(g)
-        drive = drive_matrix(g, basis)
+        drive = _move_matrix(Space.of(g, basis).flips)
         sizes = np.array([bin(z).count("1") for z in basis])
         for b in range(1, profile.alpha + 1):
             u = np.where(sizes == b, 1.0, 0.0)
@@ -339,11 +340,11 @@ def test_c09_star_ground_energy_and_error_decay(star_scan_cache):
 
 
 def _star_resolvent(space, report):
-    sel, block = space.perturbation_block(space.alpha - 1)
+    sel, block = perturbation_block(space, space.alpha - 1)
     w, v = scipy.linalg.eigh(block)
     E = np.zeros(space.dim)
     E[sel] = v[:, -1]
-    G = space.maximum_state()
+    G = maximum_state(space)
     H = space.hamiltonian(1.0, report.delta_star, 0.0)
     return resolvent_gap(H, G, E, z0=report.e_star)
 
@@ -422,7 +423,7 @@ def test_c12_delocalizer_properties():
             if not cg.connected:
                 continue
             basis = list(cg.nodes)
-            lap = laplacian_matrix(g, basis)
+            lap = _laplacian(Space.of(g, basis).exchanges)
             uniform = np.ones(len(basis)) / math.sqrt(len(basis))
             worst_norm = max(worst_norm, float(np.linalg.norm(lap @ uniform)))
     # laplacian_gap equals the dense Fiedler oracle on a large config graph

@@ -1,14 +1,15 @@
 """No flatscape module imports a name it does not use, the package reads
-every private function, method and class it defines, and each module reads
-every UPPER_CASE constant it defines.
+every private function, method and class it defines, code outside tests/
+reads every one, and each module reads every UPPER_CASE constant it defines.
 
-An import, a private helper or a constant left behind by a refactor keeps
-dead code alive and misleads a reader about what a module needs.  The
-package ``__init__`` is excepted from the import check: its imports are the
-public re-exports.
+An import, a helper or a constant left behind by a refactor keeps dead code
+alive and misleads a reader about what a module needs; what only tests read
+belongs in tests/oracles.py.  The package ``__init__`` is excepted from the
+import check: its imports are the public re-exports.
 """
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,8 @@ import flatscape
 
 PACKAGE = sorted(Path(flatscape.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+REPO = Path(__file__).resolve().parents[1]
+READERS = sorted([*REPO.glob("scripts/*.py"), *REPO.glob("perfbench/*.py")])
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -70,36 +73,52 @@ def test_check_flags_an_unused_import():
     assert set(_imported(tree)) - _used(tree) == {"popcount"}
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Each private (underscored, not dunder) function, method and class
-    the module defines, with the line of its definition."""
-    return {node.name: node.lineno for node in ast.walk(tree)
+def _parse(paths) -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in paths}
+
+
+def _definitions(tree: ast.AST, prefix: str = "") -> list[ast.AST]:
+    """Each function, method and class the tree defines whose name starts
+    with ``prefix``, dunders excepted."""
+    return [node for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))
-            and node.name.startswith("_")
-            and not (node.name.startswith("__") and node.name.endswith("__"))}
+            and node.name.startswith(prefix)
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
-def _read(tree: ast.Module) -> set[str]:
-    """Every name and attribute the module reads."""
-    return ({node.id for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-            | {node.attr for node in ast.walk(tree)
-               if isinstance(node, ast.Attribute)
-               and isinstance(node.ctx, ast.Load)})
+def _read_counts(tree: ast.AST) -> Counter:
+    """How often the tree reads each name: as a name or an attribute, or as
+    a part of a dotted-name string constant, the way ``perfbench/spans.py``
+    names the functions it wraps."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", node.value)):
+            reads.update(node.value.split("."))
+    return reads
 
 
-def _unread(trees: dict[str, ast.Module]) -> dict[str, int]:
-    read = set().union(*(_read(tree) for tree in trees.values()))
-    return {f"{module}:{name}": line for module, tree in trees.items()
-            for name, line in _private_definitions(tree).items()
-            if name not in read}
+def _unread(trees: dict[str, ast.Module], readers=(),
+            prefix: str = "") -> dict[str, int]:
+    """Each definition in ``trees`` that neither ``readers`` nor the trees
+    outside the definition's own body read, with the line it starts on."""
+    outside = sum(map(_read_counts, readers), Counter())
+    inside = sum(map(_read_counts, trees.values()), Counter())
+    return {f"{module}:{node.name}": node.lineno
+            for module, tree in trees.items()
+            for node in _definitions(tree, prefix)
+            if not outside[node.name]
+            and inside[node.name] <= _read_counts(node)[node.name]}
 
 
 def test_package_reads_every_private_definition():
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-             for path in PACKAGE}
-    unread = _unread(trees)
+    unread = _unread(_parse(PACKAGE), prefix="_")
     assert not unread, f"defined but never read: {unread}"
 
 
@@ -117,7 +136,31 @@ def test_check_flags_an_unread_private_definition():
                                "        pass\n"),
              "b.py": ast.parse("from .a import _kept\n"
                                "print(_kept(1), Space()._method())\n")}
-    assert set(_unread(trees)) == {"a.py:_dead", "a.py:_orphan"}
+    assert set(_unread(trees, prefix="_")) == {"a.py:_dead", "a.py:_orphan"}
+
+
+def test_library_reads_every_definition_outside_tests():
+    readers = [ast.parse(path.read_text()) for path in READERS]
+    unread = _unread(_parse(PACKAGE), readers)
+    assert not unread, ("read only from tests/, so it belongs in "
+                        f"tests/oracles.py: {unread}")
+
+
+def test_check_flags_a_test_only_definition():
+    trees = {"a.py": ast.parse("def kept(): pass\n"
+                               "def recursive(x): return recursive(x)\n"
+                               "def wrapped(): pass\n"
+                               "class Space:\n"
+                               "    def __len__(self): return 0\n"
+                               "    def build(self): pass\n"
+                               "    def orphan(self): return self.build()\n"
+                               "class Node:\n"
+                               "    def leaf(self): return Node()\n"),
+             "b.py": ast.parse("from .a import kept\nkept()\n")}
+    readers = [ast.parse("from flatscape.a import wrapped\nwrapped()\n"
+                         "TARGETS = (('a', 'Space.build', 'span'),)\n")]
+    assert set(_unread(trees, readers)) == {"a.py:recursive", "a.py:orphan",
+                                            "a.py:Node", "a.py:leaf"}
 
 
 def _unread_constants(tree: ast.Module) -> dict[str, int]:

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_counts, brute_exchange_neighbors,
-                     brute_independent_sets, brute_isoenergetic_term,
-                     dense_fiedler_gap)
+from oracles import (EmptyManifoldError, brute_counts,
+                     brute_exchange_neighbors, brute_independent_sets,
+                     brute_isoenergetic_term, configuration_graph,
+                     dense_fiedler_gap, laplacian_gap)
 
-from flatscape.errors import CapacityError, EmptyManifoldError
+from flatscape.errors import CapacityError
 from flatscape.graphs import Graph, generate_star, generate_unit_disk
 from flatscape.landscape import (LandscapeProfile, _log_isoenergetic_terms,
                                  _profile_from_counts, classical_bound,
-                                 configuration_graph, independence_polynomial,
-                                 laplacian_gap, unimodality_scan)
+                                 independence_polynomial, unimodality_scan)
 
 
 def test_star22_counts(star22):

@@ -6,16 +6,15 @@ import scipy.linalg
 import scipy.sparse
 
 from oracles import (brute_heff_entries, brute_heff_slopes,
-                     brute_independent_sets, dense_hamiltonian)
+                     brute_independent_sets, dense_hamiltonian, gap_point)
 
-from flatscape.bits import enumerate_independent_sets_of_size
+from flatscape.bits import Space, enumerate_independent_sets_of_size
 from flatscape.errors import CapacityError, ConvergenceError
 from flatscape.graphs import Graph, generate_star, generate_unit_disk
 from flatscape.landscape import independence_polynomial
-from flatscape.spectral import (build_operator, embed_state,
+from flatscape.spectral import (_laplacian, build_operator, embed_state,
                                 free_vertex_diag, hamming_gap_estimate,
-                                laplacian_matrix, lowest_eigenpairs,
-                                gap_point, min_gap_scan,
+                                lowest_eigenpairs, min_gap_scan,
                                 minimize_gap, perturbative_states,
                                 resolvent_gap, restricted_basis,
                                 scan_minimum_gap)
@@ -97,13 +96,13 @@ def test_mask_width_limit_fails_before_enumeration(monkeypatch):
 def test_laplacian_rows_sum_to_zero_within_manifolds(star22):
     for b in (1, 2, 3):
         basis = brute_independent_sets(star22, b)
-        lap = laplacian_matrix(star22, basis)
+        lap = _laplacian(Space.of(star22, basis).exchanges)
         assert np.abs(np.asarray(lap.sum(axis=1))).max() <= 1e-14
 
 
 def test_laplacian_annihilates_uniform_state_connected_manifold(star22):
     basis = brute_independent_sets(star22, 2)
-    lap = laplacian_matrix(star22, basis)
+    lap = _laplacian(Space.of(star22, basis).exchanges)
     uniform = np.ones(len(basis)) / math.sqrt(len(basis))
     assert np.linalg.norm(lap @ uniform) <= 1e-12
     w = scipy.linalg.eigvalsh(lap.toarray())
@@ -418,7 +417,6 @@ def test_hamming_estimate_tracks_exact_gap_on_stars():
 def test_manifold_ground_degeneracy_flag():
     # two disjoint edges: the size-1 manifold splits into two identical
     # exchange components, so the manifold ground state is exactly degenerate
-    from flatscape.bits import Space
     from flatscape.errors import ConvergenceError
     from flatscape.spectral import _manifold_ground, _move_matrix
 
@@ -437,7 +435,6 @@ def test_manifold_ground_degeneracy_flag_on_lanczos_path():
     # so the size-5 manifold (920 rows) splits into blocks (b1, 5 - b1), and
     # (2, 3) mirrors (3, 2): its top pair is exactly degenerate; the size-4
     # manifold's top lies in the self-mirrored block (2, 2)
-    from flatscape.bits import Space
     from flatscape.spectral import (DENSE_EIG_LIMIT, _manifold_ground,
                                     _move_matrix)
 
