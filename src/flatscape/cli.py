@@ -36,7 +36,7 @@ from .graphs import (Graph, deserialize, generate_star, generate_unit_disk,
 from .landscape import (BOUND_KINDS, check_float_range, classical_bound,
                         independence_polynomial, unimodality_scan)
 from .qmc import QMCConfig, qmc_bound_inputs, qmc_run, trotter_error_proxy
-from .spectral import (build_operator, embed_state, hamming_gap_estimate,
+from .spectral import (SCAN_ARPACK_TOL, build_operator, hamming_gap_estimate,
                        lowest_eigenpairs, min_gap_scan, perturbative_states,
                        resolvent_gap)
 from .star_models import star_gap_scan, star_level_crossing
@@ -395,11 +395,11 @@ def _cmd_gap(args, run: _Run) -> int:
     doc["instance"] = to_document(graph)
     run.write(args.out, _canonical_json(doc))
     if args.dump_states:
-        op, pair = report.operator, report.pair
+        op = report.operator
         if op is None:  # a star scan, solved in the symmetric sector
             op = build_operator(graph, args.omega, report.delta_star, args.lam)
-            pair = lowest_eigenpairs(op, 2)
-        rows = [{"mask": z, "ground": pair[1][i, 0], "excited": pair[1][i, 1]}
+        _, v = lowest_eigenpairs(op, 2, tol=SCAN_ARPACK_TOL)
+        rows = [{"mask": z, "ground": v[i, 0], "excited": v[i, 1]}
                 for i, z in enumerate(op.basis)]
         _write_csv(run, args.dump_states, ["mask", "ground", "excited"], rows)
     return 0
@@ -407,23 +407,25 @@ def _cmd_gap(args, run: _Run) -> int:
 
 def _cmd_resolvent(args, run: _Run) -> int:
     graph = _load_graph(run, args.inp)
-    states = perturbative_states(graph)
-    if states.degenerate:
-        raise DegenerateResult(
-            "manifold ground state is near-degenerate; higher-order "
-            "treatment needed")
     scan = min_gap_scan(graph, omega=args.omega, lam=0.0,
                         delta_range=_parse_range(args.delta_range),
                         points=args.points)
     _warn_boundary(scan)
-    op, (_, v) = scan.operator, scan.pair
-    G = embed_state(op.basis, states.ground_basis, states.ground)
-    E = embed_state(op.basis, states.excited_basis, states.excited)
+    op = scan.operator
+    states = perturbative_states(op.space)
+    if states.degenerate:
+        raise DegenerateResult(
+            "manifold ground state is near-degenerate; higher-order "
+            "treatment needed")
+    _, v = lowest_eigenpairs(op, 2, tol=SCAN_ARPACK_TOL)  # the scan's solve
+    G, E = np.zeros(op.dim), np.zeros(op.dim)
+    G[states.ground_rows] = states.ground
+    E[states.excited_rows] = states.excited
     report = resolvent_gap(op.matrix, G, E, z0=scan.e_star,
                            exact_pairs=(v[:, 0], v[:, 1]))
     estimate, histogram = hamming_gap_estimate(
-        states.ground_basis, states.ground, states.excited_basis,
-        states.excited, states.crossing)
+        op.basis[states.ground_rows], states.ground,
+        op.basis[states.excited_rows], states.excited, states.crossing)
     report.gap, report.boundary_minimum = scan.gap, scan.boundary_minimum
     doc = report.to_document()
     doc.update({

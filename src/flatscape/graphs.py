@@ -48,10 +48,6 @@ class Graph:
         if self.coords is not None and len(self.coords) != self.n:
             raise ValueError("coords length does not match vertex count")
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
     def adjacency(self) -> list[int]:
         return adjacency_masks(self.n, self.edges)
 

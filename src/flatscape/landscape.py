@@ -39,10 +39,6 @@ class LandscapeProfile:
     unimodal: bool
     source: dict = field(default_factory=dict)
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
     def suffix_ratio(self, b: int) -> Fraction:
         """D_{b-1} / D_b."""
         return Fraction(self.counts[b - 1], self.counts[b])
@@ -69,17 +65,6 @@ class LandscapeProfile:
             "unimodal": self.unimodal,
             "source": self.source,
         }
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "LandscapeProfile":
-        return cls(
-            n=doc["n"],
-            counts=tuple(int(c) for c in doc["counts"]),
-            alpha=doc["alpha"],
-            b_star=doc["b_star"],
-            unimodal=doc["unimodal"],
-            source=doc.get("source", {}),
-        )
 
 
 def _profile_from_counts(n: int, counts: list[int], source: dict) -> LandscapeProfile:

@@ -194,7 +194,6 @@ class GapReport:
     slopes: dict = field(default_factory=dict)
     validity: float | None = None
     method: dict = field(default_factory=dict)
-    pair: tuple | None = field(default=None, repr=False)  # (w, v) at delta*
     operator: OperatorHandle | None = field(default=None, repr=False)
 
     def to_document(self) -> dict:
@@ -373,22 +372,23 @@ def _reduced_grid(factory, deltas: np.ndarray, derivative, solve):
 def scan_minimum_gap(factory, deltas, derivative) -> GapReport:
     """Minimum-gap scan of ``factory(delta)``, affine in delta with
     ``derivative`` the diagonal of dH/d delta, over the grid ``deltas`` (see
-    ``minimize_gap``), plus ``e_star`` and the two lowest ``pair`` there.
-    Refinement points, and up to DENSE_EIG_LIMIT rows every grid point, are
-    full solves.  Above it, anchors (every ANCHOR_STRIDE-th point and both
-    ends) are solved and span V; any other grid point takes the Ritz pairs
-    of V^T H V if their residuals pass the Lanczos gate, else a full solve.
-    A level among the lowest two at ANCHOR_STRIDE or more consecutive grid
-    points is solved at an anchor; one there at fewer can be missed."""
+    ``minimize_gap``), plus the ground energy ``e_star`` there, from the
+    scan's own solve at delta*; the report keeps no eigenvectors, and
+    ``lowest_eigenpairs(factory(delta_star), 2, tol=SCAN_ARPACK_TOL)``
+    repeats that solve.  Refinement points, and up to DENSE_EIG_LIMIT rows
+    every grid point, are full solves.  Above it, anchors (every
+    ANCHOR_STRIDE-th point and both ends) are solved and span V; any other
+    grid point takes the Ritz pairs of V^T H V if their residuals pass the
+    Lanczos gate, else a full solve.  A level among the lowest two at
+    ANCHOR_STRIDE or more consecutive grid points is solved at an anchor;
+    one there at fewer can be missed."""
     deltas = _scan_grid(deltas)
-    points, best = {}, [math.inf, None, None]  # lowest gap: its delta, pair
+    points = {}
 
     def solve(d, H=None):  # H is factory(d) when it is built already
         w, v = lowest_eigenpairs(factory(d) if H is None else H, 2,
                                  tol=SCAN_ARPACK_TOL)
         points[d] = _gap_of(w, v, derivative)  # (ground, gap, slope)
-        if points[d][1] < best[0]:
-            best[:] = points[d][1], d, (w, v)
         return points[d][1], v
 
     def gap_at(d):
@@ -401,10 +401,6 @@ def scan_minimum_gap(factory, deltas, derivative) -> GapReport:
     report = minimize_gap(gap_at, deltas, SCAN_REL_TOL, grid=grid)
     report.method.update(stats)
     report.e_star = points[report.delta_star][0]
-    if best[1] != report.delta_star:  # the lowest gap solved is elsewhere
-        best[0] = math.inf
-        solve(report.delta_star)
-    report.pair = best[2]
     return report
 
 
@@ -434,9 +430,9 @@ class PerturbativeStates:
     """Leading-order crossing states and second-order crossing estimates."""
 
     ground: np.ndarray          # amplitudes on the alpha manifold
-    ground_basis: list[int]
+    ground_rows: slice          # its rows of the space
     excited: np.ndarray         # amplitudes on the crossing manifold
-    excited_basis: list[int]
+    excited_rows: slice
     b_excited: int
     alpha: int
     crossing: float             # predicted (Omega/delta)*
@@ -463,46 +459,45 @@ def _manifold_ground(exchange, free: np.ndarray):
     return vec, se, fv, degenerate
 
 
-def perturbative_states(graph: Graph) -> PerturbativeStates:
+def perturbative_states(space: Space) -> PerturbativeStates:
     """Identify the crossing pair: the alpha-manifold ground state and the
     manifold b, among the CROSSING_CANDIDATES below alpha, whose
     second-order energy first intersects it.
 
-    One ``Space`` of the restricted basis (sorted by size, then mask) serves
-    every manifold: a manifold is a contiguous run of its rows, and an
-    exchange keeps the set size, so each manifold's H_se - H_fv is a
-    diagonal block of the space's exchange matrix and free-vertex counts.
-    alpha is the size of the last row, and no manifold up to alpha is empty.
+    ``space`` is the restricted space in (size, mask) order, as
+    ``build_operator`` enumerates it, so a manifold is a contiguous run of
+    its rows, and the states come back as row slices of it.  An exchange
+    keeps the set size, so each manifold's H_se - H_fv is a diagonal block
+    of the space's exchange matrix and free-vertex counts.  alpha is the
+    size of the last row, and no manifold up to alpha is empty.
     The crossing location solves
     (Omega/delta)^2 = (alpha - b) / (<E|Hse|E> - <G|Hse|G> - <E|Hfv|E> - alpha + b)
     and the perturbative-regime condition compares the exchange-expectation
     difference against 3 (alpha - b).
     """
-    space = Space.of(graph, restricted_basis(graph))
     exchange = _move_matrix(space.exchanges)
-    free = free_vertex_diag(graph, space.basis)
+    free = free_vertex_diag(space.graph, space.basis)
     alpha = int(space.sizes[-1])
 
-    def manifold(b):  # (basis, vec, <H_se>, <H_fv>, degenerate)
-        rows = slice(*np.searchsorted(space.sizes, [b, b + 1]))
-        return (space.basis[rows],
-                *_manifold_ground(exchange[rows, rows], free[rows]))
+    def manifold(b):  # (rows, vec, <H_se>, <H_fv>, degenerate)
+        rows = slice(*np.searchsorted(space.sizes, [b, b + 1]).tolist())
+        return rows, *_manifold_ground(exchange[rows, rows], free[rows])
 
-    g_basis, g_vec, g_se, _, g_degen = manifold(alpha)
-    found = []  # (crossing, b, basis, vec, <H_se>, <H_fv>, degenerate)
+    g_rows, g_vec, g_se, _, g_degen = manifold(alpha)
+    found = []  # (crossing, b, rows, vec, <H_se>, <H_fv>, degenerate)
     for b in range(alpha - 1, max(alpha - 1 - CROSSING_CANDIDATES, 0), -1):
-        e_basis, e_vec, e_se, e_fv, e_degen = manifold(b)
+        e_rows, e_vec, e_se, e_fv, e_degen = manifold(b)
         denom = e_se - g_se - e_fv - (alpha - b)
         if denom > 0:
-            found.append((math.sqrt((alpha - b) / denom), b, e_basis, e_vec,
+            found.append((math.sqrt((alpha - b) / denom), b, e_rows, e_vec,
                           e_se, e_fv, e_degen))
     if not found:
         raise ConvergenceError("no manifold produces a finite positive crossing")
-    crossing, b, e_basis, e_vec, e_se, e_fv, e_degen = min(
+    crossing, b, e_rows, e_vec, e_se, e_fv, e_degen = min(
         found, key=lambda c: c[0])  # the first of equal crossings
     return PerturbativeStates(
-        ground=g_vec, ground_basis=g_basis,
-        excited=e_vec, excited_basis=e_basis,
+        ground=g_vec, ground_rows=g_rows,
+        excited=e_vec, excited_rows=e_rows,
         b_excited=b, alpha=alpha, crossing=crossing,
         e_star=-alpha - crossing ** 2 * (alpha + g_se),  # units of delta
         exchange_expectations={"ground_se": g_se, "excited_se": e_se,
@@ -510,16 +505,6 @@ def perturbative_states(graph: Graph) -> PerturbativeStates:
         condition_ratio=(e_se - g_se) / (3.0 * (alpha - b)),
         degenerate=g_degen or e_degen,
     )
-
-
-def embed_state(basis: list[int], sub_basis: list[int],
-                amplitudes: np.ndarray) -> np.ndarray:
-    """Lift a manifold state into a full-basis vector."""
-    index = {z: i for i, z in enumerate(basis)}
-    vec = np.zeros(len(basis))
-    for z, a in zip(sub_basis, amplitudes):
-        vec[index[z]] = a
-    return vec
 
 
 # Schur-complement columns updated per sector solve: the one transient

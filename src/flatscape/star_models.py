@@ -204,13 +204,11 @@ class SymmetricStarSpace:
         rank = self._rank[np.arange(len(self._rank)), above].sum(axis=1)
         return rank + occ[:, 0] * np.int64(self._dim_a)
 
-    def _assemble(self, moves, raising_only: bool = False):
+    def _assemble(self, moves):
         """The operator summed over ``moves``, and per basis row the moves
-        out of one configuration of its orbit (only the size-raising ones if
-        ``raising_only``).  Targets outside the basis are dropped."""
-        col_size = [1] + self.size
-        rows, cols, vals = [], [], []
-        out = np.zeros(self.dim)
+        out of one configuration of its orbit.  Targets outside the basis
+        are dropped."""
+        rows, cols, vals, counts = [], [], [], []
         for dec, inc in moves:
             src = np.flatnonzero(self.occ[:, dec].all(axis=1))
             occ = self.occ[src]
@@ -221,20 +219,19 @@ class SymmetricStarSpace:
             pos = np.minimum(np.searchsorted(self._keys, key), self.dim - 1)
             hit = self._keys[pos] == key
             vals.append(np.sqrt(ways * occ[:, inc].prod(axis=1))[hit])
-            src, ways = src[hit], ways[hit]
             rows.append(pos[hit])
-            cols.append(src)
-            if not raising_only or (sum(col_size[c] for c in inc)
-                                    > sum(col_size[c] for c in dec)):
-                out += np.bincount(src, weights=ways, minlength=self.dim)
+            cols.append(src[hit])
+            counts.append(ways[hit])
+        cols = np.concatenate(cols)
         matrix = scipy.sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            (np.concatenate(vals), (np.concatenate(rows), cols)),
             shape=(self.dim, self.dim))
-        return matrix, out
+        return matrix, np.bincount(cols, weights=np.concatenate(counts),
+                                   minlength=self.dim)
 
     @cached_property
     def _drive(self):
-        return self._assemble(self.drive_moves, raising_only=True)
+        return self._assemble(self.drive_moves)[0]
 
     @cached_property
     def _exchange(self):
@@ -247,7 +244,7 @@ class SymmetricStarSpace:
 
     def drive_matrix(self) -> scipy.sparse.csr_matrix:
         """Single-spin-flip generator (matrix elements 1 per allowed flip)."""
-        return self._drive[0]
+        return self._drive
 
     def spin_exchange_matrix(self) -> scipy.sparse.csr_matrix:
         return self._exchange[0]
@@ -256,10 +253,6 @@ class SymmetricStarSpace:
         """Configuration-graph degree of each basis state (possible spin
         exchanges, including hops on or off the centre)."""
         return self._exchange[1]
-
-    def free_vertex_diag(self) -> np.ndarray:
-        """Vertices each basis state can add, centre included."""
-        return self._drive[1]
 
     def laplacian_matrix(self) -> scipy.sparse.csr_matrix:
         return self._laplacian

@@ -31,7 +31,6 @@ class ChainModel:
     alpha: int
     hops: tuple[float, ...]
     omega: float
-    source: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.hops) != self.alpha:
@@ -65,8 +64,7 @@ def build_chain(profile: LandscapeProfile, omega: float = 1.0) -> ChainModel:
     hops = tuple(
         omega * b * math.sqrt(Fraction(counts[b], counts[b - 1]))
         for b in range(1, profile.alpha + 1))
-    return ChainModel(alpha=profile.alpha, hops=hops, omega=omega,
-                      source=dict(profile.source))
+    return ChainModel(alpha=profile.alpha, hops=hops, omega=omega)
 
 
 @dataclass

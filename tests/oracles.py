@@ -18,6 +18,7 @@ import scipy.sparse.csgraph
 from flatscape.bits import Space, enumerate_independent_sets_of_size
 from flatscape.classical_mc import _stream, _Uniforms
 from flatscape.errors import CapacityError, FlatscapeError
+from flatscape.landscape import LandscapeProfile
 from flatscape.qmc import WorldlineEngine
 from flatscape.spectral import (SCAN_ARPACK_TOL, _gap_of, _move_matrix,
                                 lowest_eigenpairs)
@@ -721,6 +722,27 @@ def manifold_indices(space, b):
     return np.where(space.total_size == b)[0]
 
 
+def free_vertex_counts(space):
+    """Vertices each row of a ``SymmetricStarSpace`` can add, centre
+    included: its size-raising drive moves out of one configuration of the
+    orbit, counted row by row on the occupation tuples."""
+    col_size = [1] + space.size
+    rows = {tuple(r) for r in space.occ.tolist()}
+    out = np.zeros(space.dim)
+    for dec, inc in space.drive_moves:
+        if sum(col_size[c] for c in inc) <= sum(col_size[c] for c in dec):
+            continue
+        for i, row in enumerate(space.occ.tolist()):
+            target = list(row)
+            for c in dec:
+                target[c] -= 1
+            for c in inc:
+                target[c] += 1
+            if min(target) >= 0 and tuple(target) in rows:
+                out[i] += math.prod(row[c] for c in dec)
+    return out
+
+
 def perturbation_block(space, b):
     """(rows, dense (H_se - H_fv) block) of the size-b manifold.
 
@@ -730,7 +752,7 @@ def perturbation_block(space, b):
     """
     sel = manifold_indices(space, b)
     block = (space.spin_exchange_matrix()[sel][:, sel].toarray()
-             - np.diag(space.free_vertex_diag()[sel]))
+             - np.diag(free_vertex_counts(space)[sel]))
     return sel, block
 
 
@@ -785,6 +807,24 @@ def product_wall_state(space):
     for i in np.flatnonzero(amps).tolist():
         vec[i] = amps[i] * math.sqrt(permutation_multiplicity(space, i))
     return vec
+
+
+def embed_state(basis, sub_basis, amplitudes):
+    """Lift a manifold state, given on the masks ``sub_basis``, into a
+    vector on ``basis``."""
+    index = {z: i for i, z in enumerate(basis)}
+    vec = np.zeros(len(basis))
+    for z, a in zip(sub_basis, amplitudes):
+        vec[index[z]] = a
+    return vec
+
+
+def profile_from_document(doc):
+    """The ``LandscapeProfile`` a profile document describes."""
+    return LandscapeProfile(
+        n=doc["n"], counts=tuple(int(c) for c in doc["counts"]),
+        alpha=doc["alpha"], b_star=doc["b_star"], unimodal=doc["unimodal"],
+        source=doc.get("source", {}))
 
 
 def marginal_probs(result):

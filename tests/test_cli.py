@@ -98,6 +98,30 @@ def test_star_gap_dumps_generic_states(tmp_path):
     assert manifest["outputs"] == [str(out), str(dump)]
 
 
+def test_star_dump_above_the_dense_limit_is_the_generic_pair(tmp_path):
+    # star(2,6) has 610 generic rows, so its dump is a Lanczos solve; each
+    # column is the dense pair of the generic operator at delta*
+    import numpy as np
+    import scipy.linalg
+
+    from flatscape.spectral import DENSE_EIG_LIMIT, build_operator
+
+    out, dump = tmp_path / "g.json", tmp_path / "ds.csv"
+    assert run_cli(["gap", "--nb", "2", "--l", "6", "--dump-states",
+                    str(dump), "--out", str(out)]) == 0
+    op = build_operator(generate_star(2, 6), 1.0,
+                        json.loads(out.read_text())["delta_star"])
+    assert op.dim == 610 > DENSE_EIG_LIMIT
+    _, want = scipy.linalg.eigh(op.matrix.toarray(), subset_by_index=(0, 1))
+    lines = dump.read_text().splitlines()
+    assert lines[0] == "mask,ground,excited"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == op.basis
+    got = np.array([[float(x) for x in row[1:]] for row in rows])
+    for k in range(2):
+        assert abs(got[:, k] @ want[:, k]) >= 1 - 1e-9, k
+
+
 def test_gap_dumps_the_scan_pair(tmp_path, monkeypatch):
     # the generic path dumps the scan's operator and pair at delta*: one
     # Space and no tol-0 solve of the full operator
@@ -423,9 +447,9 @@ def test_resolvent_reports_a_boundary_scan_like_gap(tmp_path, capsys):
 
 
 def test_resolvent_reuses_the_scan_operator_and_pair(tmp_path, monkeypatch):
-    # one enumeration and one Space each for the manifolds and the scan;
-    # the resolvent takes the scan's operator and full solve at delta*, so
-    # every solve of the full operator runs at the scan's tolerance (the
+    # one enumeration and one Space serve the scan and the manifolds; the
+    # resolvent takes the scan's operator and repeats its solve at delta*,
+    # so every solve of the full operator runs at the scan's tolerance (the
     # manifold grounds run at tol 0 on their smaller blocks)
     from flatscape import bits, spectral
 
@@ -452,7 +476,7 @@ def test_resolvent_reuses_the_scan_operator_and_pair(tmp_path, monkeypatch):
     monkeypatch.setattr(bits.Space, "of", classmethod(counted_space))
     monkeypatch.setattr(spectral, "lowest_eigenpairs", counted_eig)
     assert run_cli(["resolvent", "--in", str(inst), "--out", str(out)]) == 0
-    assert (calls["enum"], calls["space"]) == (2, 2)
+    assert (calls["enum"], calls["space"]) == (1, 1)
     dim = len(restricted_basis(deserialize(inst.read_text())))
     assert {tol for d, tol in calls["tols"] if d == dim} == \
         {spectral.SCAN_ARPACK_TOL}

@@ -14,13 +14,13 @@ from flatscape.graphs import (Graph, deserialize, edges_from_coords,
 def test_full_lattice_2x2_is_complete():
     g = generate_unit_disk(2, 2, 1.0, seed=0)
     assert g.n == 4
-    assert g.m == 6  # all pairwise distances^2 in {1, 2}
+    assert len(g.edges) == 6  # all pairwise distances^2 in {1, 2}
 
 
 def test_single_site():
     g = generate_unit_disk(1, 1, 1.0, seed=123)
     assert g.n == 1
-    assert g.m == 0
+    assert len(g.edges) == 0
 
 
 def test_empty_graph_is_valid():

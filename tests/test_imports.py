@@ -88,13 +88,14 @@ def _definitions(tree: ast.AST, prefix: str = "") -> list[ast.AST]:
             and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
-def _read_counts(tree: ast.AST) -> Counter:
-    """How often the tree reads each name: as a name or an attribute, or as
-    a part of a dotted-name string constant, the way ``perfbench/spans.py``
-    names the functions it wraps."""
+def _read_counts(tree: ast.AST, names: bool = True) -> Counter:
+    """How often the tree reads each name: as a name (if ``names``) or an
+    attribute, or as a part of a dotted-name string constant, the way
+    ``perfbench/spans.py`` names the functions it wraps."""
     reads = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if (names and isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)):
             reads[node.id] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             reads[node.attr] += 1
@@ -107,14 +108,26 @@ def _read_counts(tree: ast.AST) -> Counter:
 def _unread(trees: dict[str, ast.Module], readers=(),
             prefix: str = "") -> dict[str, int]:
     """Each definition in ``trees`` that neither ``readers`` nor the trees
-    outside the definition's own body read, with the line it starts on."""
-    outside = sum(map(_read_counts, readers), Counter())
-    inside = sum(map(_read_counts, trees.values()), Counter())
-    return {f"{module}:{node.name}": node.lineno
-            for module, tree in trees.items()
-            for node in _definitions(tree, prefix)
-            if not outside[node.name]
-            and inside[node.name] <= _read_counts(node)[node.name]}
+    outside the definition's own body read, with the line it starts on.  A
+    method (a def directly in a class body) is read only through an
+    attribute or a dotted-name string: a bare name can be a module function
+    of the same name."""
+    methods = {node for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    unread = {}
+    for names in (True, False):  # functions and classes, then methods
+        outside = sum((_read_counts(r, names) for r in readers), Counter())
+        inside = sum((_read_counts(t, names) for t in trees.values()),
+                     Counter())
+        unread.update({f"{module}:{node.name}": node.lineno
+                       for module, tree in trees.items()
+                       for node in _definitions(tree, prefix)
+                       if (node in methods) != names
+                       and not outside[node.name]
+                       and inside[node.name]
+                       <= _read_counts(node, names)[node.name]})
+    return unread
 
 
 def test_package_reads_every_private_definition():
@@ -155,12 +168,18 @@ def test_check_flags_a_test_only_definition():
                                "    def build(self): pass\n"
                                "    def orphan(self): return self.build()\n"
                                "class Node:\n"
-                               "    def leaf(self): return Node()\n"),
-             "b.py": ast.parse("from .a import kept\nkept()\n")}
+                               "    def leaf(self): return Node()\n"
+                               "class Grid:\n"
+                               "    def size(self): pass\n"
+                               "    def helper(self): pass\n"),
+             "b.py": ast.parse("from .a import Grid, kept\nkept()\n"
+                               "Grid().size()\n"
+                               "def helper(): pass\nhelper()\n")}
     readers = [ast.parse("from flatscape.a import wrapped\nwrapped()\n"
                          "TARGETS = (('a', 'Space.build', 'span'),)\n")]
     assert set(_unread(trees, readers)) == {"a.py:recursive", "a.py:orphan",
-                                            "a.py:Node", "a.py:leaf"}
+                                            "a.py:Node", "a.py:leaf",
+                                            "a.py:helper"}
 
 
 def _unread_constants(tree: ast.Module) -> dict[str, int]:

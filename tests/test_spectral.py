@@ -6,19 +6,24 @@ import scipy.linalg
 import scipy.sparse
 
 from oracles import (brute_heff_entries, brute_heff_slopes,
-                     brute_independent_sets, dense_hamiltonian, gap_point)
+                     brute_independent_sets, dense_hamiltonian, embed_state,
+                     gap_point)
 
 from flatscape.bits import Space, enumerate_independent_sets_of_size
 from flatscape.errors import CapacityError, ConvergenceError
 from flatscape.graphs import Graph, generate_star, generate_unit_disk
 from flatscape.landscape import independence_polynomial
-from flatscape.spectral import (_laplacian, build_operator, embed_state,
-                                free_vertex_diag, hamming_gap_estimate,
+from flatscape.spectral import (_laplacian, build_operator, free_vertex_diag,
+                                hamming_gap_estimate,
                                 lowest_eigenpairs, min_gap_scan,
                                 minimize_gap, perturbative_states,
                                 resolvent_gap, restricted_basis,
                                 scan_minimum_gap)
 from flatscape.star_models import SymmetricStarSpace, star_gap_scan
+
+
+def _space(graph):
+    return Space.of(graph, restricted_basis(graph))
 
 
 def test_single_vertex_operator_matrix():
@@ -318,7 +323,7 @@ def test_min_gap_scan_star22_interior_minimum(star22):
 
 
 def test_perturbative_states_star(star22):
-    ps = perturbative_states(star22)
+    ps = perturbative_states(_space(star22))
     assert ps.alpha == 3
     assert ps.b_excited == 2
     # unique maximum set cannot spin-exchange
@@ -329,19 +334,19 @@ def test_perturbative_states_star(star22):
 
 def test_h2_ground_overlap_with_exact_eigenstate(star22):
     # at small drive the exact first-excited state is the manifold ground
-    ps = perturbative_states(star22)
     op = build_operator(star22, omega=0.05, delta=1.0)
+    ps = perturbative_states(op.space)
     w, v = lowest_eigenpairs(op, 2)
-    excited_full = embed_state(op.basis, ps.excited_basis, ps.excited)
+    excited_full = embed_state(op.basis, op.basis[ps.excited_rows], ps.excited)
     assert abs(float(excited_full @ v[:, 1])) >= 0.99
 
 
 def test_resolvent_corrected_matches_exact_gap(star22):
-    ps = perturbative_states(star22)
     scan = min_gap_scan(star22, omega=1.0, delta_range=(0.3, 2.0), points=48)
     op = build_operator(star22, omega=1.0, delta=scan.delta_star)
-    G = embed_state(op.basis, ps.ground_basis, ps.ground)
-    E = embed_state(op.basis, ps.excited_basis, ps.excited)
+    ps = perturbative_states(op.space)
+    G = embed_state(op.basis, op.basis[ps.ground_rows], ps.ground)
+    E = embed_state(op.basis, op.basis[ps.excited_rows], ps.excited)
     w, v = lowest_eigenpairs(op, 3)
     report = resolvent_gap(op.matrix, G, E, z0=scan.e_star,
                            exact_pairs=(v[:, 0], v[:, 1]))
@@ -357,11 +362,11 @@ def test_resolvent_corrected_matches_exact_gap(star22):
 def test_heff_determinant_vanishes_at_exact_eigenvalues(star22):
     from flatscape.spectral import _heff_solver
 
-    ps = perturbative_states(star22)
     scan = min_gap_scan(star22, omega=1.0, delta_range=(0.3, 2.0), points=48)
     op = build_operator(star22, omega=1.0, delta=scan.delta_star)
-    G = embed_state(op.basis, ps.ground_basis, ps.ground)
-    E = embed_state(op.basis, ps.excited_basis, ps.excited)
+    ps = perturbative_states(op.space)
+    G = embed_state(op.basis, op.basis[ps.ground_rows], ps.ground)
+    E = embed_state(op.basis, op.basis[ps.excited_rows], ps.excited)
     w, _ = lowest_eigenpairs(op, 2)
     for z in w:
         ent = _heff_solver(op.matrix, G, E, float(z))[0](float(z))
@@ -402,12 +407,13 @@ def test_hamming_estimate_tracks_exact_gap_on_stars():
     # larger stars land within a factor of 3
     for n_b, factor in ((2, 5.0), (4, 3.0), (6, 3.0)):
         g = generate_star(n_b, 2)
-        ps = perturbative_states(g)
         scan = min_gap_scan(g, omega=1.0,
                             delta_range=(0.3, 0.6 * math.sqrt(n_b) + 1.5),
                             points=48)
-        est, hist = hamming_gap_estimate(ps.ground_basis, ps.ground,
-                                         ps.excited_basis, ps.excited,
+        basis = scan.operator.basis
+        ps = perturbative_states(scan.operator.space)
+        est, hist = hamming_gap_estimate(basis[ps.ground_rows], ps.ground,
+                                         basis[ps.excited_rows], ps.excited,
                                          ps.crossing)
         assert est / scan.gap < factor
         assert scan.gap / est < factor
@@ -427,7 +433,7 @@ def test_manifold_ground_degeneracy_flag():
     assert degenerate
     # this toy has no finite crossing at all; the pipeline reports that
     with pytest.raises(ConvergenceError):
-        perturbative_states(g)
+        perturbative_states(_space(g))
 
 
 def test_manifold_ground_degeneracy_flag_on_lanczos_path():
@@ -476,11 +482,11 @@ def test_manifold_ground_lanczos_matches_dense_oracle():
 def test_resolvent_iterative_path_matches_dense(star22, monkeypatch):
     from flatscape import spectral
 
-    ps = perturbative_states(star22)
     scan = min_gap_scan(star22, omega=1.0, delta_range=(0.3, 2.0), points=48)
     op = build_operator(star22, omega=1.0, delta=scan.delta_star)
-    G = embed_state(op.basis, ps.ground_basis, ps.ground)
-    E = embed_state(op.basis, ps.excited_basis, ps.excited)
+    ps = perturbative_states(op.space)
+    G = embed_state(op.basis, op.basis[ps.ground_rows], ps.ground)
+    E = embed_state(op.basis, op.basis[ps.excited_rows], ps.excited)
     dense = resolvent_gap(op.matrix, G, E, z0=scan.e_star)
     monkeypatch.setattr(spectral, "RESOLVENT_DENSE_LIMIT", 1)
     iterative = resolvent_gap(op.matrix, G, E, z0=scan.e_star)
@@ -508,9 +514,9 @@ def test_basis_is_sorted_and_manifolds_are_its_runs(small_unit_disks,
 
 
 def test_perturbative_states_enumerates_once(monkeypatch, star22):
-    # one enumeration and one Space serve every manifold, and each manifold
-    # of more than one row takes one lowest_eigenpairs solve: here b = 2 and
-    # b = 1, while the maximum set is a single row
+    # the operator's one enumeration and one Space serve every manifold, and
+    # each manifold of more than one row takes one lowest_eigenpairs solve:
+    # here b = 2 and b = 1, while the maximum set is a single row
     from flatscape import spectral
 
     runs = {b: brute_independent_sets(star22, b) for b in range(4)}
@@ -529,11 +535,12 @@ def test_perturbative_states_enumerates_once(monkeypatch, star22):
                         counted("space", spectral.Space.of))
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
                         counted("eig", spectral.lowest_eigenpairs))
-    ps = perturbative_states(star22)
+    op = build_operator(star22, omega=1.0, delta=1.0)
+    ps = perturbative_states(op.space)
     assert calls == {"enumerate": 1, "space": 1, "eig": 2}
     assert ps.alpha == 3
-    assert ps.ground_basis == runs[3]
-    assert ps.excited_basis == runs[ps.b_excited]
+    assert op.basis[ps.ground_rows] == runs[3]
+    assert op.basis[ps.excited_rows] == runs[ps.b_excited]
 
 
 def test_perturbative_states_at_thirty_vertices():
@@ -541,7 +548,7 @@ def test_perturbative_states_at_thirty_vertices():
     # alone would take 2.4 GB
     g = generate_unit_disk(6, 6, 0.8, seed=7)
     assert g.n == 30
-    ps = perturbative_states(g)
+    ps = perturbative_states(_space(g))
     assert ps.b_excited == 8
     assert ps.crossing == pytest.approx(0.7003942308779314, rel=1e-9)
     assert not ps.degenerate
@@ -571,10 +578,11 @@ def test_unit_disk_scan_smoke():
 def test_heff_entries_dense_match_projector_oracle(graph):
     from flatscape.spectral import _heff_solver
 
-    ps = perturbative_states(graph)
+    space = _space(graph)
+    ps = perturbative_states(space)
     op = build_operator(graph, omega=1.0, delta=1.0 / ps.crossing)
-    G = embed_state(op.basis, ps.ground_basis, ps.ground)
-    E = embed_state(op.basis, ps.excited_basis, ps.excited)
+    G = embed_state(op.basis, space.basis[ps.ground_rows], ps.ground)
+    E = embed_state(op.basis, space.basis[ps.excited_rows], ps.excited)
     G, E = G / np.linalg.norm(G), E / np.linalg.norm(E)
     w, _ = lowest_eigenpairs(op, 2)
     for z in (w[0] - 0.5, w[0], 0.5 * (w[0] + w[1]), w[1] + 0.25):
@@ -588,7 +596,7 @@ def test_scan_solves_once_per_gap_evaluation(star22, monkeypatch):
     # e_star comes from the search's own solve at delta*, not a repeat
     from flatscape import spectral
 
-    calls = {"eig": 0, "gap": 0}
+    calls, solved = {"eig": 0, "gap": 0}, {}
     eig, search = spectral.lowest_eigenpairs, spectral.minimize_gap
 
     def counted_eig(*args, **kwargs):
@@ -598,7 +606,8 @@ def test_scan_solves_once_per_gap_evaluation(star22, monkeypatch):
     def counted_search(gap_at, *args, **kwargs):
         def counted_gap(d):
             calls["gap"] += 1
-            return gap_at(d)
+            solved[d], slope = gap_at(d)
+            return solved[d], slope
         return search(counted_gap, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "lowest_eigenpairs", counted_eig)
@@ -609,6 +618,15 @@ def test_scan_solves_once_per_gap_evaluation(star22, monkeypatch):
     assert calls["eig"] == calls["gap"]
     op = build_operator(star22, omega=1.0, delta=report.delta_star)
     assert report.e_star == eig(op)[0][0]
+    # one of C8's lambda = 50 scans: a Brent iterate beside delta* solves a
+    # gap below the reported one, and delta* is still not solved again
+    calls.update(eig=0, gap=0)
+    solved.clear()
+    report = min_gap_scan(generate_unit_disk(4, 4, 0.8, 9), omega=1.0,
+                          lam=50.0, points=41,
+                          delta_range=(0.844685537341679, 2.044685537341679))
+    assert min(solved.values()) < report.gap
+    assert calls["eig"] == calls["gap"]
 
 
 @pytest.mark.parametrize("n", [12, 14])
@@ -737,7 +755,8 @@ def test_min_gap_scan_solution_is_the_full_solve_at_delta_star():
 
     graph = generate_unit_disk(5, 4, 0.8, seed=7)
     report = min_gap_scan(graph, delta_range=(0.3, 2.0), points=24)
-    op, (w, v) = report.operator, report.pair
+    op = report.operator
+    w, v = lowest_eigenpairs(op, 2, tol=spectral.SCAN_ARPACK_TOL)
     want = build_operator(graph, 1.0, report.delta_star)
     assert op.basis == want.basis
     assert (op.matrix != want.matrix).nnz == 0
@@ -749,11 +768,11 @@ def test_min_gap_scan_solution_is_the_full_solve_at_delta_star():
 
 
 def _crossing_pair(graph):
-    ps = perturbative_states(graph)
     scan = min_gap_scan(graph, omega=1.0, delta_range=(0.3, 2.0), points=48)
     op = build_operator(graph, omega=1.0, delta=scan.delta_star)
-    G = embed_state(op.basis, ps.ground_basis, ps.ground)
-    E = embed_state(op.basis, ps.excited_basis, ps.excited)
+    ps = perturbative_states(op.space)
+    G = embed_state(op.basis, op.basis[ps.ground_rows], ps.ground)
+    E = embed_state(op.basis, op.basis[ps.excited_rows], ps.excited)
     return op, G / np.linalg.norm(G), E / np.linalg.norm(E), scan.e_star
 
 
@@ -895,11 +914,12 @@ def test_dense_solves_allocate_no_dim_squared_array():
     from flatscape.spectral import _heff_solver
 
     g = generate_unit_disk(5, 5, 0.7, seed=0)
-    ps = perturbative_states(g)
+    space = _space(g)
+    ps = perturbative_states(space)
     op = build_operator(g, omega=1.0, delta=1.0 / ps.crossing)
     assert op.dim >= 1000
-    G = embed_state(op.basis, ps.ground_basis, ps.ground)
-    E = embed_state(op.basis, ps.excited_basis, ps.excited)
+    G = embed_state(op.basis, space.basis[ps.ground_rows], ps.ground)
+    E = embed_state(op.basis, space.basis[ps.excited_rows], ps.excited)
     G, E = G / np.linalg.norm(G), E / np.linalg.norm(E)
     z0 = float(lowest_eigenpairs(op, 1)[0][0])
 
@@ -930,7 +950,7 @@ def test_perturbative_states_allocate_no_manifold_squared_array():
     assert largest == 1059
     tracemalloc.start()
     try:
-        perturbative_states(g)
+        perturbative_states(_space(g))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
