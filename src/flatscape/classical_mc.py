@@ -5,12 +5,10 @@ Proposal measures are symmetric by construction: spin flips pick a uniform
 vertex, spin exchanges pick a uniform directed edge of the problem graph
 (the move fires only when its tail is occupied and its head is free), so
 p(z -> z') = p(z' -> z) and the Metropolis rule alone enforces detailed
-balance.  The energy of a configuration z is -|z| (detuning Delta = 1:
-the cost enters the Metropolis rule only as beta * Delta, so beta alone
-sets it), plus ``penalty`` per violated edge in penalty mode.
-"Restricted" dynamics auto-reject any proposal that breaks
-independence (the infinite-penalty limit); "penalty" dynamics run on all
-2^n configurations with a finite constraint penalty.
+balance.  The chains walk the independent sets alone: a proposal that
+breaks independence is rejected.  The energy of a set z is -|z| (detuning
+Delta = 1: the cost enters the Metropolis rule only as beta * Delta, so
+beta alone sets it).
 
 A sweep is n proposed updates; first-hit times are reported in sweeps.
 Fixed (seed, trial) pairs give bit-identical results: every trial consumes
@@ -28,7 +26,7 @@ from .bits import Space, components, popcount
 from .errors import ConfigError
 from .graphs import Graph
 from .landscape import independence_polynomial
-from .spectral import restricted_basis, violation_count
+from .spectral import restricted_basis
 
 RNG_CHUNK = 512
 # the TTS bootstrap's resamples and stream index (no trial index reaches it)
@@ -66,8 +64,8 @@ class _Uniforms:
 
 
 class _UpdateMix:
-    """The inverse temperatures, flip/exchange mix and dynamics mode that
-    SAConfig and PTConfig share."""
+    """The inverse temperatures and flip/exchange mix that SAConfig and
+    PTConfig share."""
 
     def _check_common(self, sweeps: int) -> None:
         self.betas = tuple(float(b) for b in self.betas)
@@ -80,19 +78,10 @@ class _UpdateMix:
             raise ConfigError("update weights must be non-negative")
         if self.flip_weight + self.exchange_weight <= 0:
             raise ConfigError("update mix has zero total weight")
-        if self.mode not in ("restricted", "penalty"):
-            raise ConfigError(f"unknown dynamics mode {self.mode!r}")
 
     def weights(self) -> tuple[float, float]:
         total = self.flip_weight + self.exchange_weight
         return self.flip_weight / total, self.exchange_weight / total
-
-    def penalty_for(self, graph: Graph) -> float | None:
-        """The penalty per violated edge: ``penalty``, 2n by default, and
-        None in restricted mode."""
-        if self.mode != "penalty":
-            return None
-        return 2.0 * graph.n if self.penalty is None else self.penalty
 
 
 @dataclass
@@ -100,16 +89,13 @@ class SAConfig(_UpdateMix):
     """Single-chain annealing configuration.
 
     ``betas`` is the non-decreasing inverse-temperature ladder; the chain
-    spends ``sweeps_per_beta`` sweeps at each rung.  ``k`` (the most spins
-    one proposal can alter) is 2 whenever exchange moves are enabled.
+    spends ``sweeps_per_beta`` sweeps at each rung.
     """
 
     betas: tuple[float, ...] = geometric_betas()
     sweeps_per_beta: int = 200
     flip_weight: float = 0.5
     exchange_weight: float = 0.5
-    mode: str = "restricted"
-    penalty: float | None = None
     seed: int = 0
     record_histogram: bool = False
 
@@ -117,10 +103,6 @@ class SAConfig(_UpdateMix):
         self._check_common(self.sweeps_per_beta)
         if any(b2 < b1 for b1, b2 in zip(self.betas, self.betas[1:])):
             raise ConfigError("beta schedule must be non-decreasing")
-
-    @property
-    def k(self) -> int:
-        return 2 if self.exchange_weight > 0 else 1
 
 
 @dataclass
@@ -133,8 +115,6 @@ class PTConfig(_UpdateMix):
     flip_weight: float = 0.5
     exchange_weight: float = 0.5
     isoenergetic: bool = False
-    mode: str = "restricted"
-    penalty: float | None = None
     seed: int = 0
     record_histogram: bool = False
 
@@ -163,45 +143,34 @@ class MCResult:
 
 
 def _moves(graph: Graph, config) -> tuple:
-    """(p_flip, flips, exchanges, penalty) of one chain: flips[v] is
-    (bit, neighbours) of v, exchanges[e] (tail bit, head bit, tail and head
-    neighbours) of directed edge e; penalty is None in restricted mode."""
+    """(p_flip, flips, exchanges) of one chain: flips[v] is (bit,
+    neighbours) of v, exchanges[e] (tail bit, head bit, head neighbours) of
+    directed edge e."""
     adj = graph.adjacency()
     return (config.weights()[0],
             [(1 << v, adj[v]) for v in range(graph.n)],
-            [(1 << u, 1 << v, adj[u], adj[v])
-             for u, v in graph.directed_edges()],
-            config.penalty_for(graph))
+            [(1 << u, 1 << v, adj[v]) for u, v in graph.directed_edges()])
 
 
 def _local_moves(moves: tuple, reps: list, rungs, accepted: list, triples,
                  count: int, target: int) -> int:
-    """Metropolis proposals on each replica (mask, size, violations) of
-    ``reps`` in turn at its rung (beta, exp(-beta)): ``count`` each, one per
-    (move, pick, accept) triple of ``triples``, ending a replica's run at an
-    accepted move to a valid set of ``target`` or more vertices.  Updates
-    ``reps`` and ``accepted`` in place; returns the proposals made."""
-    p_flip, flips, exchanges, penalty = moves
+    """Metropolis proposals on each replica (mask, size) of ``reps`` in turn
+    at its rung's removal weight exp(-beta): ``count`` each, one per (move,
+    pick, accept) triple of ``triples``, ending a replica's run at an
+    accepted move to a set of ``target`` or more vertices.  Updates ``reps``
+    and ``accepted`` in place; returns the proposals made."""
+    p_flip, flips, exchanges = moves
     n, n_ex = len(flips), len(exchanges)
     trunc = math.trunc  # int(x) for x >= 0, at half the cost of the int call
     done = 0
-    for i, (beta, w_remove) in enumerate(rungs):
-        mask, size, viol = reps[i]
+    for i, w_remove in enumerate(rungs):
+        mask, size = reps[i]
         acc = 0
         for r_move, r_pick, r_acc in islice(triples, count):
             done += 1
             if r_move < p_flip:
                 bit, near = flips[trunc(r_pick * n)]
-                if penalty is not None:
-                    d_viol = (near & mask).bit_count()
-                    if mask & bit:
-                        d_h, d_size, d_viol = 1.0 - penalty * d_viol, -1, -d_viol
-                    else:
-                        d_h, d_size = -1.0 + penalty * d_viol, 1
-                    if not (d_h <= 0 or r_acc < math.exp(-beta * d_h)):
-                        continue
-                    viol += d_viol
-                elif mask & bit:
+                if mask & bit:
                     if not r_acc < w_remove:
                         continue
                     d_size = -1
@@ -212,33 +181,21 @@ def _local_moves(moves: tuple, reps: list, rungs, accepted: list, triples,
                 mask ^= bit
                 size += d_size
             elif n_ex:
-                ubit, vbit, near_u, near_v = exchanges[trunc(r_pick * n_ex)]
+                ubit, vbit, near_v = exchanges[trunc(r_pick * n_ex)]
                 if not mask & ubit or mask & vbit:
                     continue
                 without = mask ^ ubit
-                if penalty is not None:
-                    d_viol = ((near_v & without).bit_count()
-                              - (near_u & without).bit_count())
-                    d_h = penalty * d_viol
-                    if not (d_h <= 0 or r_acc < math.exp(-beta * d_h)):
-                        continue
-                    viol += d_viol
-                elif near_v & without:
+                if near_v & without:
                     continue
                 mask = without | vbit
             else:
                 continue
             acc += 1
-            if size >= target and not viol:
+            if size >= target:
                 break
-        reps[i] = (mask, size, viol)
+        reps[i] = (mask, size)
         accepted[i] += acc
     return done
-
-
-def _energy(rep: tuple, penalty: float) -> float:
-    """Penalty-mode energy: -|z| plus ``penalty`` per violated edge."""
-    return -float(rep[1]) + penalty * rep[2]
 
 
 def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
@@ -253,13 +210,13 @@ def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
     n = max(graph.n, 1)
     histogram: dict[int, int] | None = {} if config.record_histogram else None
     acceptance = {}
-    reps = [(0, 0, 0)]
-    best_mask = best_size = size = 0  # size: the chain's, -1 when invalid
+    reps = [(0, 0)]
+    best_mask = best_size = size = 0
     first_hit = None
     proposals = 0
     stopped = False
     for beta in config.betas:
-        rung = ((beta, math.exp(-beta)),)
+        rung = (math.exp(-beta),)
         accepted = [0]
         rung_start = proposals
         rung_end = proposals + n * config.sweeps_per_beta
@@ -271,8 +228,7 @@ def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
                 if histogram is None else n - proposals % n
             proposals += _local_moves(moves, reps, rung, accepted, triples,
                                       count, target)
-            mask, size, viol = reps[0]
-            size = -1 if viol else size
+            mask, size = reps[0]
             if size > best_size:
                 best_mask, best_size = mask, size
             if first_hit is None and size >= alpha:
@@ -294,35 +250,20 @@ def sa_run(graph: Graph, config: SAConfig, alpha: int | None = None,
                     rng={"generator": "philox", "key": [config.seed, trial]})
 
 
-def _cluster_swap(graph: Graph, rep_i: tuple, rep_j: tuple, cluster: int,
-                  penalty: float) -> tuple:
-    """Both penalty-mode replicas after swapping ``cluster`` between them,
-    and the energy change of the first.  The pair's total energy is
-    conserved, penalties included: every edge leaving a cluster ends where
-    the two masks agree."""
-    (mi, si, _), (mj, sj, _) = rep_i, rep_j
-    di, dj = popcount(mi & cluster), popcount(mj & cluster)
-    mi, mj = mi ^ cluster, mj ^ cluster  # the masks differ on all of it
-    new_i = (mi, si + dj - di, violation_count(graph, mi))
-    new_j = (mj, sj + di - dj, violation_count(graph, mj))
-    return new_i, new_j, _energy(new_i, penalty) - _energy(rep_i, penalty)
-
-
 def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None,
            trial: int = 0) -> MCResult:
     """Parallel tempering on the Philox stream (config.seed, trial):
     per-replica local sweeps, adjacent replica exchange, and optional
     isoenergetic cluster moves.  Best and first-hit sets are checked after
-    each replica's sweep.  In restricted mode the energy is -|z|, so the
-    exchange and cluster moves read the replicas' sizes alone."""
+    each replica's sweep.  The energy is -|z|, so the exchange and cluster
+    moves read the replicas' sizes alone."""
     alpha = independence_polynomial(graph).alpha if alpha is None else alpha
     moves = _moves(graph, config)
-    penalty = moves[3]
     betas = config.betas
-    rungs = [(beta, math.exp(-beta)) for beta in betas]
+    rungs = [math.exp(-beta) for beta in betas]
     gaps = [b_i - b_j for b_i, b_j in zip(betas, betas[1:])]
     m_rep = config.replicas
-    reps = [(0, 0, 0)] * m_rep
+    reps = [(0, 0)] * m_rep
     it = iter(_Uniforms(_stream(config.seed, trial)))
     triples = zip(it, it, it)
     draw = it.__next__
@@ -335,45 +276,34 @@ def pt_run(graph: Graph, config: PTConfig, alpha: int | None = None,
     first_hit = None
     for sweep in range(config.sweeps):
         _local_moves(moves, reps, rungs, local_acc, triples, n, n + 1)
-        for i, (mask, size, viol) in enumerate(reps):
-            size = -1 if viol else size
+        for i, (mask, size) in enumerate(reps):
             if size > best_size:
                 best_mask, best_size = mask, size
             if first_hit is None and size >= alpha:
                 first_hit = (sweep * m_rep + i + 1) / m_rep
         if histograms is not None:
-            for hist, (mask, _, _) in zip(histograms, reps):
+            for hist, (mask, _) in zip(histograms, reps):
                 hist[mask] = hist.get(mask, 0) + 1
         if config.swap_every and (sweep + 1) % config.swap_every == 0:
             swap_attempts += m_rep - 1
             for i, gap in enumerate(gaps):
-                d_e = reps[i + 1][1] - reps[i][1] if penalty is None else \
-                    _energy(reps[i], penalty) - _energy(reps[i + 1], penalty)
-                log_acc = gap * d_e
+                log_acc = gap * (reps[i + 1][1] - reps[i][1])
                 if log_acc >= 0 or draw() < math.exp(log_acc):
                     swap_accepts += 1
                     reps[i], reps[i + 1] = reps[i + 1], reps[i]
             if config.isoenergetic:
                 iso_attempts += 1
                 pair = int(draw() * (m_rep - 1))
-                (mi, si, _), (mj, sj, _) = reps[pair], reps[pair + 1]
+                (mi, si), (mj, sj) = reps[pair], reps[pair + 1]
                 comps = components(mi ^ mj, adj)
                 if comps:
                     cluster = comps[int(draw() * len(comps))]
-                    if penalty is None:  # independent sets stay independent
-                        di, dj = popcount(mi & cluster), popcount(mj & cluster)
-                        d_h_i = di - dj
-                    else:
-                        new_i, new_j, d_h_i = _cluster_swap(
-                            graph, reps[pair], reps[pair + 1], cluster,
-                            penalty)
-                    log_acc = -gaps[pair] * d_h_i
+                    di, dj = popcount(mi & cluster), popcount(mj & cluster)
+                    log_acc = -gaps[pair] * (di - dj)
                     if log_acc >= 0 or draw() < math.exp(log_acc):
-                        iso_accepts += 1
-                        if penalty is None:
-                            new_i = (mi ^ cluster, si + dj - di, 0)
-                            new_j = (mj ^ cluster, sj + di - dj, 0)
-                        reps[pair], reps[pair + 1] = new_i, new_j
+                        iso_accepts += 1  # both sets stay independent
+                        reps[pair] = (mi ^ cluster, si + dj - di)
+                        reps[pair + 1] = (mj ^ cluster, sj + di - dj)
     acceptance = {f"local_beta_{beta:g}": acc / max(config.sweeps * n, 1)
                   for beta, acc in zip(betas, local_acc)}
     acceptance["replica_exchange"] = swap_accepts / max(swap_attempts, 1)
@@ -401,17 +331,13 @@ def transition_matrix(graph: Graph, beta: float, config: SAConfig,
 
     Constructed from the proposal measure and Metropolis rule directly (not
     sampled); rows sum to one with the self-loop on the diagonal.  Moves
-    that leave the basis (blocked additions in restricted mode) stay put.
+    that leave the basis (additions that break independence) stay put.
     """
     if basis is None:
-        basis = restricted_basis(graph) if config.mode == "restricted" \
-            else list(range(1 << graph.n))
+        basis = restricted_basis(graph)
     space = Space.of(graph, basis)
     p_flip, p_ex = config.weights()
     energy = -space.sizes.astype(float)
-    if config.mode == "penalty":
-        energy = energy + (config.penalty_for(graph)
-                           * violation_count(graph, space.masks))
     dim = len(basis)
     P = np.zeros((dim, dim))
     for moves, p_move in ((space.flips, p_flip), (space.exchanges, p_ex)):

@@ -91,9 +91,9 @@ def _canonical_json(doc) -> str:  # a NaN or infinity raises ValueError
 class _Run:
     """Tracks inputs/outputs for the manifest of one CLI invocation."""
 
-    def __init__(self, argv, seeds=None):
+    def __init__(self, argv, seeds: list):
         self.argv = list(argv)
-        self.seeds = seeds or []
+        self.seeds = seeds
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.workers = 1
@@ -548,15 +548,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
+    def add_common(p, needs_input=True, seeded=False):
         if needs_input:
             p.add_argument("--in", dest="inp", default="-",
                            help="instance document (default stdin)")
         p.add_argument("--out", default="-", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
+        if seeded:  # only the commands that draw take a seed
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gen", help="generate unit-disk or star instances")
-    add_common(p, needs_input=False)
+    add_common(p, needs_input=False, seeded=True)
     p.add_argument("--width", type=int, default=4)
     p.add_argument("--height", type=int, default=4)
     p.add_argument("--filling", type=float, default=0.8)
@@ -576,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("unimodal", help="batch unimodality scan")
-    add_common(p, needs_input=False)
+    add_common(p, needs_input=False, seeded=True)
     p.add_argument("--width", type=int, default=5)
     p.add_argument("--height", type=int, default=5)
     p.add_argument("--filling", type=float, default=0.8)
@@ -585,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_unimodal)
 
     p = sub.add_parser("sa", help="simulated annealing runs / TTS")
-    add_common(p)
+    add_common(p, seeded=True)
     p.add_argument("--beta", default=None, help="comma-separated ladder")
     p.add_argument("--sweeps", type=int, default=500)
     p.add_argument("--trials", type=int, default=16)
@@ -597,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sa)
 
     p = sub.add_parser("pt", help="parallel tempering runs")
-    add_common(p)
+    add_common(p, seeded=True)
     p.add_argument("--beta", default=None, help="comma-separated ladder")
     p.add_argument("--sweeps", type=int, default=1000)
     p.add_argument("--trials", type=int, default=8)
@@ -606,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pt)
 
     p = sub.add_parser("qmc", help="worldline sampler / bound inputs")
-    add_common(p)
+    add_common(p, seeded=True)
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--slices", type=int, default=32)
     p.add_argument("--omega", type=float, default=0.3)
@@ -684,7 +685,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    run = _Run(argv, seeds=[getattr(args, "seed", None)])
+    run = _Run(argv, [args.seed] if "seed" in args else [])
     status = 1  # an exception not mapped below is raised again
     try:
         status = args.func(args, run)

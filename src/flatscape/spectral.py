@@ -1,12 +1,12 @@
 """Hamiltonians on the independent-set-restricted space, low-lying spectra,
 minimum-gap scans, and the effective-two-level (resolvent) gap machinery.
 
-Conventions: every operator acts on the independent sets (the
-infinite-penalty limit), ordered by (size, mask), so each fixed-size
-manifold is a contiguous run of rows.  The assembled operator is
-H = H_cost - H_drive + lam * H_lap with H_cost diagonal (-delta per occupied
-vertex), drive entries Omega between configurations one spin flip apart,
-and H_lap the configuration-graph Laplacian acting within each manifold.
+Conventions: every operator acts on the independent sets, ordered by
+(size, mask), so each fixed-size manifold is a contiguous run of rows.  The
+assembled operator is H = H_cost - H_drive + lam * H_lap with H_cost
+diagonal (-delta per occupied vertex), drive entries Omega between
+configurations one spin flip apart, and H_lap the configuration-graph
+Laplacian acting within each manifold.
 Fixing delta = 1 and scanning the drive-to-detuning ratio is the usual
 workflow; all coefficients stay explicit so any scale convention can be
 expressed.
@@ -80,11 +80,6 @@ def free_vertex_diag(graph: Graph, basis: list[int]) -> np.ndarray:
     for v, nbrs in enumerate(graph.adjacency()):
         out += (masks & np.uint64(nbrs | 1 << v)) == 0
     return out
-
-
-def violation_count(graph: Graph, mask):
-    """Edges with both ends occupied, for one mask or a uint64 mask array."""
-    return sum((mask >> u) & (mask >> v) & 1 for u, v in graph.edges)
 
 
 @dataclass
@@ -437,7 +432,6 @@ class PerturbativeStates:
     alpha: int
     crossing: float             # predicted (Omega/delta)*
     e_star: float               # predicted ground energy at the crossing
-    exchange_expectations: dict
     condition_ratio: float      # LHS/RHS of the perturbative-regime check
     degenerate: bool
 
@@ -484,24 +478,22 @@ def perturbative_states(space: Space) -> PerturbativeStates:
         return rows, *_manifold_ground(exchange[rows, rows], free[rows])
 
     g_rows, g_vec, g_se, _, g_degen = manifold(alpha)
-    found = []  # (crossing, b, rows, vec, <H_se>, <H_fv>, degenerate)
+    found = []  # (crossing, b, rows, vec, <H_se>, degenerate)
     for b in range(alpha - 1, max(alpha - 1 - CROSSING_CANDIDATES, 0), -1):
         e_rows, e_vec, e_se, e_fv, e_degen = manifold(b)
         denom = e_se - g_se - e_fv - (alpha - b)
         if denom > 0:
             found.append((math.sqrt((alpha - b) / denom), b, e_rows, e_vec,
-                          e_se, e_fv, e_degen))
+                          e_se, e_degen))
     if not found:
         raise ConvergenceError("no manifold produces a finite positive crossing")
-    crossing, b, e_rows, e_vec, e_se, e_fv, e_degen = min(
+    crossing, b, e_rows, e_vec, e_se, e_degen = min(
         found, key=lambda c: c[0])  # the first of equal crossings
     return PerturbativeStates(
         ground=g_vec, ground_rows=g_rows,
         excited=e_vec, excited_rows=e_rows,
         b_excited=b, alpha=alpha, crossing=crossing,
         e_star=-alpha - crossing ** 2 * (alpha + g_se),  # units of delta
-        exchange_expectations={"ground_se": g_se, "excited_se": e_se,
-                               "excited_fv": e_fv},
         condition_ratio=(e_se - g_se) / (3.0 * (alpha - b)),
         degenerate=g_degen or e_degen,
     )

@@ -248,12 +248,6 @@ def _scalar_components(vertices, adj):
     return comps
 
 
-def _scalar_violations(mask, adj):
-    """Edges with both ends in ``mask``."""
-    return sum(bin(adj[v] & mask).count("1")
-               for v in range(len(adj)) if mask >> v & 1) // 2
-
-
 class ScalarUniforms:
     """Chunked uniform draws from Philox (seed, stream), one numpy scalar
     per call."""
@@ -273,26 +267,19 @@ class ScalarUniforms:
 
 
 class ScalarChain:
-    """One Metropolis chain on bitmask states."""
+    """One Metropolis chain on the independent sets of a graph, as bitmask
+    states; a proposal that breaks independence is rejected."""
 
-    def __init__(self, graph, mode, penalty, delta):
-        self.graph = graph
+    def __init__(self, graph, delta):
         self.n = graph.n
         self.adj = graph.adjacency()
         self.dir_edges = graph.directed_edges()
-        self.mode = mode
         self.delta = delta
-        self.penalty = (2.0 * graph.n if penalty is None else penalty) \
-            if mode == "penalty" else None
         self.mask = 0
         self.size = 0
-        self.violations = 0
 
     def energy(self):
-        e = -self.delta * self.size
-        if self.mode == "penalty":
-            e += self.penalty * self.violations
-        return e
+        return -self.delta * self.size
 
     def propose(self, u01, p_flip, beta):
         """One proposed update; three uniforms consumed; returns accepted."""
@@ -300,31 +287,18 @@ class ScalarChain:
         if r_move < p_flip:
             v = int(r_pick * self.n)
             bit = 1 << v
-            conflicts = bin(self.adj[v] & self.mask).count("1")
             if self.mask & bit:
                 d_h = self.delta
-                if self.mode == "penalty":
-                    d_h -= self.penalty * conflicts
                 if d_h <= 0 or r_acc < math.exp(-beta * d_h):
                     self.mask ^= bit
                     self.size -= 1
-                    if self.mode == "penalty":
-                        self.violations -= conflicts
                     return True
                 return False
-            if self.mode == "restricted":
-                if conflicts:
-                    return False
-                self.mask |= bit
-                self.size += 1
-                return True
-            d_h = -self.delta + self.penalty * conflicts
-            if d_h <= 0 or r_acc < math.exp(-beta * d_h):
-                self.mask |= bit
-                self.size += 1
-                self.violations += conflicts
-                return True
-            return False
+            if self.adj[v] & self.mask:
+                return False
+            self.mask |= bit
+            self.size += 1
+            return True
         if not self.dir_edges:
             return False
         u, v = self.dir_edges[int(r_pick * len(self.dir_edges))]
@@ -332,19 +306,10 @@ class ScalarChain:
         if not (self.mask & ubit) or (self.mask & vbit):
             return False
         without = self.mask ^ ubit
-        if self.mode == "restricted":
-            if self.adj[v] & without:
-                return False
-            self.mask = without | vbit
-            return True
-        old_conf = bin(self.adj[u] & without).count("1")
-        new_conf = bin(self.adj[v] & without).count("1")
-        d_h = self.penalty * (new_conf - old_conf)
-        if d_h <= 0 or r_acc < math.exp(-beta * d_h):
-            self.mask = without | vbit
-            self.violations += new_conf - old_conf
-            return True
-        return False
+        if self.adj[v] & without:
+            return False
+        self.mask = without | vbit
+        return True
 
 
 def _p_flip(config):
@@ -353,7 +318,7 @@ def _p_flip(config):
 
 def scalar_sa_run(graph, config, alpha, stop_at_hit=False, trial=0):
     p_flip = _p_flip(config)
-    chain = ScalarChain(graph, config.mode, config.penalty, 1.0)
+    chain = ScalarChain(graph, 1.0)
     u01 = ScalarUniforms(config.seed, trial)
     n = max(graph.n, 1)
     histogram = {} if config.record_histogram else None
@@ -371,11 +336,9 @@ def scalar_sa_run(graph, config, alpha, stop_at_hit=False, trial=0):
                 accepted += chain.propose(u01, p_flip, beta)
                 attempted += 1
                 proposals += 1
-                size = chain.size if config.mode == "restricted" else (
-                    chain.size if chain.violations == 0 else -1)
-                if size > best_size:
-                    best_mask, best_size = chain.mask, size
-                if first_hit is None and size >= alpha:
+                if chain.size > best_size:
+                    best_mask, best_size = chain.mask, chain.size
+                if first_hit is None and chain.size >= alpha:
                     first_hit = proposals / n
                     stopped = stop_at_hit
                     if stopped:
@@ -396,8 +359,7 @@ def scalar_sa_run(graph, config, alpha, stop_at_hit=False, trial=0):
 def scalar_pt_run(graph, config, alpha, trial=0):
     p_flip = _p_flip(config)
     m_rep = len(config.betas)
-    chains = [ScalarChain(graph, config.mode, config.penalty, 1.0)
-              for _ in range(m_rep)]
+    chains = [ScalarChain(graph, 1.0) for _ in range(m_rep)]
     u01 = ScalarUniforms(config.seed, trial)
     n = max(graph.n, 1)
     adj = graph.adjacency()
@@ -417,11 +379,9 @@ def scalar_pt_run(graph, config, alpha, trial=0):
                 local_acc[i] += chain.propose(u01, p_flip, beta)
                 local_att[i] += 1
             proposals += n
-            size = chain.size if config.mode == "restricted" or \
-                chain.violations == 0 else -1
-            if size > best_size:
-                best_mask, best_size = chain.mask, size
-            if first_hit is None and size >= alpha:
+            if chain.size > best_size:
+                best_mask, best_size = chain.mask, chain.size
+            if first_hit is None and chain.size >= alpha:
                 first_hit = proposals / (n * m_rep)
         if histograms is not None:
             for i, chain in enumerate(chains):
@@ -447,23 +407,13 @@ def scalar_pt_run(graph, config, alpha, trial=0):
                     bi, bj = config.betas[pair], config.betas[pair + 1]
                     new_i = (ci.mask & ~cluster) | (cj.mask & cluster)
                     new_j = (cj.mask & ~cluster) | (ci.mask & cluster)
-                    if config.mode == "penalty":
-                        # the pair's energy is conserved, so the move is
-                        # accepted on the first replica's energy change
-                        vi, vj = (_scalar_violations(m, adj)
-                                  for m in (new_i, new_j))
-                        d_h_i = (-ci.delta * (ci.size + dj - di)
-                                 + ci.penalty * vi) - ci.energy()
-                    else:
-                        vi = vj = 0
-                        d_h_i = -ci.delta * (dj - di)
+                    d_h_i = -ci.delta * (dj - di)
                     log_acc = -(bi - bj) * d_h_i
                     if log_acc >= 0 or u01() < math.exp(log_acc):
                         iso_accepts += 1
                         ci.mask, cj.mask = new_i, new_j
                         ci.size += dj - di
                         cj.size += di - dj
-                        ci.violations, cj.violations = vi, vj
     for i, beta in enumerate(config.betas):
         acceptance[f"local_beta_{beta:g}"] = local_acc[i] / max(local_att[i], 1)
     acceptance["replica_exchange"] = swap_accepts / max(swap_attempts, 1)

@@ -131,27 +131,18 @@ def test_c03_sa_bound_arithmetic():
 
 def test_c04_detailed_balance():
     worst = 0.0
-    # SA kernels, restricted and penalty, on instances up to n = 10
+    # SA kernels on instances up to n = 10
     graphs = [generate_star(2, 2), generate_star(2, 4), generate_star(4, 2)]
     graphs += unit_disk_pool(3, 3, 4, 0.8, n_max=10, seed0=100)
+    beta = 0.9
     for g in graphs:
-        for mode, beta in (("restricted", 0.9), ("penalty", 0.6)):
-            if mode == "penalty" and g.n > 8:
-                continue
-            config = SAConfig(betas=(beta,), mode=mode, penalty=2.5,
-                              flip_weight=0.45, exchange_weight=0.55)
-            P, basis = transition_matrix(g, beta, config)
-            energies = []
-            for z in basis:
-                e = -float(bin(z).count("1"))
-                if mode == "penalty":
-                    e += 2.5 * sum(1 for u, v in g.edges
-                                   if (z >> u) & 1 and (z >> v) & 1)
-                energies.append(e)
-            w = np.exp(-beta * (np.array(energies) - min(energies)))
-            pi = w / w.sum()
-            flow = pi[:, None] * P
-            worst = max(worst, float(np.abs(flow - flow.T).max()))
+        config = SAConfig(betas=(beta,), flip_weight=0.45, exchange_weight=0.55)
+        P, basis = transition_matrix(g, beta, config)
+        energies = np.array([-float(bin(z).count("1")) for z in basis])
+        w = np.exp(-beta * (energies - energies.min()))
+        pi = w / w.sum()
+        flow = pi[:, None] * P
+        worst = max(worst, float(np.abs(flow - flow.T).max()))
     # QMC worldline kernels on n <= 4, M <= 4
     qmc_cases = [(generate_star(1, 2), 3, 0.7), (Graph(n=2, edges=((0, 1),)), 4, 0.0),
                  (Graph(n=4, edges=((0, 1), (1, 2), (2, 3))), 3, 0.5)]

@@ -234,6 +234,21 @@ def test_seed_outside_uint64_exit_code(tmp_path, capsys, seed):
     assert manifest["seeds"] == [int(seed)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile"], ["gap"], ["resolvent"], ["chain"],
+    ["star", "--nb", "2", "--l", "2"], ["compare"]], ids=lambda a: a[0])
+def test_seed_only_where_a_command_draws(tmp_path, capsys, argv):
+    # a command that draws nothing takes no --seed, and its manifest
+    # records no seed
+    assert run_cli(argv + ["--seed", "3"]) == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    if argv[0] == "star":
+        out = tmp_path / "star.json"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "star.json.manifest.json").read_text())
+        assert manifest["seeds"] == []
+
+
 def test_qmc_bound_inputs_cli(tmp_path):
     inst = tmp_path / "i.json"
     run_cli(["gen", "--nb", "2", "--l", "2", "--out", str(inst)])

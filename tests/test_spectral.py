@@ -326,10 +326,11 @@ def test_perturbative_states_star(star22):
     ps = perturbative_states(_space(star22))
     assert ps.alpha == 3
     assert ps.b_excited == 2
-    # unique maximum set cannot spin-exchange
-    assert ps.exchange_expectations["ground_se"] == pytest.approx(0.0, abs=1e-12)
     assert not ps.degenerate
     assert ps.crossing == pytest.approx(1.0, rel=1e-10)  # 1/sqrt(c*nb - 1) = 1
+    # unique maximum set cannot spin-exchange: <G|H_se|G> = 0, so
+    # e_star = -alpha - crossing^2 (alpha + 0) = -6
+    assert ps.e_star == pytest.approx(-6.0, abs=1e-12)
 
 
 def test_h2_ground_overlap_with_exact_eigenstate(star22):
